@@ -10,8 +10,7 @@ peak — surges included — so it never sheds but burns chips all night;
 the autoscalers ride the diurnal curve and pay for it only when the
 spin-up lag shows.
 
-Every policy runs on the strict determinism tier (byte-identical per
-seed), so the committed comparison in
+Every run is byte-identical per seed, so the committed comparison in
 ``benchmarks/baselines/serve_surge_comparison.json`` is reproduced
 exactly by a healthy build; the tolerance exists so an intentional
 small accounting change does not hard-block unrelated work.  A change
@@ -62,7 +61,7 @@ RECORDED_METRICS = (
 
 
 def measure() -> dict[str, dict[str, float]]:
-    """One strict-tier `serve_surge` run per autoscaler policy."""
+    """One `serve_surge` run per autoscaler policy."""
     reports = compare_autoscalers(preset_config("serve_surge"),
                                   seed=GATE_SEED)
     comparison = {}

@@ -9,12 +9,10 @@ if any gated metric drops more than the baseline's tolerance (2%)
 below its committed value — catching the quiet way a scheduler change
 regresses: not by breaking a test, but by shaving goodput.
 
-The gate also times the 64-pod `hyperscale` scenario under both
-determinism tiers.  The absolute wall seconds are report-only (and
-recorded in the baseline for visibility), but the strict/fast speedup
-ratio is gated against ``FAST_SPEEDUP_FLOOR`` — machine-independent,
-so it catches the fast engine degenerating to strict-speed without
-flaking on slow CI hosts.
+The gate also times the 64-pod `hyperscale` scenario.  The wall
+seconds are report-only (recorded in the baseline for visibility):
+machines differ, so host time is gated by the benchmark in
+``perfbench/``, not here.
 
 Because the runs are deterministic, a healthy build measures the
 baseline values *exactly*; the tolerance exists so an intentional,
@@ -46,14 +44,9 @@ from repro.fleet.workload import hostile_background_mix
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / \
     "fleet_goodput_baseline.json"
-BASELINE_SCHEMA = 5
+BASELINE_SCHEMA = 6
 DEFAULT_TOLERANCE = 0.02
 GATE_SEED = 0
-#: The fast tier must beat strict on the 64-pod scenario by at least
-#: this factor.  Measured headroom is ~2.4x; the floor sits well below
-#: it so CI machine jitter cannot flake the gate, while a build where
-#: the fast engine quietly degenerates to strict-speed still fails.
-FAST_SPEEDUP_FLOOR = 1.3
 
 
 def _assert_summary_schema(summary: dict) -> None:
@@ -159,29 +152,19 @@ def measure() -> dict[str, float]:
 
 
 def measure_walls() -> dict[str, float]:
-    """Hyperscale wall-clock seconds for both determinism tiers.
+    """Hyperscale wall-clock seconds (report-only).
 
     Best-of-2 timings of ``.run()`` on one pre-built simulator, so
-    workload generation stays outside the timer (the same methodology
-    as the README's perf numbers).  The absolute values are
-    report-only — machines differ — but the strict/fast *ratio* is
-    gated via ``FAST_SPEEDUP_FLOOR``: the fast tier exists to be
-    faster, and a build where it stops beating strict on the 64-pod
-    scenario has regressed the perf tentpole even if every goodput
-    gate still passes.
+    workload generation stays outside the timer.  Machines differ, so
+    the value is printed and recorded, never gated.
     """
-    walls = {}
-    for tier in ("strict", "fast"):
-        config = preset_config("hyperscale").with_overrides(
-            determinism=tier)
-        simulator = FleetSimulator(config, seed=GATE_SEED)
-        best = math.inf
-        for _ in range(2):
-            began = time.perf_counter()
-            simulator.run(PlacementPolicy.OCS)
-            best = min(best, time.perf_counter() - began)
-        walls[f"hyperscale_{tier}_wall_seconds"] = round(best, 4)
-    return walls
+    simulator = FleetSimulator(preset_config("hyperscale"), seed=GATE_SEED)
+    best = math.inf
+    for _ in range(2):
+        began = time.perf_counter()
+        simulator.run(PlacementPolicy.OCS)
+        best = min(best, time.perf_counter() - began)
+    return {"hyperscale_wall_seconds": round(best, 4)}
 
 
 def load_baseline() -> dict:
@@ -227,9 +210,7 @@ def main(argv: list[str] | None = None) -> int:
             # Report-only (machines differ; see the wall-clock line in
             # the compare output) — NOT in `metrics`, so never gated.
             "wall_seconds": round(wall_seconds, 3),
-            # Also report-only in absolute terms; the strict/fast
-            # speedup ratio IS gated, but against FAST_SPEEDUP_FLOOR,
-            # not against these recorded values.
+            # Also report-only.
             "hyperscale_walls": walls,
             "metrics": measured,
         }, indent=2, sort_keys=True) + "\n")
@@ -269,15 +250,6 @@ def main(argv: list[str] | None = None) -> int:
             if at_baseline is not None else ""
         print(f"{name}: {walls[name]:.4f} measured{suffix} "
               f"[report-only, not gated]")
-    speedup = walls["hyperscale_strict_wall_seconds"] / \
-        walls["hyperscale_fast_wall_seconds"]
-    verdict = "ok" if speedup >= FAST_SPEEDUP_FLOOR else "REGRESSED"
-    print(f"hyperscale fast-tier speedup over strict: {speedup:.2f}x "
-          f"(floor {FAST_SPEEDUP_FLOOR}x) {verdict}")
-    if speedup < FAST_SPEEDUP_FLOOR:
-        failures.append(
-            f"hyperscale fast-tier speedup {speedup:.2f}x fell below "
-            f"the {FAST_SPEEDUP_FLOOR}x floor")
     if failures:
         print("\nregression gate FAILED:", file=sys.stderr)
         for failure in failures:

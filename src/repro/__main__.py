@@ -18,7 +18,6 @@
     python -m repro fleet profile --preset large --policy ocs
     python -m repro fleet profile --preset large --repeat 5
     python -m repro fleet sweep --preset hyperscale --seeds 16 --json
-    python -m repro fleet run --preset large --determinism fast
     python -m repro fleet serve --preset serve_surge --autoscaler reactive
     python -m repro fleet serve --autoscaler static --json
     python -m repro fleet lint                       # lint src/repro
@@ -27,8 +26,8 @@
 
 The `fleet` subcommands share their flag surface through common parent
 parsers: `--preset/--seed` mean the same thing everywhere they are
-accepted, the per-run knob overrides (`--strategy`, `--determinism`,
-`--cross-pod`, ...) parse identically across run/record/replay/
+accepted, the per-run knob overrides (`--strategy`, `--cross-pod`,
+`--trunk-ports`, ...) parse identically across run/record/replay/
 profile/sweep/serve, and flags a mode cannot honor are rejected by its
 parser instead of being silently ignored (`fleet replay --preset ...`
 and `fleet sweep --seed ...` are usage errors).  A bare `fleet` with
@@ -101,8 +100,6 @@ def _apply_fleet_overrides(config, args: argparse.Namespace):
         overrides["strategy"] = PlacementStrategy(args.strategy)
     if args.sample_every is not None:
         overrides["obs_sample_every_seconds"] = args.sample_every
-    if args.determinism is not None:
-        overrides["determinism"] = args.determinism
     if getattr(args, "trace_out", None) is not None:
         overrides["observability"] = True
     if getattr(args, "scenario", None) is not None:
@@ -122,13 +119,6 @@ def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator | int:
     windows — from the trace file, so its stdout can be byte-diffed
     against the recorded run's.
     """
-    if args.determinism == "fast" and \
-            getattr(args, "trace_out", None) is not None:
-        print("--determinism fast cannot record observability "
-              "(--trace-out): the fast tier batches same-timestamp "
-              "events and has no per-event spans; drop one of the two",
-              file=sys.stderr)
-        return 2
     if args.mode == "replay":
         try:
             trace = load_trace(args.trace)
@@ -411,14 +401,6 @@ def _fleet_parents() -> dict[str, argparse.ArgumentParser]:
         help="placement strategy (default: the preset's; 'all' sweeps "
              "every strategy — under the OCS policy unless --policy "
              "names one explicitly)")
-    knobs.add_argument(
-        "--determinism", default=None, choices=["strict", "fast"],
-        help="execution tier (default: the preset's, normally strict). "
-             "strict replays byte-identically and is digest-gated; "
-             "fast batches same-timestamp events over an array job "
-             "table — still self-deterministic per seed and gated for "
-             "statistical equivalence, but not byte-identical to "
-             "strict")
     knobs.add_argument(
         "--reconfig-seconds", type=float, default=None, metavar="SECONDS",
         help="override the fixed OCS reconfiguration window "

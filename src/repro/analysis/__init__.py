@@ -1,9 +1,9 @@
 """detlint: a determinism-contract static analyzer for the fleet code.
 
-The repo's headline guarantee — byte-identical strict-tier runs and a
-self-deterministic fast tier — is enforced dynamically by digest
-gates, double-run diffs, and ensemble-equivalence checks.  Those
-catch a hazard only after it fires on a sampled seed.  This package
+The repo's headline guarantee — every fleet run byte-identical per
+seed — is enforced dynamically by digest gates, double-run diffs, and
+record/replay diffs.  Those catch a hazard only after it fires on a
+sampled seed.  This package
 is the designed-in complement: an AST-based lint pass that proves
 whole hazard classes absent *before* runtime — unordered iteration
 (D001), wall-clock reads (D002), unseeded randomness (D003),

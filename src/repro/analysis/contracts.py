@@ -35,11 +35,10 @@ from repro.analysis.rules import ProjectContext, rule
 SCHEMA_ANCHORS = (
     ("repro/fleet/telemetry.py", ("summary",)),
     ("repro/fleet/serve/tier.py", ("report", "_pool_report")),
-    # The engines extend the telemetry summary with run-level keys
+    # The engine extends the telemetry summary with run-level keys
     # (drain_fraction) after summary() returns; those subscript
     # stores are schema definitions, not drift.
     ("repro/fleet/simulator.py", ("run",)),
-    ("repro/fleet/engine_fast.py", ("run_fast",)),
 )
 
 #: The trace writer/reader pair checked for record-key drift.

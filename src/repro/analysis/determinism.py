@@ -1,8 +1,9 @@
 """The determinism rule pack (D001–D005).
 
 Each rule encodes a hazard class that has either bitten this repo or
-is banned by its determinism contract (ROADMAP "Fast engine tier
-under an explicit determinism contract"; README "Determinism tiers"):
+is banned by its determinism contract (every fleet run replays
+byte-identically per seed; README "Workload traces: record and
+replay"):
 
 * **D001** — iterating a set-typed expression where order can leak
   (for-loops, comprehensions building ordered results, ``list``/
@@ -12,8 +13,8 @@ under an explicit determinism contract"; README "Determinism tiers"):
   of the contract.
 * **D002** — wall-clock reads outside the profiler allowlist.  Host
   time may never influence simulation results; the only sanctioned
-  readers are the dispatch profiler and the two engines' best-of-N
-  ``run_seconds`` stamps (see :mod:`repro.fleet.obs.profiler`).
+  readers are the dispatch profiler and the engine's best-of-N
+  ``run_seconds`` stamp (see :mod:`repro.fleet.obs.profiler`).
 * **D003** — unseeded randomness: the stdlib ``random`` module's
   global stream and numpy's global-state ``np.random.*`` calls.  The
   repo convention is an explicitly passed ``np.random.Generator``
@@ -52,12 +53,11 @@ WALL_CLOCK_CALLS = frozenset({
 
 #: D002 allowlist — the *only* sanctioned wall-clock readers.  The
 #: profiler module is exempt wholesale (measuring host time is its
-#: job); in the two engine files, only functions that stamp a
-#: profiler's ``run_seconds`` may read the clock, which pins the
-#: exemption to the best-of-N timing sites and nothing else.
+#: job); in the engine file, only functions that stamp a profiler's
+#: ``run_seconds`` may read the clock, which pins the exemption to the
+#: best-of-N timing site and nothing else.
 PROFILER_FILES = ("repro/fleet/obs/profiler.py",)
-RUN_SECONDS_FILES = ("repro/fleet/simulator.py",
-                     "repro/fleet/engine_fast.py")
+RUN_SECONDS_FILES = ("repro/fleet/simulator.py",)
 
 #: D003 allowlist — numpy.random names that *construct* explicit,
 #: seedable streams rather than touching the hidden global state.
@@ -155,8 +155,7 @@ def check_unordered_iteration(source: SourceFile) -> Iterator[Finding]:
 
 @rule("D002", "wall-clock-read",
       "host clock read outside the profiler allowlist (obs/profiler "
-      "wholesale; simulator/engine_fast only in run_seconds-stamping "
-      "functions)")
+      "wholesale; simulator only in run_seconds-stamping functions)")
 def check_wall_clock(source: SourceFile) -> Iterator[Finding]:
     if _suffix_match(source.posix, PROFILER_FILES):
         return

@@ -10,18 +10,15 @@ against diurnal request traffic — producing the goodput, utilization,
 queue-wait, and SLO telemetry behind the paper's Section 2.5/Figure 4
 operational claims.
 
-Runs execute under one of two determinism tiers
-(``FleetConfig.determinism``): ``"strict"`` (default) replays
-byte-identically and is digest-gated; ``"fast"`` delegates to
-:mod:`repro.fleet.engine_fast`, which batches same-timestamp events
-over an array-of-struct job table — self-deterministic per seed and
-gated for statistical equivalence against strict, but not
-byte-identical to it.
+Every run executes on one engine and replays byte-identically per
+seed (digest-gated): OCS rewirings are charged from memoized plan
+prices, and the per-pod switch banks are programmed only while the
+scheduler's invariant checks are on.
 
 The package facade (``__all__`` below) is the supported public API —
 the config, the simulator/report surface, presets, the comparison
 helpers, and the serving-tier entry points.  Deeper names
-(schedulers, fabrics, trace/obs codecs, the fast engine) remain
+(schedulers, fabrics, trace/obs codecs) remain
 importable from their defining modules; they are implementation
 surface, stable only module-by-module.
 
@@ -41,14 +38,12 @@ from repro.fleet.failures import (BlockOutage, DrainWindow,
                                   apply_spare_repairs, build_failure_trace,
                                   drained_block_seconds, overlay_windows,
                                   spare_repair_count)
-from repro.fleet.machine import MachineFabric, MachinePlan
+from repro.fleet.machine import (MachineFabric, MachinePlan, PlanPrice,
+                                 PricedPlan, plan_price)
 from repro.fleet.obs import (DispatchProfiler, MetricsSampler, ObsRecorder,
                              dumps_chrome_trace, dumps_obs, load_obs,
                              loads_obs, render_report, save_obs,
                              validate_chrome_trace)
-from repro.fleet.engine_fast import (FastMachineLedger, FastScheduler,
-                                     JobTable, PlanPrice, plan_price,
-                                     run_fast)
 from repro.fleet.presets import PRESETS, preset_config, preset_names
 from repro.fleet.scenario import (DeploymentSchedule, SCHEDULES,
                                   compare_deployment, incremental_rollout,

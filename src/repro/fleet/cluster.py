@@ -65,7 +65,8 @@ class Pod:
         # Mirror of _num_free in a shared int64 vector.  Scalar reads
         # stay on the plain int (cheaper); every mutation writes both,
         # so a FleetState-owned vector always holds all pods' counts
-        # for vectorized consumers (the fast engine's placement pass).
+        # for vectorized consumers (the scheduler's pod-choice argmin,
+        # the machine-wide free total).
         self._counts = np.full(1, num_blocks, dtype=np.int64) \
             if counts is None else counts
         self._slot = counts_slot
@@ -218,8 +219,9 @@ class FleetState:
         """Per-pod free-block counts as one shared int64 vector.
 
         Kept in lockstep with every pod's O(1) counter; vectorized
-        consumers (the fast engine's placement pass) index it directly
-        instead of looping ``pod.num_free`` across pods.
+        consumers (the scheduler's single-pod placement, one argmin
+        per placement) index it directly instead of looping
+        ``pod.num_free`` across pods.
         """
         return self._free_counts
 

@@ -146,17 +146,6 @@ class FleetConfig:
             "scheduled" (precomputed per-hour plan), or "static"
             (peak-pinned pools, the capacity-split baseline).  Ignored
             when `serve_scenario` is ''.
-        determinism: execution tier.  "strict" (default) runs the
-            per-event callback engine whose outputs are byte-identical
-            to the seed (gated by the 100-seed digest file).  "fast"
-            runs the batched engine (:mod:`repro.fleet.engine_fast`):
-            same-timestamp events drain as one batch, job accounting is
-            columnar, and telemetry accumulates in vectorized segment
-            sums — self-deterministic (same seed, same bytes, every
-            run) and statistically equivalent to strict (per-metric
-            ensemble means gated at 2%), but individual traces may
-            order same-time rescues differently.  Fast mode refuses
-            observability (the decision log is defined per-event).
     """
 
     num_pods: int = 2
@@ -192,7 +181,6 @@ class FleetConfig:
     serve_autoscaler: str = "reactive"
     observability: bool = False
     obs_sample_every_seconds: float = 15 * MINUTE
-    determinism: str = "strict"
 
     def __post_init__(self) -> None:
         if isinstance(self.strategy, str):  # accept CLI/preset spellings
@@ -271,15 +259,6 @@ class FleetConfig:
         if self.obs_sample_every_seconds <= 0:
             raise ConfigurationError(
                 "obs_sample_every_seconds must be > 0")
-        if self.determinism not in ("strict", "fast"):
-            raise ConfigurationError(
-                f"determinism must be 'strict' or 'fast', got "
-                f"{self.determinism!r}")
-        if self.determinism == "fast" and self.observability:
-            raise ConfigurationError(
-                "determinism='fast' cannot record observability: the "
-                "decision log and span tracer are defined per-event; "
-                "use the strict tier for observed runs")
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain JSON-safe dict (strategy as its value).

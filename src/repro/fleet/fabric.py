@@ -23,6 +23,10 @@ A slice of n blocks puts exactly n circuits on each of its 48 switches
 mirror-move term scales with slice size while the fixed term dominates
 small slices.  Sub-block slices live entirely on a block's electrical
 mesh and reconfigure nothing.
+
+The fleet scheduler charges each rewiring from its memoized price
+(:func:`repro.fleet.machine.plan_price`); these banks are programmed
+only in verification mode, where they cross-check the price.
 """
 
 from __future__ import annotations

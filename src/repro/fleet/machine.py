@@ -25,12 +25,24 @@ switches and machine switches all program in parallel, but a plan that
 touches the trunk layer pays an extra drain/validate window on top of
 the per-pod price (light must be checked end to end across two pod
 fabrics and the trunk bank before handover).
+
+A rewiring's cost — circuits, trunk ports, critical-path latency — is a
+pure function of the slice's block grid and its per-pod block counts,
+never of which physical blocks host it, so :func:`plan_price` memoizes
+one :class:`PlanPrice` per ``(shape, counts)`` and the scheduler charges
+every placement from it.  Only the trunk ledger is state the scheduler
+reads; the per-pod switch banks are programmed only in verification
+mode (:attr:`MachineFabric.program_pods`), where each plan's block-level
+wiring (:class:`MachinePlan`) must agree with its price.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
 
 from repro.core.slicing import SliceShape, block_grid, canonical_shape
 from repro.errors import OCSError
@@ -45,9 +57,154 @@ from repro.topology.builder import is_block_multiple
 TrunkAdjacency = tuple[int, int, int, int, int]
 
 
+# -- plan pricing -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PlanPrice:
+    """Everything a rewiring costs, with no physical wiring attached.
+
+    Mirrors the consumer surface of :class:`MachinePlan` (circuit
+    counts, trunk ports, latency) value-for-value — every quantity is a
+    pure function of the slice's block grid and its per-region block
+    counts, independent of which physical blocks host it, which is what
+    makes the memoization sound.
+    """
+
+    num_blocks: int            # n; 0 for sub-block (empty) plans
+    trunk_count: int           # adjacencies crossing a region boundary
+    ports_by_region: tuple[int, ...]   # trunk endpoints per region
+    pod_moves: int             # busiest pod switch's mirror moves
+    trunk_moves: int           # busiest machine switch's mirror moves
+
+    @property
+    def empty(self) -> bool:
+        """True when nothing needs programming (sub-block slices)."""
+        return self.num_blocks == 0
+
+    @property
+    def cross_pod(self) -> bool:
+        """True when the plan rides the trunk layer."""
+        return self.trunk_count > 0
+
+    @property
+    def num_adjacencies(self) -> int:
+        """Block adjacencies across every layer (3 per block placed)."""
+        return 3 * self.num_blocks
+
+    @property
+    def num_circuits(self) -> int:
+        """Chip-level circuits the plan programs (16 per adjacency)."""
+        return self.num_adjacencies * FACE_LINKS
+
+    @property
+    def num_trunk_circuits(self) -> int:
+        """Chip circuits riding the machine-level trunk bank."""
+        return self.trunk_count * FACE_LINKS
+
+    @property
+    def cross_fraction(self) -> float:
+        """Share of the slice's links that traverse the trunk layer."""
+        total = self.num_adjacencies
+        return self.trunk_count / total if total else 0.0
+
+    @property
+    def total_trunk_ports(self) -> int:
+        """Trunk ports the plan holds across all pods (2 per adjacency)."""
+        return 2 * self.trunk_count
+
+    def latency_seconds(self, base_seconds: float, switch_seconds: float,
+                        trunk_base_seconds: float) -> float:
+        """Critical-path seconds before the slice's links carry traffic."""
+        if self.empty:
+            return 0.0
+        latency = base_seconds + switch_seconds * self.pod_moves
+        if self.trunk_count:
+            latency += trunk_base_seconds + \
+                switch_seconds * self.trunk_moves
+        return latency
+
+
+_EMPTY_PRICE = PlanPrice(num_blocks=0, trunk_count=0, ports_by_region=(),
+                         pod_moves=0, trunk_moves=0)
+
+
+@lru_cache(maxsize=None)
+def _adjacency_arrays(grid: tuple[int, int, int]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's torus walk as (dim, low_slot, high_slot) columns."""
+    adj = np.asarray(grid_adjacency_indices(grid), dtype=np.int64)
+    return adj[:, 0], adj[:, 1], adj[:, 2]
+
+
+@lru_cache(maxsize=None)
+def _price_for(grid: tuple[int, int, int],
+               counts: tuple[int, ...]) -> PlanPrice:
+    n = grid[0] * grid[1] * grid[2]
+    if sum(counts) != n:
+        raise OCSError(
+            f"grid {grid} does not cover {sum(counts)} assigned blocks")
+    if len(counts) == 1:
+        # Pod-local: the torus walk gives every block one "+"-face
+        # adjacency per dimension, so each dimension's switches program
+        # exactly n circuits and nothing touches the trunk layer.
+        return PlanPrice(num_blocks=n, trunk_count=0,
+                         ports_by_region=(0,), pod_moves=n, trunk_moves=0)
+    dims, low, high = _adjacency_arrays(grid)
+    region = np.repeat(np.arange(len(counts), dtype=np.int64),
+                       np.asarray(counts, dtype=np.int64))
+    low_region = region[low]
+    high_region = region[high]
+    cross = low_region != high_region
+    trunk_count = int(np.count_nonzero(cross))
+    if trunk_count:
+        trunk_moves = int(np.bincount(dims[cross], minlength=3).max())
+        ports = np.bincount(low_region[cross], minlength=len(counts)) + \
+            np.bincount(high_region[cross], minlength=len(counts))
+        ports_by_region = tuple(int(p) for p in ports)
+    else:
+        trunk_moves = 0
+        ports_by_region = (0,) * len(counts)
+    intra = ~cross
+    if intra.any():
+        # max over (region, dim) == the busiest pod fabric's busiest
+        # dimension, exactly MachinePlan.pod_moves_per_switch.
+        pod_moves = int(np.bincount(
+            low_region[intra] * 3 + dims[intra]).max())
+    else:
+        pod_moves = 0
+    return PlanPrice(num_blocks=n, trunk_count=trunk_count,
+                     ports_by_region=ports_by_region,
+                     pod_moves=pod_moves, trunk_moves=trunk_moves)
+
+
+@lru_cache(maxsize=None)
+def plan_price(shape: SliceShape, counts: tuple[int, ...]) -> PlanPrice:
+    """The memoized price of hosting `shape` split as `counts` per pod.
+
+    `counts` is the block count of each region of the placement, in
+    assignment order — the only property of a placement its rewiring
+    price depends on (physical block ids never matter: the OCS can
+    wire any blocks into the same virtual torus).  Memoized on the
+    (shape, counts) pair itself so repeat placements skip even the
+    shape canonicalization.
+    """
+    dims = canonical_shape(shape)
+    if not is_block_multiple(dims):
+        return _EMPTY_PRICE
+    return _price_for(block_grid(dims), counts)
+
+
+# -- plans ------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class MachinePlan:
-    """The machine-wide rewiring one placement needs, priced per layer."""
+    """The block-level wiring of one placement, priced per layer.
+
+    The reference a :class:`PlanPrice` must reproduce: every quantity
+    here is counted off the actual adjacencies.
+    """
 
     job_id: int
     pod_plans: tuple[tuple[int, ReconfigPlan], ...]
@@ -99,6 +256,16 @@ class MachinePlan:
         return 2 * len(self.trunk_adjacencies)
 
     @property
+    def pod_moves_per_switch(self) -> int:
+        """Mirror moves on the busiest pod switch of any pod.
+
+        Pod fabrics program in parallel, so the busiest pod sets the
+        price.
+        """
+        return max((plan.moves_per_switch for _, plan in self.pod_plans),
+                   default=0)
+
+    @property
     def trunk_moves_per_switch(self) -> int:
         """Mirror moves on the busiest machine-level switch.
 
@@ -118,19 +285,41 @@ class MachinePlan:
                         trunk_base_seconds: float) -> float:
         """Critical-path seconds before the slice's links carry traffic.
 
-        Pod fabrics program in parallel, so the per-pod term is the
-        busiest pod's price; touching the trunk layer adds its own
-        validate window plus the busiest machine switch's moves.
+        Touching the trunk layer adds its own validate window plus the
+        busiest machine switch's moves on top of the busiest pod's.
         """
         if self.empty:
             return 0.0
-        pod_moves = max((plan.moves_per_switch
-                         for _, plan in self.pod_plans), default=0)
-        latency = base_seconds + switch_seconds * pod_moves
+        latency = base_seconds + switch_seconds * self.pod_moves_per_switch
         if self.trunk_adjacencies:
             latency += trunk_base_seconds + \
                 switch_seconds * self.trunk_moves_per_switch
         return latency
+
+
+@dataclass(frozen=True)
+class PricedPlan:
+    """One placement's rewiring as the scheduler charges it.
+
+    `price` is the memoized :class:`PlanPrice`; `pod_ids` names the pod
+    hosting each of its regions, so the trunk ledger knows whom to
+    charge.  `wiring` is the block-level :class:`MachinePlan` that
+    programs the pod switch banks — built only in verification mode.
+    """
+
+    job_id: int
+    pod_ids: tuple[int, ...]
+    price: PlanPrice
+    wiring: MachinePlan | None = None
+
+    def trunk_ports_by_pod(self) -> dict[int, int]:
+        """Trunk-port endpoints each pod must terminate for this plan."""
+        return {self.pod_ids[region]: ports
+                for region, ports in enumerate(self.price.ports_by_region)
+                if ports}
+
+
+# -- the fabric -------------------------------------------------------------------
 
 
 class MachineFabric:
@@ -152,6 +341,12 @@ class MachineFabric:
         #: normally only shrinks, but preemption and trunk-freeing
         #: defragmentation can hand ports back mid-pass.
         self.trunk_release_count = 0
+        #: Verification mode: plans carry their block-level wiring,
+        #: checked against the price, and every pod's switch bank is
+        #: programmed and torn down.  Off, only the trunk ledger is
+        #: live — no output reads the banks.  The fleet scheduler ties
+        #: it to its ``verify_invariants`` flag.
+        self.program_pods = True
 
     # -- trunk index --------------------------------------------------------------
 
@@ -207,11 +402,30 @@ class MachineFabric:
                 budget[pod_id] += count
         return budget
 
+    def reserve(self, job_id: int, ports: dict[int, int]) -> None:
+        """Hold `ports` trunk endpoints per pod for `job_id` (atomic).
+
+        Every pod's demand is checked before any is taken, so an
+        oversubscribed reservation fails without holding anything.
+        """
+        if job_id in self._held_trunks:
+            raise OCSError(
+                f"job {job_id} already holds trunk circuits")
+        for pod_id, needed in ports.items():
+            if needed > self._trunk_free[pod_id]:
+                raise OCSError(
+                    f"pod {pod_id} has {self._trunk_free[pod_id]} trunk "
+                    f"ports free, plan needs {needed}")
+        for pod_id, needed in ports.items():
+            self._trunk_free[pod_id] -= needed
+        if ports:
+            self._held_trunks[job_id] = dict(ports)
+
     # -- plan / apply / release ---------------------------------------------------
 
-    def plan(self, job_id: int, shape: SliceShape,
-             assignments: list[tuple[int, list[int]]]) -> MachinePlan:
-        """The machine-wide rewiring hosting `shape` on `assignments`.
+    def wiring(self, job_id: int, shape: SliceShape,
+               assignments: list[tuple[int, list[int]]]) -> MachinePlan:
+        """The block-level wiring hosting `shape` on `assignments`.
 
         `assignments` is (pod id, physical blocks) per pod, in virtual
         slot order: flattening the block lists row-major fills the
@@ -261,46 +475,68 @@ class MachineFabric:
         return MachinePlan(job_id=job_id, pod_plans=pod_plans,
                            trunk_adjacencies=tuple(trunks))
 
-    def apply(self, plan: MachinePlan) -> int:
-        """Program every layer of the plan; returns chip circuits created.
+    def plan(self, job_id: int, shape: SliceShape,
+             assignments: list[tuple[int, list[int]]]) -> PricedPlan:
+        """The priced rewiring hosting `shape` on `assignments`.
+
+        In verification mode the plan also carries its block-level
+        :meth:`wiring`, which must agree with the price — circuits,
+        trunk ports per pod, and both latency terms — or this raises
+        :class:`OCSError`.
+        """
+        price = plan_price(shape, tuple(len(blocks)
+                                        for _, blocks in assignments))
+        pod_ids = tuple(pod_id for pod_id, _ in assignments)
+        if not self.program_pods or price.empty:
+            return PricedPlan(job_id, pod_ids, price)
+        wiring = self.wiring(job_id, shape, assignments)
+        plan = PricedPlan(job_id, pod_ids, price, wiring)
+        if (wiring.num_circuits, wiring.trunk_ports_by_pod(),
+                wiring.pod_moves_per_switch,
+                wiring.trunk_moves_per_switch) != \
+                (price.num_circuits, plan.trunk_ports_by_pod(),
+                 price.pod_moves, price.trunk_moves):
+            raise OCSError(
+                f"job {job_id}: block-level wiring of {shape} on "
+                f"{[len(blocks) for _, blocks in assignments]} blocks "
+                f"per pod disagrees with its price")
+        return plan
+
+    def apply(self, plan: PricedPlan) -> int:
+        """Charge the plan to the fabric; returns chip circuits created.
 
         Trunk ports are reserved before any pod programs, so an
         oversubscribed plan fails atomically instead of leaving one pod
-        rewired.
+        rewired.  The pod switch banks are programmed only when the
+        plan carries its wiring (verification mode).
         """
-        if plan.empty:
+        if plan.price.empty:
             return 0
-        if plan.job_id in self._held_trunks:
-            raise OCSError(
-                f"job {plan.job_id} already holds trunk circuits")
-        ports = plan.trunk_ports_by_pod()
-        for pod_id, needed in ports.items():
-            if needed > self._trunk_free[pod_id]:
-                raise OCSError(
-                    f"pod {pod_id} has {self._trunk_free[pod_id]} trunk "
-                    f"ports free, plan needs {needed}")
-        for pod_id, needed in ports.items():
-            self._trunk_free[pod_id] -= needed
-        if ports:
-            self._held_trunks[plan.job_id] = ports
-        created = len(plan.trunk_adjacencies) * FACE_LINKS
-        for pod_id, pod_plan in plan.pod_plans:
-            created += self.pods[pod_id].apply(pod_plan)
-        return created
+        self.reserve(plan.job_id, plan.trunk_ports_by_pod())
+        if plan.wiring is not None:
+            for pod_id, pod_plan in plan.wiring.pod_plans:
+                self.pods[pod_id].apply(pod_plan)
+        return plan.price.num_circuits
 
     def release(self, job_id: int) -> int:
-        """Tear down every circuit `job_id` holds on any layer."""
+        """Tear down every circuit `job_id` holds on any layer.
+
+        Hands its trunk ports back to the ledger.  Every pod's switch
+        bank is visited only in verification mode; otherwise no pod
+        holds circuits and none is touched.
+        """
         removed = 0
-        for pod in self.pods:
-            removed += pod.release(job_id)
-        ports = self._held_trunks.pop(job_id, {})
-        for pod_id, count in ports.items():
-            # detlint: ignore[D005] integer trunk-port counts
-            self._trunk_free[pod_id] += count
+        if self.program_pods:
+            for pod in self.pods:
+                removed += pod.release(job_id)
+        ports = self._held_trunks.pop(job_id, None)
         if ports:
+            for pod_id, count in ports.items():
+                # detlint: ignore[D005] integer trunk-port counts
+                self._trunk_free[pod_id] += count
             self.trunk_release_count += 1
-        # detlint: ignore[D005] integer port counts; order-free sum
-        removed += sum(ports.values()) // 2 * FACE_LINKS
+            # detlint: ignore[D005] integer port counts; order-free sum
+            removed += sum(ports.values()) // 2 * FACE_LINKS
         return removed
 
     # -- invariants ---------------------------------------------------------------

@@ -22,9 +22,9 @@ This module is also the anchor of detlint's **D002 wall-clock
 allowlist** (``repro.analysis.determinism``).  The static analyzer
 bans host-clock reads everywhere in the package, with exactly two
 exemptions: this file wholesale (measuring host time *is* its job),
-and — in ``fleet/simulator.py`` and ``fleet/engine_fast.py`` — only
-functions that stamp a profiler's ``run_seconds``, which pins the
-engines' best-of-N timing reads and nothing else.  Adding a
+and — in ``fleet/simulator.py`` — only functions that stamp a
+profiler's ``run_seconds``, which pins the engine's best-of-N timing
+reads and nothing else.  Adding a
 ``time.*`` call anywhere outside those sites fails the CI lint gate;
 if a new sanctioned reader is ever needed, extend the allowlist in
 ``repro/analysis/determinism.py`` alongside a justification here.

@@ -27,12 +27,8 @@ sizing; the CLI's `--strategy`/`--reconfig-seconds`/`--trunk-ports`/
 `--cross-pod` flags override them per run via
 :meth:`~repro.fleet.config.FleetConfig.with_overrides`.
 
-All presets default to the `strict` determinism tier (byte-identical,
-digest-gated replay).  None pin `determinism="fast"`: the fast tier is
-a per-run choice — `--determinism fast` on the CLI, or
-``config.with_overrides(determinism="fast")`` in code — so the same
-preset can anchor both the byte-identity gates (strict) and the
-statistical-equivalence gate (fast) on identical generated inputs.
+Every preset runs on the one fleet engine and replays byte-identically
+per seed, so each can anchor the digest and replay gates.
 """
 
 from __future__ import annotations

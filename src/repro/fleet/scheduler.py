@@ -41,6 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.block import HOSTS_PER_BLOCK
 from repro.core.checkpoint import CheckpointParams, optimal_interval
 from repro.core.scheduler import (MultiRegionPlacement, PlacementPolicy,
@@ -56,6 +58,9 @@ from repro.fleet.workload import FleetJob
 from repro.sim.events import AnyEvent, Simulator
 
 _EPSILON = 1e-9
+
+#: Masks infeasible pods out of the best-fit argmin over free counts.
+_NO_FIT = np.iinfo(np.int64).max
 
 #: One placement: (pod, physical blocks) per pod, in virtual slot order.
 Placement = list[tuple[Pod, list[int]]]
@@ -143,15 +148,6 @@ class FleetScheduler:
         self.obs = obs
         self.queue: list[ActiveJob] = []
         self.running: dict[int, ActiveJob] = {}
-        #: Guard the incremental indices after every dispatch.  Defaults
-        #: to the interpreter's debug mode (python -O compiles the guard
-        #: out for production-speed sweeps); tests force it on
-        #: explicitly so the drift guard itself is testable regardless
-        #: of interpreter flags.  Every dispatch runs the O(pods)
-        #: conservation probe; the full from-scratch rescan runs every
-        #: FULL_CHECK_EVERY dispatches and once more at finalize, so
-        #: positional drift the probe cannot see is still caught within
-        #: a bounded window.
         self.verify_invariants = __debug__
         self._dispatches_since_full_check = 0
         #: Failure caches persisted across dispatch passes.  A failed
@@ -166,6 +162,11 @@ class FleetScheduler:
         self._grow_epoch = 0
         self._cache_epoch = -1
         self._cache_trunk_epoch = -1
+        #: Jobs that ever joined the queue (arrivals and requeues), and
+        #: the count the caches were last stamped at: a dispatch with
+        #: stamped caches and no new job can place nothing.
+        self._joins = 0
+        self._cache_joins = -1
         self._failed_shapes: set = set()
         self._failed_defrags: set[int] = set()
         self._failed_cross: set = set()
@@ -175,6 +176,29 @@ class FleetScheduler:
         #: recomputed thousands of times for the handful of sizes a
         #: workload actually uses.
         self._interval_by_blocks: dict[int, float] = {}
+
+    @property
+    def verify_invariants(self) -> bool:
+        """Verification mode: guard the incremental indices.
+
+        Defaults to the interpreter's debug mode (python -O compiles
+        the guard out for production-speed sweeps); tests force it on
+        explicitly so the drift guard itself is testable regardless of
+        interpreter flags.  Every dispatch runs the O(pods)
+        conservation probe; the full from-scratch rescan runs every
+        FULL_CHECK_EVERY dispatches and once more at finalize, so
+        positional drift the probe cannot see is still caught within a
+        bounded window.  The machine fabric follows the flag: only in
+        this mode does it program the pod switch banks and check each
+        plan's wiring against its price.  Set it before the run starts.
+        """
+        return self._verify_invariants
+
+    @verify_invariants.setter
+    def verify_invariants(self, on: bool) -> None:
+        self._verify_invariants = on
+        if self.state.machine is not None:
+            self.state.machine.program_pods = on
 
     # -- queue discipline --------------------------------------------------------
 
@@ -187,6 +211,7 @@ class FleetScheduler:
         active = ActiveJob(job=job, remaining=job.work_seconds,
                           submitted_at=self.sim.now)
         self.queue.append(active)
+        self._joins += 1
         return active
 
     def _queue_in_order(self) -> list[ActiveJob]:
@@ -204,14 +229,35 @@ class FleetScheduler:
         One pass considers every queued job, so a second pass can only
         help when blocks moved underneath it — an eviction requeued
         victims, or a defragmentation migrated jobs between pods.
+
+        A dispatch that can place nothing returns without sorting the
+        queue: with observability off, caches stamped valid (no
+        capacity grew and no trunk port came back since) and no job
+        joined the queue since the stamped pass, every queued job
+        failed each rung it tried in that pass and is cached as such,
+        or needs more blocks than are free — a full sweep would skip
+        them all.
         """
+        if not self.obs.enabled and self._cache_joins == self._joins and \
+                self._caches_stamped():
+            self._post_dispatch_checks()
+            return
         while self._dispatch_pass():
             pass
         self._post_dispatch_checks()
 
+    def _caches_stamped(self) -> bool:
+        """True while the failure caches' stamp holds: no capacity grew
+        and no trunk port came back since the stamped pass."""
+        machine = self.state.machine
+        trunk_epoch = machine.trunk_release_count \
+            if machine is not None else 0
+        return self._cache_epoch == self._grow_epoch and \
+            self._cache_trunk_epoch == trunk_epoch
+
     def _post_dispatch_checks(self) -> None:
         """The per-dispatch drift guard (probe + cadenced full rescan)."""
-        if self.verify_invariants:
+        if self._verify_invariants:
             self._dispatches_since_full_check += 1
             if self._dispatches_since_full_check >= self.FULL_CHECK_EVERY:
                 self._dispatches_since_full_check = 0
@@ -219,15 +265,8 @@ class FleetScheduler:
             else:
                 self.state.check_conservation()
 
-    def _dispatch_pass(self, candidates: list[ActiveJob] | None = None
-                       ) -> bool:
-        """One placement sweep; returns True when a re-pass could help.
-
-        `candidates` restricts the sweep to a subset of the queue (in
-        dispatch order); the fast tier uses it for arrivals-only passes
-        where every older queued job's failure rungs are known cached.
-        Strict dispatch always sweeps the whole queue.
-        """
+    def _dispatch_pass(self) -> bool:
+        """One placement sweep; returns True when a re-pass could help."""
         if not self.queue:
             return False
         moved_any = False
@@ -244,16 +283,16 @@ class FleetScheduler:
         # The same monotonicity holds *across* passes and dispatches
         # while only shrinking mutations occurred, so the caches persist
         # until the grow epoch (or the trunk ledger) moves.
-        machine = self.state.machine
-        trunk_epoch = machine.trunk_release_count \
-            if machine is not None else 0
-        if obs_enabled or self._cache_epoch != self._grow_epoch or \
-                self._cache_trunk_epoch != trunk_epoch:
+        if obs_enabled or not self._caches_stamped():
             self._failed_shapes.clear()
             self._failed_defrags.clear()
             self._failed_cross.clear()
             self._failed_preemptions.clear()
         epoch_at_start = self._grow_epoch
+        joins_at_start = self._joins
+        machine = self.state.machine
+        trunk_epoch = machine.trunk_release_count \
+            if machine is not None else 0
         failed_shapes = self._failed_shapes
         failed_defrags = self._failed_defrags
         failed_cross = self._failed_cross
@@ -273,11 +312,25 @@ class FleetScheduler:
                 failed_cross.clear()
                 failed_preemptions.clear()
 
-        if candidates is None:
-            candidates = self._queue_in_order()
-        for active in candidates:
+        # Capacity check (observability off): a job that cannot preempt
+        # and needs more blocks than are free machine-wide fails every
+        # rung — free, defrag, and cross-pod placement all need that
+        # many free blocks — with no side effect, so it is skipped
+        # without touching any cache.  Free space grows only with the
+        # grow epoch, so the total is re-read whenever the epoch moves
+        # (a mid-pass eviction frees blocks later jobs may take).
+        preempt_priority = self.config.preempt_priority
+        free_epoch = -1
+        total_free = 0
+        for active in self._queue_in_order():
             shape = active.job.shape
-            can_preempt = active.job.priority >= self.config.preempt_priority
+            can_preempt = active.job.priority >= preempt_priority
+            if not (obs_enabled or can_preempt):
+                if free_epoch != self._grow_epoch:
+                    free_epoch = self._grow_epoch
+                    total_free = self.state.total_free
+                if active.job.blocks > total_free:
+                    continue
             placement = None
             via = ""        # the rung that placed it, for the decision log
             attempted = False  # did ANY rung run, or were all cache-skipped
@@ -350,6 +403,7 @@ class FleetScheduler:
         if self._grow_epoch == epoch_at_start:
             self._cache_epoch = epoch_at_start
             self._cache_trunk_epoch = trunk_epoch
+            self._cache_joins = joins_at_start
         return moved_any
 
     def _rejection_cause(self, active: ActiveJob, attempted: bool,
@@ -386,13 +440,29 @@ class FleetScheduler:
     def _find_anywhere(self, job: FleetJob) -> Placement | None:
         """A free single-pod placement under the configured strategy.
 
-        first_fit scans pods in id order; best_fit and defrag take the
-        feasible pod with the least free space left over, preserving
-        large free pools for large arrivals.  Under OCS any free blocks
-        of a pod are equivalent, so pod choice IS the strategy; under
-        static wiring the strategy also picks the cuboid inside the pod.
+        first_fit takes the first feasible pod in id order; best_fit
+        and defrag take the feasible pod with the least free space left
+        over (ties to the lowest id), preserving large free pools for
+        large arrivals.  Under OCS any free blocks of a pod are
+        equivalent, so pod choice IS the strategy — one scan of the
+        shared free-count vector; under static wiring the strategy
+        also picks the cuboid inside the pod.
         """
         needed = job.blocks
+        if self.policy is PlacementPolicy.OCS:
+            counts = self.state.free_counts
+            if self.strategy is PlacementStrategy.FIRST_FIT:
+                feasible = counts >= needed
+                pod_id = int(feasible.argmax())
+                if not feasible[pod_id]:
+                    return None
+            else:
+                pod_id = int(np.where(counts >= needed, counts,
+                                      _NO_FIT).argmin())
+                if counts[pod_id] < needed:
+                    return None
+            pod = self.state.pods[pod_id]
+            return [(pod, pod.first_free(needed))]
         if self.strategy is PlacementStrategy.FIRST_FIT:
             candidates = self.state.pods
         else:
@@ -402,8 +472,6 @@ class FleetScheduler:
         for pod in candidates:
             if pod.num_free < needed:
                 continue
-            if self.policy is PlacementPolicy.OCS:
-                return [(pod, pod.first_free(needed))]
             blocks = pod.find_placement(job.shape, self.policy,
                                         self.strategy)
             if blocks is not None:
@@ -884,21 +952,18 @@ class FleetScheduler:
                 self.config.checkpoint_seconds / active.interval
         wall = active.pending_reconfig + active.pending_restore + \
             active.remaining * active.overhead * (1.0 + active.trunk_tax)
-        self._schedule_completion(active, wall)
-
-    def _schedule_completion(self, active: ActiveJob, wall: float) -> None:
-        """Arm the completion event `wall` seconds out (overridable)."""
         active.completion = self.sim.schedule(
             wall, lambda a=active: self._complete(a))
 
     def _rewire(self, active: ActiveJob) -> float:
-        """Program the machine fabric for a placement; critical-path cost.
+        """Charge the machine fabric for a placement; critical-path cost.
 
         Static machines (no fabric) and sub-block slices (electrical
-        mesh only) need no rewiring and start instantly.  Cross-pod
-        placements additionally program the trunk bank and set the
-        segment's trunk-hop bandwidth tax, scaled by the share of the
-        slice's links that leave their pod.
+        mesh only) need no rewiring and start instantly.  Circuits,
+        trunk ports, and latency are all charged from the plan's
+        memoized price.  Cross-pod placements additionally hold trunk
+        ports and set the segment's trunk-hop bandwidth tax, scaled by
+        the share of the slice's links that leave their pod.
         """
         active.trunk_tax = 0.0
         active.trunk_ports_held = 0
@@ -907,24 +972,25 @@ class FleetScheduler:
             return 0.0
         job = active.job
         plan = machine.plan(job.job_id, job.shape, active.assignments)
-        if plan.empty:
+        price = plan.price
+        if price.empty:
             return 0.0
         machine.apply(plan)
         self.telemetry.ocs_reconfigurations += 1
-        self.telemetry.circuits_programmed += plan.num_circuits
-        if plan.cross_pod:
+        self.telemetry.circuits_programmed += price.num_circuits
+        if price.cross_pod:
             self.telemetry.trunk_circuits_programmed += \
-                plan.num_trunk_circuits
+                price.num_trunk_circuits
             active.trunk_tax = self.config.trunk_bandwidth_tax * \
-                plan.cross_fraction
-            active.trunk_ports_held = plan.total_trunk_ports
+                price.cross_fraction
+            active.trunk_ports_held = price.total_trunk_ports
             self.obs.instant("trunk_reconfig", self.sim.now,
                              job_id=job.job_id, kind=job.kind,
                              blocks=job.blocks,
-                             trunk_ports=plan.total_trunk_ports)
-        return plan.latency_seconds(self.config.reconfig_base_seconds,
-                                    self.config.ocs_switch_seconds,
-                                    self.config.trunk_reconfig_seconds)
+                             trunk_ports=price.total_trunk_ports)
+        return price.latency_seconds(self.config.reconfig_base_seconds,
+                                     self.config.ocs_switch_seconds,
+                                     self.config.trunk_reconfig_seconds)
 
     def _segment_progress(self, active: ActiveJob, elapsed: float
                           ) -> tuple[float, float, float, float]:
@@ -945,11 +1011,7 @@ class FleetScheduler:
         return reconfig, restore, run_wall, progressed
 
     def _complete(self, active: ActiveJob) -> None:
-        self._finish(active)
-        self.dispatch()
-
-    def _finish(self, active: ActiveJob) -> None:
-        """Retire a job whose completion event fired (no dispatch)."""
+        """Retire a job whose completion event fired, then dispatch."""
         job = active.job
         elapsed = self.sim.now - active.started_at
         reconfig, restore, run_wall, _ = self._segment_progress(active,
@@ -964,6 +1026,7 @@ class FleetScheduler:
         self.telemetry.record_for(job).completed_at = self.sim.now
         self.obs.instant("completed", self.sim.now, job_id=job.job_id,
                          kind=job.kind, blocks=job.blocks)
+        self.dispatch()
 
     def _halt_segment(self, active: ActiveJob, *, planned: bool) -> None:
         """Stop a running job's segment, account it, and free its blocks.
@@ -1015,6 +1078,7 @@ class FleetScheduler:
         active.pending_restore = self.config.restore_seconds
         active.submitted_at = self.sim.now
         self.queue.append(active)
+        self._joins += 1
 
     def cancel(self, active: ActiveJob) -> None:
         """Retire a job on request (the serving tier's scale-down path).
@@ -1103,31 +1167,22 @@ class FleetScheduler:
 
     # -- failure hooks -----------------------------------------------------------
 
-    def _apply_block_down(self, pod_id: int, block_id: int) -> None:
-        """Record a block failure and interrupt its holder (no dispatch)."""
-        pod = self.state.pods[pod_id]
-        victim = pod.block_down(block_id)
+    def on_block_down(self, pod_id: int, block_id: int) -> None:
+        """A block failed; interrupt whatever job holds it."""
+        victim = self.state.pods[pod_id].block_down(block_id)
         self.telemetry.block_failures += 1
         self.obs.instant("block_down", self.sim.now, pod_id=pod_id,
                          block_id=block_id)
         if victim is not None:
             self._interrupt(self.running[victim], preempted=False)
-
-    def _apply_block_up(self, pod_id: int, block_id: int) -> None:
-        """Record a block repair (no dispatch)."""
-        self._grow_epoch += 1  # repaired capacity can unstick failures
-        self.state.pods[pod_id].block_up(block_id)
-        self.obs.instant("block_up", self.sim.now, pod_id=pod_id,
-                         block_id=block_id)
-
-    def on_block_down(self, pod_id: int, block_id: int) -> None:
-        """A block failed; interrupt whatever job holds it."""
-        self._apply_block_down(pod_id, block_id)
         self.dispatch()
 
     def on_block_up(self, pod_id: int, block_id: int) -> None:
         """A block came back; queued work may now fit."""
-        self._apply_block_up(pod_id, block_id)
+        self._grow_epoch += 1  # repaired capacity can unstick failures
+        self.state.pods[pod_id].block_up(block_id)
+        self.obs.instant("block_up", self.sim.now, pod_id=pod_id,
+                         block_id=block_id)
         self.dispatch()
 
     # -- end of run --------------------------------------------------------------
@@ -1155,5 +1210,5 @@ class FleetScheduler:
         # End-of-run backstop for the cadenced rescan: whatever drift
         # the per-dispatch probe could not see fails the run here
         # rather than surviving into the report.
-        if self.verify_invariants:
+        if self._verify_invariants:
             self.state.check_invariants()

@@ -9,14 +9,13 @@ maps onto real fleet slices (:mod:`repro.fleet.serve.pool`) held by
 autoscaler policy family (:mod:`repro.fleet.serve.autoscaler`) grows
 and shrinks pools by submitting/cancelling those jobs through the
 actual scheduler — so traffic surges contend with training for blocks
-and trunk ports, in both determinism tiers.
+and trunk ports.
 
 Latency is analytic, not per-request: millions of QPS cannot be one
 event each, so each control tick closes an M/M/1-style interval per
 pool — utilization from ready replicas, a shifted-exponential response
 model for p50/p99 and SLO attainment — keeping serve runs exactly
-deterministic (strict stays byte-identical; fast stays
-self-deterministic).  The tier's chip-second accounting reconciles
+deterministic (byte-identical per seed).  The tier's chip-second accounting reconciles
 through the existing utilization identity: every replica-second it
 reports is a ``busy_seconds`` segment the scheduler banked.
 

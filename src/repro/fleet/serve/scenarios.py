@@ -5,8 +5,8 @@ control-loop knobs (tick cadence, utilization target, autoscaler lead,
 replica floor).  Like deployment schedules
 (:data:`repro.fleet.scenario.SCHEDULES`), scenarios register by name
 and materialize against a config at use time, so a preset can say
-``serve_scenario="surge"`` and every tier (strict, fast, CLI, sweeps)
-resolves the same curves from it.
+``serve_scenario="surge"`` and every entry point (library, CLI,
+sweeps) resolves the same curves from it.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ The tier runs on a fixed control cadence.  Each tick closes the
 interval since the last one — per pool, an M/M/1-style evaluation at
 the interval's midpoint arrival rate against the replicas that were
 spun up by the interval's end — then lets the autoscaler resize every
-pool by submitting or cancelling real scheduler jobs, and leaves the
-dispatch to the caller (strict runs dispatch per tick; the fast engine
-folds the new replicas into its batch dispatch).
+pool by submitting or cancelling real scheduler jobs; one dispatch per
+tick then places whatever it submitted or freed.
 
 Latency is analytic because the traffic is open-loop at millions of
 QPS: per interval, requests see a shifted-exponential response ``T =
@@ -32,7 +31,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
-from repro.fleet.scheduler import ActiveJob, FleetScheduler
+from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.serve.autoscaler import AUTOSCALERS, desired_replicas
 from repro.fleet.serve.pool import ReplicaPool
 from repro.fleet.serve.scenarios import ServeScenario
@@ -224,24 +223,16 @@ class ServingTier:
 
     # -- the control tick --------------------------------------------------------
 
-    def on_tick(self, now: float) -> list[ActiveJob]:
-        """Close the last interval, resize every pool; return new actives.
+    def on_tick(self, now: float) -> None:
+        """Close the last interval and resize every pool (no dispatch).
 
-        The caller owns the dispatch that follows (one per tick on the
-        strict tier; folded into the batch on the fast tier), so
-        scaling many pools never pays more than one placement sweep.
+        The caller owns the one dispatch that follows, so scaling many
+        pools never pays more than one placement sweep.
         """
         if self._last_tick is not None and now > self._last_tick:
             for pool in self.pools:
                 self._account(pool, self._last_tick, now)
-        new_actives: list[ActiveJob] = []
         obs = self.scheduler.obs
-
-        def submit(job):
-            active = self.scheduler._enqueue(job)
-            new_actives.append(active)
-            return active
-
         for pool in self.pools:
             desired = desired_replicas(
                 self.autoscaler, pool, now,
@@ -250,7 +241,8 @@ class ServingTier:
                 lead_seconds=self.scenario.lead_seconds)
             current = len(pool.replicas)
             if desired > current:
-                pool.grow(desired - current, now, self._alloc_id, submit)
+                pool.grow(desired - current, now, self._alloc_id,
+                          self.scheduler._enqueue)
                 obs.instant("serve_scale_up", now,
                             model=pool.traffic.name, replicas=desired)
             elif desired < current:
@@ -261,10 +253,9 @@ class ServingTier:
             for pool in self.pools:
                 pool.initial_replicas = len(pool.replicas)
         self._last_tick = now
-        return new_actives
 
     def install(self, sim, horizon: float) -> None:
-        """Schedule the cadence on a strict-tier simulator.
+        """Schedule the control cadence on the run's simulator.
 
         Installed after arrivals and outages so a tick at time t sees
         the state after every same-time event (the kernel's
@@ -369,7 +360,7 @@ def reconciliation_residual(report) -> float:
 
     Serve chip-seconds are a pure re-grouping of the same records, so
     these two residuals bound the serving telemetry's drift from the
-    identity.  Both tiers hold this at or under 1e-9.
+    identity.  Every run holds this at or under 1e-9.
     """
     summary = report.summary
     identity = abs(summary["utilization"] - (

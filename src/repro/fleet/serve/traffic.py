@@ -4,8 +4,7 @@ One :class:`ModelTraffic` describes the open-loop arrival rate of one
 served model: a diurnal sinusoid between a night floor and the daily
 peak, times any surge windows (a launch spike, a failover pile-on).
 The curve is a pure function of simulated time — no RNG stream — so
-serve runs stay byte-identical on the strict tier and self-
-deterministic on the fast tier without touching the config's seeded
+serve runs stay byte-identical without touching the config's seeded
 streams.
 """
 

@@ -11,10 +11,11 @@ Figure 4 comparison — and, orthogonally, under any placement strategy
 (first_fit, best_fit, defrag), all on byte-identical inputs.
 
 OCS runs carry live machine-wide fabric state: every placement rewires
-its pods' switches — and, for cross-pod slices, the machine-level
-trunk bank — paying reconfiguration latency on its critical path and a
-trunk-hop bandwidth tax while running, so the flexibility-vs-latency
-tradeoff of Section 2.2 shows up in the telemetry at machine scale.
+its pods' switches — and, for cross-pod slices, holds ports on the
+machine-level trunk bank — paying reconfiguration latency on its
+critical path and a trunk-hop bandwidth tax while running, so the
+flexibility-vs-latency tradeoff of Section 2.2 shows up in the
+telemetry at machine scale.
 The failure trace may route optical-port outages through spare-port
 repair (Section 2.2's "link testing and repairs") before the run
 starts, keeping traces policy-independent.
@@ -214,7 +215,7 @@ class FleetSimulator:
         The job stream and outage trace are fixed at construction, so
         calling `run` repeatedly with different policies or strategies
         compares them on identical inputs.  `strategy=None` uses the
-        config's default.  OCS runs get live per-pod fabrics; a static
+        config's default.  OCS runs get a live machine fabric; a static
         machine has no switches to program.  Deployment windows are
         merged into the down/up event sequence here — with none, the
         merged trace IS the failure trace, byte for byte.
@@ -225,22 +226,7 @@ class FleetSimulator:
         :class:`~repro.fleet.obs.profiler.DispatchProfiler`).  Neither
         changes any result — observers only read — but the sampler's
         ticks do grow `events_fired`.
-
-        With ``config.determinism == "fast"`` the run is delegated to
-        the batched engine (:func:`repro.fleet.engine_fast.run_fast`):
-        self-deterministic and statistically equivalent to this strict
-        path, but not byte-identical to it (see the config docs for
-        the contract).  The fast tier has no per-event decision log,
-        so combining it with a recorder is a configuration error.
         """
-        if self.config.determinism == "fast":
-            if recorder is not None:
-                from repro.errors import ConfigurationError
-                raise ConfigurationError(
-                    "determinism='fast' cannot record observability; "
-                    "run the strict tier for observed runs")
-            from repro.fleet.engine_fast import run_fast
-            return run_fast(self, policy, strategy, profiler=profiler)
         strategy = strategy if strategy is not None else \
             self.config.strategy
         horizon = self.config.horizon_seconds

@@ -142,45 +142,6 @@ class FleetTelemetry:
                 work_seconds=job.work_seconds)
         return self.records[job.job_id]
 
-    def absorb_segments(self, columns: np.ndarray) -> None:
-        """Bank many buffered segments at once (the fast tier's path).
-
-        `columns` is a float64 matrix with one row per segment:
-        ``(job_id, blocks, elapsed, reconfig, restore, useful, replay,
-        writes, stall, cross)`` — exactly the arguments the strict
-        tier's per-segment accounting takes, so each bucket's bulk sum
-        is the dot product of its column with the blocks column.
-        Per-job useful/stall credit scatters back through ``add.at``.
-        Equivalent to replaying the segments one by one up to float
-        summation order.
-        """
-        if len(columns) == 0:
-            return
-        job_ids = columns[:, 0].astype(np.int64)
-        blocks = columns[:, 1]
-        elapsed, reconfig, restore, useful, replay, writes, stall, \
-            cross = (columns[:, i] for i in range(2, 10))
-        self.busy_block_seconds += float(elapsed @ blocks)
-        self.useful_block_seconds += float((useful + stall) @ blocks)
-        self.trunk_stall_block_seconds += float(stall @ blocks)
-        self.reconfig_block_seconds += float(reconfig @ blocks)
-        self.restore_block_seconds += float(restore @ blocks)
-        self.replay_block_seconds += float(replay @ blocks)
-        self.checkpoint_block_seconds += float(writes @ blocks)
-        self.cross_pod_block_seconds += float((elapsed * cross) @ blocks)
-        size = int(job_ids.max()) + 1
-        useful_by_job = np.zeros(size)
-        busy_by_job = np.zeros(size)
-        stall_by_job = np.zeros(size)
-        np.add.at(useful_by_job, job_ids, useful)
-        np.add.at(busy_by_job, job_ids, elapsed)
-        np.add.at(stall_by_job, job_ids, stall)
-        for job_id in np.unique(job_ids).tolist():
-            record = self.records[job_id]
-            record.useful_seconds += float(useful_by_job[job_id])
-            record.busy_seconds += float(busy_by_job[job_id])
-            record.trunk_stall_seconds += float(stall_by_job[job_id])
-
     def summary(self, *, total_blocks: int, horizon_seconds: float,
                 trunk_ports_total: int = 0) -> dict[str, float]:
         """Fleet-wide headline metrics as a flat, stable-keyed dict."""

@@ -119,117 +119,6 @@ class EventQueue:
         self._cancelled = 0
 
 
-class TypedEvent:
-    """One entry of a :class:`TypedEventQueue`: data, not a callback.
-
-    The fast engine tier dispatches events by integer `kind` instead of
-    calling a per-event Python closure, so an event is just a typed row:
-    ``(time, kind, a, b)`` where `a`/`b` are small integer operands (a
-    job index; a pod and block id).  Cancellation mirrors
-    :class:`Event`: lazy, with the owning queue compacting dead rows.
-    """
-
-    __slots__ = ("time", "seq", "kind", "a", "b", "cancelled", "_queue")
-
-    def __init__(self, time: float, seq: int, kind: int, a: int, b: int,
-                 queue: Optional["TypedEventQueue"] = None) -> None:
-        self.time = time
-        self.seq = seq
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.cancelled = False
-        self._queue = queue
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "live"
-        return (f"TypedEvent(time={self.time!r}, kind={self.kind}, "
-                f"a={self.a}, b={self.b}, {state})")
-
-    def cancel(self) -> None:
-        """Mark the event so the queue skips it when popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._queue is not None:
-            self._queue._note_cancelled()
-
-
-class TypedEventQueue:
-    """A deterministic priority queue of :class:`TypedEvent` rows.
-
-    The fast-tier counterpart of :class:`EventQueue`: same tuple heap,
-    same lazy cancellation and compaction, but (a) events carry typed
-    integer operands instead of closures, and (b) :meth:`pop_batch`
-    drains *every* live event sharing the earliest timestamp in one
-    call — the batching the strict tier's per-event callback contract
-    forbids.  Within a batch, events come out in insertion (seq) order;
-    callers regroup them by kind for batched application.
-    """
-
-    COMPACT_MIN_CANCELLED = EventQueue.COMPACT_MIN_CANCELLED
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, TypedEvent]] = []
-        self._counter = itertools.count()
-        self._cancelled = 0
-
-    def __len__(self) -> int:
-        return len(self._heap) - self._cancelled
-
-    def push(self, time: float, kind: int, a: int = 0,
-             b: int = 0) -> TypedEvent:
-        """Schedule a `(kind, a, b)` row at absolute time `time`."""
-        seq = next(self._counter)
-        event = TypedEvent(time, seq, kind, a, b, queue=self)
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Firing time of the earliest live event, if any."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)[2]._queue = None
-            self._cancelled -= 1
-        return heap[0][0] if heap else None
-
-    def pop_batch(self) -> Optional[tuple[float, list[TypedEvent]]]:
-        """Remove every live event at the earliest time, in seq order.
-
-        Returns ``(time, events)`` or None when the queue is empty.
-        """
-        heap = self._heap
-        batch: list[TypedEvent] = []
-        time = None
-        while heap:
-            if time is not None and heap[0][0] != time:
-                break
-            event = heapq.heappop(heap)[2]
-            event._queue = None
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            if time is None:
-                time = event.time
-            batch.append(event)
-        if time is None:
-            return None
-        return time, batch
-
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
-        if self._cancelled >= self.COMPACT_MIN_CANCELLED and \
-                self._cancelled * 2 >= len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled event and re-heapify the survivors."""
-        self._heap = [entry for entry in self._heap
-                      if not entry[2].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
-
 class Simulator:
     """Runs an :class:`EventQueue` while advancing a monotonic clock."""
 

@@ -264,22 +264,34 @@ class TestFleetObsCLI:
         assert payload["profile"]["phases"]["dispatch_total"]["calls"] > 0
         assert payload["summary"]["goodput"] > 0
 
+    def test_profile_repeat_best_of_n(self, capsys):
+        assert main(["fleet", "profile", "--preset", "tiny",
+                     "--repeat", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["repeat"] == 2
+        assert payload["profile"]["run_seconds"] > 0
+
+    def test_profile_repeat_rejects_nonpositive(self, capsys):
+        assert main(["fleet", "profile", "--preset", "tiny",
+                     "--repeat", "0"]) == 2
+        assert "--repeat >= 1" in capsys.readouterr().err
+
 
 class TestFleetFlagMatrix:
     """The shared-parent contract: one flag, one definition, everywhere.
 
-    `--preset/--seed/--strategy/--determinism/--json` (and the rest of
+    `--preset/--seed/--strategy/--json` (and the rest of
     the knobs parent) must parse to identical values under every fleet
     subcommand that accepts them, and be rejected outright by the
     modes that don't.
     """
 
     SHARED = ["--preset", "tiny", "--seed", "3", "--strategy",
-              "best_fit", "--determinism", "fast", "--json",
+              "best_fit", "--json",
               "--reconfig-seconds", "45", "--trunk-ports", "8",
               "--no-cross-pod", "--deploy-schedule", "none",
               "--sample-every", "600"]
-    SHARED_DESTS = ["preset", "seed", "strategy", "determinism", "json",
+    SHARED_DESTS = ["preset", "seed", "strategy", "json",
                     "reconfig_seconds", "trunk_ports", "cross_pod",
                     "deploy_schedule", "sample_every"]
 
@@ -296,7 +308,7 @@ class TestFleetFlagMatrix:
         baseline = {dest: getattr(parsed["run"], dest)
                     for dest in self.SHARED_DESTS}
         assert baseline["seed"] == 3
-        assert baseline["determinism"] == "fast"
+        assert baseline["strategy"] == "best_fit"
         assert baseline["cross_pod"] is False
         for mode, namespace in parsed.items():
             got = {dest: getattr(namespace, dest)
@@ -322,7 +334,7 @@ class TestFleetFlagMatrix:
         ["fleet", "lint", "--preset", "tiny"],
         ["fleet", "lint", "--seed", "1"],
         ["fleet", "lint", "--policy", "both"],
-        ["fleet", "lint", "--determinism", "fast"],
+        ["fleet", "lint", "--strategy", "best_fit"],
     ])
     def test_unsupported_combinations_rejected(self, argv):
         from repro.__main__ import main
@@ -338,8 +350,7 @@ class TestFleetFlagMatrix:
         # The README quickstart, shrunk to the test preset: one
         # serving run, JSON out, serve telemetry attached.
         assert main(["fleet", "serve", "--preset", "serve_surge",
-                     "--determinism", "fast", "--seed", "0",
-                     "--json"]) == 0
+                     "--seed", "0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["serve"]["requests_total"] > 0
         assert "slo_attainment_per_chip" in payload["serve"]
@@ -353,8 +364,7 @@ class TestFleetFlagMatrix:
     def test_serve_autoscaler_flag_round_trip(self, capsys):
         from repro.__main__ import main
         assert main(["fleet", "serve", "--preset", "serve_surge",
-                     "--determinism", "fast", "--autoscaler", "static",
-                     "--json"]) == 0
+                     "--autoscaler", "static", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["serve"]["scale_downs"] == 0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.scheduler import PlacementStrategy
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
 
@@ -92,9 +93,9 @@ class TestWithOverrides:
 
     def test_applies_and_revalidates(self):
         config = FleetConfig().with_overrides(num_pods=4,
-                                              determinism="fast")
+                                              strategy="best_fit")
         assert config.num_pods == 4
-        assert config.determinism == "fast"
+        assert config.strategy is PlacementStrategy.BEST_FIT
         # the original is untouched (configs are immutable copies)
         assert FleetConfig().num_pods == 2
 
@@ -107,11 +108,11 @@ class TestWithOverrides:
             FleetConfig().with_overrides(warp_factor=9)
 
     def test_invalid_combination_rejected(self):
-        # with_overrides re-runs __post_init__: fast + observability
-        # cannot be smuggled in via the copy path.
-        with pytest.raises(ConfigurationError, match="observability"):
-            FleetConfig().with_overrides(determinism="fast",
-                                         observability=True)
+        # with_overrides re-runs __post_init__: an arrival window that
+        # outlives the horizon cannot be smuggled in via the copy path.
+        with pytest.raises(ConfigurationError, match="arrival window"):
+            FleetConfig().with_overrides(horizon_seconds=3600.0,
+                                         arrival_window_seconds=7200.0)
 
 
 class TestFacade:
@@ -143,11 +144,11 @@ class TestFacade:
 
     def test_deep_imports_still_work(self):
         # The facade curates; it does not wall off the modules.
-        from repro.fleet.engine_fast import run_fast
+        from repro.fleet.machine import plan_price
         from repro.fleet.obs import ObsRecorder
         from repro.fleet.scheduler import FleetScheduler
         from repro.fleet.serve.tier import ServingTier
         from repro.fleet.trace import validate_trace
-        for obj in (run_fast, ObsRecorder, FleetScheduler, ServingTier,
+        for obj in (plan_price, ObsRecorder, FleetScheduler, ServingTier,
                     validate_trace):
             assert callable(obj)

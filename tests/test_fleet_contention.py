@@ -335,25 +335,40 @@ class TestStaleFailedCrossCache:
                     return None
                 return super()._defrag_for(active)
 
-        scheduler = _make(strategy="defrag",
-                          scheduler_cls=LeakyDefrag)
+        # Four 8-block pods, 16 trunk ports each; no trunk-freeing
+        # defrag, so only the leak can hand trunk ports back.
+        scheduler = _make(num_pods=4, strategy="defrag",
+                          scheduler_cls=LeakyDefrag, trunk_ports=16,
+                          cross_pod_preemption=False)
         shape = (8, 8, 12)       # 12 blocks: cross-pod on 8-block pods
-        too_big = (8, 8, 24)     # 24 blocks: can never place (16 total)
         scheduler.submit(_train(0, shape, 0.0, 50000.0))
-        assert scheduler.running[0].is_cross_pod
-        # One dispatch pass over [1 (shape S, fails cross: no space),
-        # probe (whose defrag frees job 0's slice and trunk ports),
-        # 3 (shape S again — the stale failed_cross victim)].
-        jobs = [_train(1, shape, 1.0, 1000.0),
-                _train(probe_id, too_big, 1.0, 1000.0),
-                _train(3, shape, 1.0, 1000.0)]
-        scheduler.sim.schedule_at(1.0, lambda: [scheduler.submit(job)
-                                                for job in jobs])
-        scheduler.sim.run(until=1.0)
+        assert [(pod_id, len(blocks)) for pod_id, blocks
+                in scheduler.running[0].assignments] == [(0, 8), (1, 4)]
+        # Leave 4 free blocks on each of pods 1-3: 12 in all, so every
+        # job below passes the capacity check, but job 0 holds 14 of
+        # pod 1's 16 trunk ports, so a second 12-block slice fails on
+        # trunk ports, not blocks.
+        for pod_id in (2, 3):
+            for block in range(4, 8):
+                scheduler.on_block_down(pod_id, block)
+        assert scheduler.state.free_by_pod() == \
+            [(0, 0), (1, 4), (2, 4), (3, 4)]
+        # One dispatch pass over [1 (shape S: fails cross on trunk
+        # ports, so S is cached in failed_cross), probe (8 blocks: no
+        # pod has 8 free; its defrag frees job 0's slice and trunk
+        # ports), 3 (shape S again — the stale failed_cross victim)].
+        scheduler.sim.now = 1.0
+        for job in (_train(1, shape, 1.0, 1000.0),
+                    _train(probe_id, (8, 8, 8), 1.0, 1000.0),
+                    _train(3, shape, 1.0, 1000.0)):
+            scheduler._enqueue(job)
+        scheduler.dispatch()
+        assert scheduler.releases == 1
         # Job 3's shape was in failed_cross when the probe released
         # the trunk mid-pass; the invalidation must retry it.
         assert 3 in scheduler.running
         assert scheduler.running[3].is_cross_pod
+        assert 1 not in scheduler.running
         scheduler.state.check_invariants()
 
 

@@ -17,7 +17,8 @@ import pytest
 from repro.__main__ import main
 from repro.core.scheduler import PlacementPolicy, PlacementStrategy
 from repro.fleet import (FleetSimulator, compare_cross_pod,
-                         compare_strategies, preset_config, run_fleet)
+                         compare_strategies, preset_config, run_fleet,
+                         schedule_for)
 
 STRATEGIES = [s.value for s in PlacementStrategy]
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -186,3 +187,62 @@ class TestGoldenSummaryDigests:
         assert not mismatched, \
             f"{preset} summaries diverged from the recorded " \
             f"pre-optimization runs: {mismatched}"
+
+
+class _VerifyMode:
+    """Sets the run's verification mode before its first event.
+
+    The scheduler is built inside ``FleetSimulator.run``; the profiler
+    hook is the one place a caller can reach it before the run starts.
+    """
+
+    run_seconds = 0.0
+
+    def __init__(self, on):
+        self.on = on
+        self.scheduler = None
+
+    def install(self, scheduler, sim):
+        scheduler.verify_invariants = self.on
+        self.scheduler = scheduler
+
+
+class TestVerificationModeOracle:
+    """Programmed vs priced fabric: the pod switch banks are state no
+    output reads, so switching verification mode off — which stops
+    programming them — must not move a single output byte."""
+
+    @staticmethod
+    def _runs(preset):
+        config = preset_config(preset)
+        windows = schedule_for(config.deploy_schedule, config).windows \
+            if config.deploy_schedule else ()
+        simulator = FleetSimulator(config, seed=0, windows=windows)
+        runs = {}
+        for on in (True, False):
+            hook = _VerifyMode(on)
+            runs[on] = (simulator.run(PlacementPolicy.OCS, profiler=hook),
+                        hook.scheduler)
+        return runs
+
+    @pytest.mark.parametrize("preset", ["large", "hyperscale", "edge"])
+    def test_summary_identical_with_verification_on_and_off(self, preset):
+        runs = self._runs(preset)
+        assert json.dumps(runs[True][0].summary, sort_keys=True) == \
+            json.dumps(runs[False][0].summary, sort_keys=True)
+        # The modes really differ in what they program: jobs still
+        # running at the horizon hold pod circuits only when verifying.
+        live = {on: sum(pod.fabric.live_circuits
+                        for pod in scheduler.state.pods)
+                for on, (_, scheduler) in runs.items()}
+        assert live[True] > 0
+        assert live[False] == 0
+
+    def test_serve_json_identical_with_verification_on_and_off(self):
+        runs = self._runs("serve_surge")
+        serve = {on: json.dumps({"summary": report.summary,
+                                 "serve": report.serve.summary,
+                                 "pools": report.serve.pools},
+                                sort_keys=True)
+                 for on, (report, _) in runs.items()}
+        assert serve[True] == serve[False]

@@ -5,14 +5,16 @@ multi-region placement planner, and fabric-aware spare-port repair."""
 import numpy as np
 import pytest
 
-from repro.core.scheduler import (PlacementStrategy, SliceScheduler,
-                                  plan_multi_region)
+from repro.core.scheduler import (PlacementPolicy, PlacementStrategy,
+                                  SliceScheduler, plan_multi_region)
 from repro.errors import OCSError
 from repro.fleet.config import FleetConfig
 from repro.fleet.failures import (apply_spare_repairs, build_failure_trace,
                                   spare_repair_count)
-from repro.fleet.machine import MachineFabric
+from repro.fleet.fabric import PodFabric
+from repro.fleet.machine import MachineFabric, plan_price
 from repro.fleet.presets import preset_config
+from repro.fleet.simulator import FleetSimulator
 from repro.ocs.fabric import FACE_LINKS
 from repro.ocs.reconfigure import (block_torus_adjacencies,
                                    grid_adjacency_indices)
@@ -109,35 +111,37 @@ class TestPlanMultiRegion:
 
 
 class TestMachineFabric:
+    CROSS = [(0, [0, 1, 2, 3, 4]), (1, [0, 1, 2])]
+
     def _fabric(self, num_pods=2, blocks_per_pod=8, trunk_ports=48):
         return MachineFabric(num_pods, blocks_per_pod, trunk_ports)
 
     def _cross_plan(self, fabric, job_id=1):
         # (4, 8, 16): 8 blocks on a (1, 2, 4) grid, split 5 + 3.
-        return fabric.plan(job_id, (4, 8, 16),
-                           [(0, [0, 1, 2, 3, 4]), (1, [0, 1, 2])])
+        return fabric.plan(job_id, (4, 8, 16), self.CROSS)
 
     def test_single_pod_plan_has_no_trunks(self):
         fabric = self._fabric()
-        plan = fabric.plan(1, (4, 4, 8), [(0, [2, 5])])
-        assert not plan.cross_pod
-        assert plan.num_adjacencies == 3 * 2
-        assert plan.num_circuits == 6 * FACE_LINKS
+        wiring = fabric.wiring(1, (4, 4, 8), [(0, [2, 5])])
+        assert not wiring.cross_pod
+        assert wiring.num_adjacencies == 3 * 2
+        assert wiring.num_circuits == 6 * FACE_LINKS
 
     def test_cross_pod_plan_splits_layers(self):
-        plan = self._cross_plan(self._fabric())
-        assert plan.cross_pod
+        wiring = self._fabric().wiring(1, (4, 8, 16), self.CROSS)
+        assert wiring.cross_pod
         # Every adjacency lands in exactly one layer.
-        assert plan.num_adjacencies == 3 * 8
-        assert plan.num_trunk_circuits == \
-            len(plan.trunk_adjacencies) * FACE_LINKS
-        assert plan.total_trunk_ports == 2 * len(plan.trunk_adjacencies)
-        assert 0.0 < plan.cross_fraction < 1.0
+        assert wiring.num_adjacencies == 3 * 8
+        assert wiring.num_trunk_circuits == \
+            len(wiring.trunk_adjacencies) * FACE_LINKS
+        assert wiring.total_trunk_ports == \
+            2 * len(wiring.trunk_adjacencies)
+        assert 0.0 < wiring.cross_fraction < 1.0
 
     def test_cross_pod_latency_exceeds_single_pod(self):
         fabric = self._fabric()
-        cross = self._cross_plan(fabric)
-        single = fabric.plan(2, (8, 8, 8), [(0, list(range(8)))])
+        cross = fabric.wiring(1, (4, 8, 16), self.CROSS)
+        single = fabric.wiring(2, (8, 8, 8), [(0, list(range(8)))])
         assert cross.latency_seconds(30.0, 0.01, 15.0) > \
             single.latency_seconds(30.0, 0.01, 15.0)
         assert single.latency_seconds(30.0, 0.01, 15.0) == \
@@ -147,15 +151,19 @@ class TestMachineFabric:
     def test_apply_release_roundtrip(self):
         fabric = self._fabric()
         plan = self._cross_plan(fabric)
+        assert plan.wiring is not None  # programmed by default
         created = fabric.apply(plan)
-        assert created == plan.num_circuits
+        assert created == plan.price.num_circuits
+        assert sum(pod.live_circuits for pod in fabric.pods) == \
+            created - plan.price.num_trunk_circuits
         assert fabric.holds_trunks(1)
-        assert fabric.trunk_in_use() == plan.total_trunk_ports
+        assert fabric.trunk_in_use() == plan.price.total_trunk_ports
         fabric.check_trunk_accounting()
         removed = fabric.release(1)
         assert removed == created
         assert fabric.trunk_in_use() == 0
         assert not fabric.holds_trunks(1)
+        assert all(pod.live_circuits == 0 for pod in fabric.pods)
         fabric.check_trunk_accounting()
 
     def test_double_apply_rejected(self):
@@ -195,7 +203,7 @@ class TestMachineFabric:
         excluding = fabric.trunk_budget_excluding([1])
         assert excluding == {0: 48, 1: 48}  # as if job 1 had released
         # ...but the live budget and ledger are untouched.
-        assert fabric.trunk_in_use() == plan.total_trunk_ports
+        assert fabric.trunk_in_use() == plan.price.total_trunk_ports
         assert fabric.holds_trunks(1)
         fabric.check_trunk_accounting()
 
@@ -211,6 +219,160 @@ class TestMachineFabric:
         assert fabric.trunk_release_count == 1
         fabric.release(1)    # already gone: idempotent, no bump
         assert fabric.trunk_release_count == 1
+
+    def test_priced_mode_touches_no_pod(self, monkeypatch):
+        # Outside verification mode a plan is its price: apply holds
+        # only trunk ports and release visits no pod fabric.
+        fabric = self._fabric()
+        fabric.program_pods = False
+        plan = self._cross_plan(fabric)
+        assert plan.wiring is None
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pod fabric touched in priced mode")
+
+        monkeypatch.setattr(PodFabric, "apply", forbidden)
+        monkeypatch.setattr(PodFabric, "release", forbidden)
+        assert fabric.apply(plan) == plan.price.num_circuits
+        assert fabric.trunk_ports_of(1) == plan.trunk_ports_by_pod()
+        assert fabric.release(1) == plan.price.num_trunk_circuits
+        assert fabric.trunk_in_use() == 0
+        fabric.check_trunk_accounting()
+
+    def test_wiring_that_disagrees_with_its_price_raises(self, monkeypatch):
+        # Verification mode checks every programmed plan against the
+        # price the scheduler charges.
+        import repro.fleet.machine as machine
+        wrong = machine.PlanPrice(num_blocks=8, trunk_count=0,
+                                  ports_by_region=(0, 0), pod_moves=8,
+                                  trunk_moves=0)
+        monkeypatch.setattr(machine, "plan_price",
+                            lambda shape, counts: wrong)
+        with pytest.raises(OCSError, match="disagrees with its price"):
+            self._cross_plan(self._fabric())
+
+
+class TestTrunkReserve:
+    """`MachineFabric.reserve`: the trunk ledger's atomic primitive."""
+
+    def test_reserve_and_release_roundtrip(self):
+        fabric = MachineFabric(num_pods=3, blocks_per_pod=16,
+                               trunk_ports=8)
+        fabric.reserve(7, {0: 2, 1: 2})
+        assert fabric.holds_trunks(7)
+        assert fabric.trunk_free(0) == 6 and fabric.trunk_free(1) == 6
+        assert fabric.trunk_in_use() == 4
+        assert fabric.trunk_budget() == {0: 6, 1: 6, 2: 8}
+        assert fabric.trunk_budget_excluding([7]) == {0: 8, 1: 8, 2: 8}
+        fabric.check_trunk_accounting()
+        released = fabric.release(7)
+        assert released == (4 // 2) * FACE_LINKS
+        assert fabric.trunk_release_count == 1
+        assert not fabric.holds_trunks(7)
+        assert fabric.trunk_in_use() == 0
+        fabric.check_trunk_accounting()
+
+    def test_release_unknown_job_is_free(self):
+        fabric = MachineFabric(num_pods=2, blocks_per_pod=16,
+                               trunk_ports=8)
+        assert fabric.release(99) == 0
+        assert fabric.trunk_release_count == 0
+
+    def test_double_reserve_rejected(self):
+        fabric = MachineFabric(num_pods=2, blocks_per_pod=16,
+                               trunk_ports=8)
+        fabric.reserve(1, {0: 2})
+        with pytest.raises(OCSError, match="already holds"):
+            fabric.reserve(1, {1: 2})
+
+    def test_oversubscription_rejected_atomically(self):
+        fabric = MachineFabric(num_pods=2, blocks_per_pod=16,
+                               trunk_ports=4)
+        with pytest.raises(OCSError, match="trunk"):
+            fabric.reserve(1, {0: 2, 1: 6})
+        # The failed reserve must not have taken pod 0's ports.
+        assert fabric.trunk_budget() == {0: 4, 1: 4}
+        assert not fabric.holds_trunks(1)
+
+    def test_empty_reserve_holds_nothing(self):
+        fabric = MachineFabric(num_pods=1, blocks_per_pod=16,
+                               trunk_ports=4)
+        fabric.reserve(1, {})
+        assert not fabric.holds_trunks(1)
+        assert fabric.release(1) == 0
+
+
+def _assert_price_matches_wiring(shape, assignments):
+    """Compare every consumer-visible quantity, priced vs wired."""
+    wiring = MachineFabric(num_pods=1 + max(pod for pod, _ in assignments),
+                           blocks_per_pod=64, trunk_ports=64).wiring(
+        1, shape, assignments)
+    price = plan_price(shape, tuple(len(blocks)
+                                    for _, blocks in assignments))
+    assert price.empty == wiring.empty
+    assert price.cross_pod == wiring.cross_pod
+    assert price.num_adjacencies == wiring.num_adjacencies
+    assert price.num_circuits == wiring.num_circuits
+    assert price.num_trunk_circuits == wiring.num_trunk_circuits
+    assert price.total_trunk_ports == wiring.total_trunk_ports
+    assert price.cross_fraction == wiring.cross_fraction
+    ports = {assignments[region][0]: count
+             for region, count in enumerate(price.ports_by_region)
+             if count}
+    assert ports == wiring.trunk_ports_by_pod()
+    assert price.latency_seconds(1.0, 0.01, 5.0) == \
+        wiring.latency_seconds(1.0, 0.01, 5.0)
+
+
+class TestPlanPriceParity:
+    """plan_price must match the block-level wiring value-for-value.
+
+    The scheduler charges every rewiring from the memoized price; its
+    whole claim to correctness is that a rewiring's price depends only
+    on the block grid and the per-pod block counts.  Each case prices
+    one placement both ways — wired vs. memoized — and compares every
+    consumer-visible quantity.
+    """
+
+    CASES = [
+        # (shape, [(pod, blocks)...]): pod-local, split, and sub-block.
+        ((4, 4, 8), [(0, [0]), (1, [0])]),
+        ((8, 8, 8), [(0, [0, 1, 2, 3, 4, 5, 6, 7])]),
+        ((8, 8, 8), [(0, [0, 1, 2, 3]), (1, [4, 5, 6, 7])]),
+        ((4, 8, 12), [(0, [0, 1, 2]), (1, [0, 1, 2])]),
+        ((4, 4, 12), [(0, [5]), (1, [7]), (2, [2])]),
+        ((2, 2, 4), [(0, [3])]),
+    ]
+
+    @pytest.mark.parametrize("shape,assignments", CASES)
+    def test_matches_machine_plan(self, shape, assignments):
+        _assert_price_matches_wiring(shape, assignments)
+
+    @pytest.mark.parametrize("preset", ["large", "hyperscale", "edge"])
+    def test_matches_every_placement_of_seed_zero(self, preset,
+                                                  monkeypatch):
+        # Every (shape, per-pod counts) a real run places, priced both
+        # ways; the first placement of each pair stands for the rest.
+        placed = {}
+        plan = MachineFabric.plan
+
+        def spy(fabric, job_id, shape, assignments):
+            key = (shape, tuple(len(blocks) for _, blocks in assignments))
+            placed.setdefault(key, [(pod, list(blocks))
+                                    for pod, blocks in assignments])
+            return plan(fabric, job_id, shape, assignments)
+
+        monkeypatch.setattr(MachineFabric, "plan", spy)
+        FleetSimulator(preset_config(preset), seed=0).run(
+            PlacementPolicy.OCS)
+        assert any(len(counts) > 1 for _, counts in placed)
+        for (shape, _), assignments in sorted(placed.items()):
+            _assert_price_matches_wiring(shape, assignments)
+
+    def test_memoized_identity(self):
+        first = plan_price((8, 8, 8), (4, 4))
+        second = plan_price((8, 8, 8), (4, 4))
+        assert first is second
 
 
 class TestSpareRepairs:

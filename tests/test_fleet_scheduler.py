@@ -6,6 +6,7 @@ import pytest
 from repro.core.scheduler import PlacementPolicy, PlacementStrategy
 from repro.fleet.cluster import FleetState
 from repro.fleet.config import FleetConfig
+from repro.fleet.obs import ObsRecorder
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.workload import (FleetJob, PRIORITY_BATCH,
@@ -488,3 +489,69 @@ class TestCancelledDefragMigration:
                  telemetry.checkpoint_block_seconds +
                  telemetry.reconfig_block_seconds)
         assert telemetry.busy_block_seconds == pytest.approx(parts)
+
+
+class TestSettledDispatch:
+    """A dispatch that can place nothing skips the queue sort; new
+    capacity or a new queued job turns the sweep back on."""
+
+    @staticmethod
+    def _count_sorts(scheduler):
+        calls = []
+        in_order = scheduler._queue_in_order
+
+        def counted():
+            calls.append(1)
+            return in_order()
+
+        scheduler._queue_in_order = counted
+        return calls
+
+    def test_warm_caches_and_unchanged_queue_skip_the_sort(self):
+        scheduler = _make()
+        scheduler.submit(_train(0, (8, 8, 8), 0.0, 1000.0))  # whole pod
+        scheduler.submit(_train(1, (4, 4, 8), 0.0, 1000.0))  # queued
+        calls = self._count_sorts(scheduler)
+        scheduler.dispatch()
+        assert calls == []
+        assert [active.job.job_id for active in scheduler.queue] == [1]
+        assert list(scheduler.running) == [0]
+
+    def test_requeued_block_down_victim_reenables_the_sweep(self):
+        scheduler = _make(num_pods=2)
+        scheduler.submit(_train(0, (8, 8, 8), 0.0, 1000.0))
+        scheduler.submit(_train(1, (8, 8, 8), 0.0, 1000.0))
+        scheduler.submit(_train(2, (4, 4, 8), 0.0, 1000.0))  # queued
+        calls = self._count_sorts(scheduler)
+        scheduler.dispatch()
+        assert calls == []
+        scheduler.on_block_down(0, 0)  # interrupts and requeues job 0
+        assert calls
+        # The sweep ran: job 2 took two of the victim's seven blocks.
+        assert 2 in scheduler.running
+        assert [active.job.job_id for active in scheduler.queue] == [0]
+
+    def test_new_arrival_reenables_the_sweep(self):
+        scheduler = _make()
+        scheduler.submit(_train(0, (8, 8, 8), 0.0, 1000.0))
+        calls = self._count_sorts(scheduler)
+        scheduler.submit(_train(1, (4, 4, 8), 0.0, 1000.0))
+        assert calls == [1]
+        scheduler.dispatch()
+        assert calls == [1]
+
+    def test_capacity_skip_leaves_every_cache_untouched(self):
+        # A job that cannot preempt and needs more blocks than are free
+        # fails every rung with no side effect, so it is skipped
+        # without being cached; observed runs still try every rung so
+        # the decision log keeps one entry per queued job per pass.
+        scheduler = _make()
+        scheduler.submit(_train(0, (8, 8, 8), 0.0, 1000.0))
+        scheduler.submit(_train(1, (4, 4, 8), 0.0, 1000.0))
+        assert not scheduler._failed_shapes
+        assert not scheduler._failed_cross
+        observed = _make()
+        observed.obs = ObsRecorder()
+        observed.submit(_train(0, (8, 8, 8), 0.0, 1000.0))
+        observed.submit(_train(1, (4, 4, 8), 0.0, 1000.0))
+        assert (4, 4, 8) in observed._failed_shapes

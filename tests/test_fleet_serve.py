@@ -196,38 +196,10 @@ class TestStrictTierRun:
         assert _run(config, seed=0).serve is None
 
 
-class TestFastTierRun:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return _run(SERVE_CONFIG.with_overrides(determinism="fast"),
-                    seed=0)
-
-    def test_serve_report_attached(self, report):
-        assert report.serve is not None
-        assert report.serve.summary["requests_total"] > 0
-        assert report.serve.summary["scale_ups"] > 0
-
-    def test_reconciles_with_utilization_identity(self, report):
-        assert reconciliation_residual(report) <= 1e-9
-
-    def test_fast_double_run_byte_identical(self, report):
-        again = _run(SERVE_CONFIG.with_overrides(determinism="fast"),
-                     seed=0)
-        assert _serve_json(again) == _serve_json(report)
-
-    def test_job_table_grew_for_dynamic_replicas(self, report):
-        # Serve replicas are submitted mid-run with ids past the
-        # generated workload; the columnar job table must have grown.
-        serve_jobs = [r for r in report.job_records if r.kind == "serve"]
-        assert serve_jobs
-        assert all(r.busy_seconds >= 0 for r in serve_jobs)
-
-
 class TestSurgeAndComparison:
     @pytest.fixture(scope="class")
     def reports(self):
-        config = SERVE_CONFIG.with_overrides(serve_scenario="surge",
-                                             determinism="fast")
+        config = SERVE_CONFIG.with_overrides(serve_scenario="surge")
         return compare_autoscalers(config, seed=0,
                                    autoscalers=("reactive", "static"))
 

@@ -95,3 +95,31 @@ class TestInvariants:
     def test_failures_observed(self, tiny_reports):
         assert tiny_reports["ocs"].summary["block_failures"] > 0
         assert tiny_reports["ocs"].summary["job_interruptions"] > 0
+
+
+class TestAccountingIdentities:
+    """Per-seed identities on the OCS policy, beyond the tiny preset."""
+
+    @pytest.mark.parametrize("preset", ["tiny", "small"])
+    def test_job_conservation(self, preset):
+        summary = FleetSimulator(preset_config(preset), seed=0).run(
+            PlacementPolicy.OCS).summary
+        assert summary["jobs_completed"] + summary["jobs_unfinished"] == \
+            summary["jobs_submitted"]
+        assert summary["jobs_never_ran"] <= summary["jobs_unfinished"]
+
+    def test_fractions_bounded(self):
+        summary = FleetSimulator(preset_config("small"), seed=0).run(
+            PlacementPolicy.OCS).summary
+        for key in ("goodput", "utilization", "checkpoint_fraction",
+                    "cross_pod_fraction", "drain_fraction",
+                    "reconfig_fraction", "replay_fraction",
+                    "restore_fraction", "trunk_stall_fraction",
+                    "trunk_utilization"):
+            assert 0.0 <= summary[key] <= 1.0, key
+
+    def test_does_real_work(self):
+        summary = FleetSimulator(preset_config("small"), seed=0).run(
+            PlacementPolicy.OCS).summary
+        assert summary["jobs_completed"] > 0
+        assert summary["goodput"] > 0

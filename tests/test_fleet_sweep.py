@@ -38,6 +38,23 @@ class TestRunSweep:
         assert [_summary_json(r) for r in inline] == \
             [_summary_json(r) for r in pooled]
 
+    def test_oversized_process_count_clamps(self):
+        # More workers than seeds must behave exactly like a right-sized
+        # pool (the clamp) and like the inline path for one worker.
+        inline = run_sweep("tiny", [0, 1], processes=1)
+        clamped = run_sweep("tiny", [0, 1], processes=64)
+        assert [_summary_json(r) for r in inline] == \
+            [_summary_json(r) for r in clamped]
+
+    def test_sweep_matches_solo_run(self):
+        # A config object with the default policy sweeps to exactly the
+        # summary of one in-process OCS run of the same config.
+        config = preset_config("tiny")
+        swept = run_sweep(config, [0], processes=1)[0]
+        solo = FleetSimulator(config, seed=0).run(PlacementPolicy.OCS)
+        assert _summary_json(swept) == json.dumps(solo.summary,
+                                                  sort_keys=True)
+
     def test_accepts_config_and_policy(self):
         config = preset_config("tiny")
         results = run_sweep(config, [0], policy=PlacementPolicy.STATIC,
