@@ -3,8 +3,15 @@
 Given flows that each traverse a set of capacity-limited links, the
 max-min fair allocation repeatedly saturates the most-constrained link,
 freezes its flows at the bottleneck fair share, and recurses on the rest.
-This is the standard fluid model for congestion-controlled networks and is
-what the flow simulator recomputes whenever the flow set changes.
+This is the standard fluid model for congestion-controlled networks; the
+flow simulator solves it once per simulated instant at which the flow set
+changed.
+
+Each link keeps a count of the traversals by still-active flows, built
+once and decremented as flows freeze, so a filling round is one scan of
+the links rather than a re-count of every link's flows.  The scan order,
+the strict ``<`` tie-break, the freeze order and the per-traversal charge
+are those of the plain algorithm, so the rates are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -34,15 +41,23 @@ def max_min_fair_rates(
     >>> max_min_fair_rates([["a"], ["a"], ["a", "b"]], {"a": 3.0, "b": 0.5})
     [1.25, 1.25, 0.5]
     """
-    remaining = {}
-    usage_count: dict[LinkId, dict[int, int]] = {}
+    # Per link, in order of first use: spare capacity, the number of
+    # traversals by active flows, and the distinct flows on it in order.
+    remaining: dict[LinkId, float] = {}
+    weight: dict[LinkId, int] = {}
+    flows_on: dict[LinkId, list[int]] = {}
     for flow_id, route in enumerate(flow_routes):
         for link in route:
             if link not in capacities:
                 raise SimulationError(f"flow {flow_id} uses unknown link {link}")
-            remaining.setdefault(link, float(capacities[link]))
-            usage_count.setdefault(link, {})
-            usage_count[link][flow_id] = usage_count[link].get(flow_id, 0) + 1
+            if link in weight:
+                weight[link] += 1
+                if flows_on[link][-1] != flow_id:
+                    flows_on[link].append(flow_id)
+            else:
+                remaining[link] = float(capacities[link])
+                weight[link] = 1
+                flows_on[link] = [flow_id]
 
     for link, capacity in remaining.items():
         if capacity < 0:
@@ -58,23 +73,22 @@ def max_min_fair_rates(
         # Find the tightest link: smallest fair share for its active flows.
         bottleneck_share = None
         bottleneck_link = None
-        for link, flows_on_link in usage_count.items():
-            # detlint: ignore[D005] integer multiplicities; order-free
-            weight = sum(mult for fid, mult in flows_on_link.items()
-                         if fid in active)
-            if weight == 0:
+        for link, count in weight.items():
+            if count == 0:
                 continue
-            share = remaining[link] / weight
+            share = remaining[link] / count
             if bottleneck_share is None or share < bottleneck_share:
                 bottleneck_share = share
                 bottleneck_link = link
         if bottleneck_link is None:
             break  # remaining active flows traverse no congested link
-        frozen = [fid for fid in usage_count[bottleneck_link] if fid in active]
-        for flow_id in frozen:
+        for flow_id in flows_on[bottleneck_link]:
+            if flow_id not in active:
+                continue
             rates[flow_id] = bottleneck_share
             active.discard(flow_id)
             # Charge this flow's rate against every link traversal.
             for link in flow_routes[flow_id]:
                 remaining[link] = max(remaining[link] - bottleneck_share, 0.0)
+                weight[link] -= 1
     return rates

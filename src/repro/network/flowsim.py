@@ -1,10 +1,19 @@
 """A fluid flow-level network simulator.
 
 Flows carry bytes along fixed routes; active flows share links max-min
-fairly; whenever the flow set changes the rates are recomputed and the next
-completion is scheduled on the discrete-event kernel.  Completion callbacks
-can inject follow-up flows, which is how collective schedules (e.g. the
-steps of a ring all-reduce) express dependencies.
+fairly.  Rates are solved once per simulated instant at which the flow set
+changed: every start and completion at that instant, and every flow their
+callbacks inject, goes in first, then one zero-delay settle event solves
+the rates and schedules the next completion on the discrete-event kernel.
+Completion callbacks can inject follow-up flows, which is how collective
+schedules (e.g. the steps of a ring all-reduce) express dependencies.
+
+Solving at every event instead gives bit-identical times: a solve that
+another event at the same instant follows drains no bytes (no time
+elapses) and its completion event is cancelled unfired.  A start still
+cancels the scheduled completion at once, as a solve at the start would,
+so a completion due at the instant a flow starts is re-solved with the
+new flow rather than fired.
 """
 
 from __future__ import annotations
@@ -50,14 +59,20 @@ class FlowSim:
                 (models propagation + fixed message overhead).
         """
         for link, capacity in capacities.items():
-            if capacity <= 0:
-                raise SimulationError(f"link {link} capacity must be > 0")
+            if not (math.isfinite(capacity) and capacity > 0):
+                raise SimulationError(
+                    f"link {link} capacity must be finite and > 0, "
+                    f"got {capacity}")
+        if not (math.isfinite(latency) and latency >= 0):
+            raise SimulationError(
+                f"latency must be finite and >= 0, got {latency}")
         self.capacities = dict(capacities)
         self.latency = latency
         self.sim = Simulator()
         self.flows: list[Flow] = []
         self._active: list[Flow] = []
         self._pending_event = None
+        self._settle_pending = False
         self._last_update = 0.0
 
     # -- public API -------------------------------------------------------------
@@ -71,8 +86,12 @@ class FlowSim:
                  delay: float = 0.0,
                  on_complete: Callable[[Flow], None] | None = None) -> Flow:
         """Inject a flow `delay` seconds from now; returns its handle."""
-        if size < 0:
-            raise SimulationError(f"flow size must be >= 0, got {size}")
+        if not (math.isfinite(size) and size >= 0):
+            raise SimulationError(
+                f"flow size must be finite and >= 0, got {size}")
+        if not (math.isfinite(delay) and delay >= 0):
+            raise SimulationError(
+                f"flow delay must be finite and >= 0, got {delay}")
         flow = Flow(flow_id=len(self.flows), route=tuple(route), size=size,
                     remaining=size, start_time=self.sim.now + delay,
                     on_complete=on_complete)
@@ -99,14 +118,17 @@ class FlowSim:
 
     def _start(self, flow: Flow) -> None:
         self._advance_progress()
+        # The flow set changes, so the scheduled completion is stale.
+        if self._pending_event is not None:
+            self._pending_event.cancel()
+            self._pending_event = None
         if flow.size == 0 or not flow.route:
             flow.finish_time = self.sim.now
             if flow.on_complete:
                 flow.on_complete(flow)
-            self._reschedule()
-            return
-        self._active.append(flow)
-        self._reschedule()
+        else:
+            self._active.append(flow)
+        self._settle()
 
     def _advance_progress(self) -> None:
         """Drain bytes at current rates for the elapsed interval."""
@@ -116,11 +138,15 @@ class FlowSim:
                 flow.remaining = max(flow.remaining - flow.rate * elapsed, 0.0)
         self._last_update = self.sim.now
 
+    def _settle(self) -> None:
+        """Re-solve the rates once every event at this instant has run."""
+        if not self._settle_pending:
+            self._settle_pending = True
+            self.sim.schedule(0.0, self._reschedule)
+
     def _reschedule(self) -> None:
-        """Recompute fair rates and schedule the next completion event."""
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
+        """Compute fair rates and schedule the next completion event."""
+        self._settle_pending = False
         if not self._active:
             return
         rates = max_min_fair_rates([f.route for f in self._active],
@@ -142,11 +168,11 @@ class FlowSim:
         for flow in finished:
             flow.remaining = 0.0
             flow.finish_time = self.sim.now
-        # Callbacks may add flows; run them before rescheduling.
+        # Callbacks may add flows; settle after they are in.
         for flow in finished:
             if flow.on_complete:
                 flow.on_complete(flow)
-        self._reschedule()
+        self._settle()
 
 
 def topology_capacities(topology, link_bandwidth: float) -> dict[LinkId, float]:

@@ -53,6 +53,8 @@ def simulate_ring_allreduce(topology: Topology, num_bytes: float,
     """
     if dim is None:
         dim = max(range(3), key=lambda d: topology.shape[d])
+    if dim not in range(3):
+        raise SimulationError(f"dim must be 0, 1 or 2, got {dim}")
     ring_len = topology.shape[dim]
     if ring_len < 2:
         raise SimulationError(f"dimension {dim} has no ring")

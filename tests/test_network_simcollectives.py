@@ -38,6 +38,11 @@ class TestSimulatedRingAllReduce:
         with pytest.raises(SimulationError):
             simulate_ring_allreduce(Torus3D((4, 4, 1)), 1e6, 50e9, dim=2)
 
+    @pytest.mark.parametrize("dim", [3, -1])
+    def test_out_of_range_dim_rejected(self, dim):
+        with pytest.raises(SimulationError, match="dim must be"):
+            simulate_ring_allreduce(Torus3D((4, 4, 8)), 1e6, 50e9, dim=dim)
+
     def test_two_ring_matches_analytic(self):
         torus = Torus3D((2, 1, 1))
         result = simulate_ring_allreduce(torus, 1e6, 50e9, dim=0)
