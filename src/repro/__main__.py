@@ -46,7 +46,7 @@ import repro
 from repro.analysis import (AnalysisError, EXIT_CLEAN, EXIT_FINDINGS,
                             EXIT_USAGE, run_lint)
 from repro.core.scheduler import PlacementPolicy, PlacementStrategy
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.experiments import list_experiments, run
 from repro.fleet import (FleetSimulator, preset_config, preset_names,
                          run_sweep, schedule_for, schedule_names,
@@ -125,16 +125,22 @@ def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator | int:
         except TraceError as exc:
             print(f"fleet replay: {exc}", file=sys.stderr)
             return 2
-        config = _apply_fleet_overrides(trace.config, args)
+        base = trace.config
+    else:
+        base = preset_config(args.preset if args.preset is not None
+                             else "small")
+    try:
+        config = _apply_fleet_overrides(base, args)
+    except ConfigurationError as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
+    if args.mode == "replay":
         windows = None  # the trace's own windows
         if args.deploy_schedule is not None:
             windows = () if args.deploy_schedule == "none" else \
                 schedule_for(args.deploy_schedule, config).windows
         return FleetSimulator.from_trace(trace, config=config,
                                          windows=windows)
-    config = _apply_fleet_overrides(
-        preset_config(args.preset if args.preset is not None else "small"),
-        args)
     schedule_name = args.deploy_schedule if args.deploy_schedule is not None \
         else (config.deploy_schedule or "none")
     windows = () if schedule_name == "none" else \
@@ -221,9 +227,13 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
         print(f"fleet sweep needs --seeds >= 1, got {args.seeds}",
               file=sys.stderr)
         return 2
-    config = _apply_fleet_overrides(
-        preset_config(args.preset if args.preset is not None else "small"),
-        args)
+    try:
+        config = _apply_fleet_overrides(
+            preset_config(args.preset if args.preset is not None
+                          else "small"), args)
+    except ConfigurationError as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
     # 'both' makes no sense across an ensemble; default to OCS.
     policy = PlacementPolicy.OCS if args.policy == "both" \
         else PlacementPolicy(args.policy)

@@ -4,6 +4,14 @@ The OCS benefit (Section 2.5): a slice needs any-N healthy blocks, "picked
 from anywhere in the supercomputer".  A statically-cabled machine (the
 TPU v3 situation, and Figure 4's "statically connected" baseline) must find
 a *contiguous cuboid* of healthy blocks in the fixed block grid.
+
+Machine-wide, a slice may split its block grid across regions (pods)
+joined by a trunk OCS layer.  Because any healthy blocks are equivalent,
+what such a split costs (trunk ports, circuits, latency) depends only
+on the block grid and the per-region block counts.  :func:`plan_price`
+memoizes that :class:`PlanPrice`; the multi-region planner budgets and
+ranks candidate splits from it, and the fleet's machine fabric
+(:mod:`repro.fleet.machine`) charges every rewiring from it.
 """
 
 from __future__ import annotations
@@ -14,9 +22,12 @@ from enum import Enum
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.slicing import (SliceShape, blocks_needed, block_grid,
                                 canonical_shape, is_legal_shape)
-from repro.errors import SchedulingError
+from repro.errors import OCSError, SchedulingError
+from repro.ocs.fabric import FACE_LINKS
 from repro.ocs.reconfigure import grid_adjacency_indices
 from repro.topology.builder import is_block_multiple
 
@@ -74,6 +85,148 @@ class ScheduleOutcome:
 
 
 @dataclass(frozen=True)
+class PlanPrice:
+    """Everything a rewiring costs, with no physical wiring attached.
+
+    Mirrors the consumer surface of :class:`repro.fleet.machine.
+    MachinePlan` (circuit counts, trunk ports, latency) value-for-value
+    — every quantity is a pure function of the slice's block grid and
+    its per-region block counts, independent of which physical blocks
+    host it, which is what makes the memoization sound.
+    """
+
+    num_blocks: int            # n; 0 for sub-block (empty) plans
+    trunk_count: int           # adjacencies crossing a region boundary
+    ports_by_region: tuple[int, ...]   # trunk endpoints per region
+    pod_moves: int             # busiest pod switch's mirror moves
+    trunk_moves: int           # busiest machine switch's mirror moves
+
+    @property
+    def empty(self) -> bool:
+        """True when nothing needs programming (sub-block slices)."""
+        return self.num_blocks == 0
+
+    @property
+    def cross_pod(self) -> bool:
+        """True when the plan rides the trunk layer."""
+        return self.trunk_count > 0
+
+    @property
+    def num_adjacencies(self) -> int:
+        """Block adjacencies across every layer (3 per block placed)."""
+        return 3 * self.num_blocks
+
+    @property
+    def num_circuits(self) -> int:
+        """Chip-level circuits the plan programs (16 per adjacency)."""
+        return self.num_adjacencies * FACE_LINKS
+
+    @property
+    def num_trunk_circuits(self) -> int:
+        """Chip circuits riding the machine-level trunk bank."""
+        return self.trunk_count * FACE_LINKS
+
+    @property
+    def cross_fraction(self) -> float:
+        """Share of the slice's links that traverse the trunk layer."""
+        total = self.num_adjacencies
+        return self.trunk_count / total if total else 0.0
+
+    @property
+    def total_trunk_ports(self) -> int:
+        """Trunk ports the plan holds across all pods (2 per adjacency)."""
+        return 2 * self.trunk_count
+
+    def latency_seconds(self, base_seconds: float, switch_seconds: float,
+                        trunk_base_seconds: float) -> float:
+        """Critical-path seconds before the slice's links carry traffic."""
+        if self.empty:
+            return 0.0
+        latency = base_seconds + switch_seconds * self.pod_moves
+        if self.trunk_count:
+            latency += trunk_base_seconds + \
+                switch_seconds * self.trunk_moves
+        return latency
+
+
+_EMPTY_PRICE = PlanPrice(num_blocks=0, trunk_count=0, ports_by_region=(),
+                         pod_moves=0, trunk_moves=0)
+
+
+@lru_cache(maxsize=None)
+def _adjacency_arrays(grid: tuple[int, int, int]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's torus walk as (dim, low_slot, high_slot) columns."""
+    adj = np.asarray(grid_adjacency_indices(grid), dtype=np.int64)
+    return adj[:, 0], adj[:, 1], adj[:, 2]
+
+
+@lru_cache(maxsize=None)
+def _price_for(grid: tuple[int, int, int],
+               counts: tuple[int, ...]) -> PlanPrice:
+    """The price of laying `grid` out as region-contiguous runs, memoized.
+
+    Slots fill row-major, `counts[i]` of them for the i-th run; the
+    torus walk's adjacencies whose endpoints land in different runs ride
+    the trunk layer.  Which ones do depends only on where the runs
+    break, never on which regions own them (the regions of a placement
+    are distinct, so distinct runs are distinct owners).  This is the
+    one place a block grid's walk is split by region: the multi-region
+    planner filters and ranks its candidate splits on it (best-fit
+    enumerates hundreds per placement that share a handful of count
+    profiles, so each pays a dict lookup), and :func:`plan_price`
+    charges every placed rewiring from it.
+    """
+    n = grid[0] * grid[1] * grid[2]
+    if sum(counts) != n:
+        raise OCSError(
+            f"grid {grid} does not cover {sum(counts)} assigned blocks")
+    dims, low, high = _adjacency_arrays(grid)
+    region = np.repeat(np.arange(len(counts), dtype=np.int64),
+                       np.asarray(counts, dtype=np.int64))
+    low_region = region[low]
+    high_region = region[high]
+    cross = low_region != high_region
+    trunk_count = int(np.count_nonzero(cross))
+    if trunk_count:
+        trunk_moves = int(np.bincount(dims[cross], minlength=3).max())
+        ports = np.bincount(low_region[cross], minlength=len(counts)) + \
+            np.bincount(high_region[cross], minlength=len(counts))
+        ports_by_region = tuple(int(p) for p in ports)
+    else:
+        trunk_moves = 0
+        ports_by_region = (0,) * len(counts)
+    intra = ~cross
+    if intra.any():
+        # max over (region, dim) == the busiest pod fabric's busiest
+        # dimension, exactly MachinePlan.pod_moves_per_switch.
+        pod_moves = int(np.bincount(
+            low_region[intra] * 3 + dims[intra]).max())
+    else:
+        pod_moves = 0
+    return PlanPrice(num_blocks=n, trunk_count=trunk_count,
+                     ports_by_region=ports_by_region,
+                     pod_moves=pod_moves, trunk_moves=trunk_moves)
+
+
+@lru_cache(maxsize=None)
+def plan_price(shape: SliceShape, counts: tuple[int, ...]) -> PlanPrice:
+    """The memoized price of hosting `shape` split as `counts` per pod.
+
+    `counts` is the block count of each region of the placement, in
+    assignment order — the only property of a placement its rewiring
+    price depends on (physical block ids never matter: the OCS can
+    wire any blocks into the same virtual torus).  Memoized on the
+    (shape, counts) pair itself so repeat placements skip even the
+    shape canonicalization.
+    """
+    dims = canonical_shape(shape)
+    if not is_block_multiple(dims):
+        return _EMPTY_PRICE
+    return _price_for(block_grid(dims), counts)
+
+
+@dataclass(frozen=True)
 class MultiRegionPlacement:
     """One slice placed across several regions (pods) of a machine.
 
@@ -81,16 +234,16 @@ class MultiRegionPlacement:
     block grid is laid out row-major over *slots*, each slot hosted by
     some region.  Consecutive slots stay region-contiguous, so
     ``region_blocks`` (region id, blocks taken) fully determines which
-    slot lives where.  Grid adjacencies whose endpoints sit in different
-    regions must ride the machine-level OCS trunk layer; they are the
-    placement's trunk demand, kept in slot indices so the fabric layer
-    (:mod:`repro.fleet.machine`) can map them to physical blocks.
+    slot lives where, and ``price`` (the memoized :class:`PlanPrice`
+    of those per-region counts) is the placement's trunk demand:
+    adjacencies crossing regions and the trunk ports each region must
+    terminate.
     """
 
     shape: SliceShape
     grid: tuple[int, int, int]
     region_blocks: tuple[tuple[int, int], ...]
-    trunk_adjacencies: tuple[tuple[int, int, int], ...]
+    price: PlanPrice
 
     @property
     def num_blocks(self) -> int:
@@ -98,39 +251,9 @@ class MultiRegionPlacement:
         return sum(take for _, take in self.region_blocks)
 
     @property
-    def num_regions(self) -> int:
-        """Regions hosting at least one block."""
-        return len(self.region_blocks)
-
-    @property
     def spill(self) -> int:
         """Pods beyond the first — 0 for a single-pod placement."""
-        return self.num_regions - 1
-
-    @property
-    def num_trunk_adjacencies(self) -> int:
-        """Block adjacencies crossing regions (each is FACE_LINKS fibers)."""
-        return len(self.trunk_adjacencies)
-
-    @property
-    def total_adjacencies(self) -> int:
-        """All block adjacencies of the slice's torus (3 per block)."""
-        return 3 * self.num_blocks
-
-    @property
-    def cross_fraction(self) -> float:
-        """Share of the slice's links that traverse the trunk layer."""
-        if self.total_adjacencies == 0:
-            return 0.0
-        return self.num_trunk_adjacencies / self.total_adjacencies
-
-    def region_of_slot(self, slot: int) -> int:
-        """The region hosting a virtual grid slot."""
-        for region, take in self.region_blocks:
-            if slot < take:
-                return region
-            slot -= take
-        raise SchedulingError(f"slot {slot} outside the placement")
+        return len(self.region_blocks) - 1
 
     def trunk_ports_by_region(self) -> dict[int, int]:
         """Trunk-port endpoints each region must terminate.
@@ -138,43 +261,8 @@ class MultiRegionPlacement:
         Every cross-region adjacency lands one trunk port on each of its
         two regions (the light leaves one pod and enters the other).
         """
-        ports: dict[int, int] = {region: 0
-                                 for region, _ in self.region_blocks}
-        for _, low, high in self.trunk_adjacencies:
-            ports[self.region_of_slot(low)] += 1
-            ports[self.region_of_slot(high)] += 1
-        return ports
-
-
-@lru_cache(maxsize=None)
-def _trunk_layout(grid: tuple[int, int, int], takes: tuple[int, ...]
-                  ) -> tuple[tuple[tuple[int, int, int], ...],
-                             tuple[int, ...]]:
-    """Trunk demand of a region-contiguous layout, by *run*, memoized.
-
-    Which adjacencies cross a region boundary — and how many trunk
-    ports each region terminates — depends only on where the contiguous
-    runs of blocks break, i.e. on the grid and the tuple of per-region
-    take counts, never on which regions the runs belong to (regions in
-    an assignment are distinct, so distinct runs are distinct owners).
-    Best-fit enumerates hundreds of candidate assignments per placement
-    that share a handful of take profiles, so the layout walk is cached
-    on (grid, takes) and candidates pay a dict lookup.
-
-    Returns (trunk adjacencies in slot indices, trunk-port endpoints
-    per run index).
-    """
-    owner: list[int] = []
-    for run, take in enumerate(takes):
-        owner.extend([run] * take)
-    trunks = tuple((dim, low, high)
-                   for dim, low, high in grid_adjacency_indices(grid)
-                   if owner[low] != owner[high])
-    ports = [0] * len(takes)
-    for _, low, high in trunks:
-        ports[owner[low]] += 1
-        ports[owner[high]] += 1
-    return trunks, tuple(ports)
+        return dict(zip((region for region, _ in self.region_blocks),
+                        self.price.ports_by_region))
 
 
 def _greedy_take(pool: Sequence[tuple[int, int]],
@@ -209,7 +297,7 @@ def plan_multi_region(shape: SliceShape,
     OCS any free blocks of a region are equivalent (Section 2.5), so
     counts are the whole story and the caller resolves physical ids.
     `trunk_budget` caps the trunk ports each region may consume; layouts
-    that would oversubscribe a region's trunks are rejected.
+    whose price would oversubscribe a region's trunks are rejected.
 
     Strategy is the topology policy: FIRST_FIT fills regions in the
     order given; BEST_FIT (and DEFRAG, which places like best-fit once
@@ -257,19 +345,19 @@ def plan_multi_region(shape: SliceShape,
     for assignment in candidates:
         if assignment is None:
             continue
-        trunks, ports_by_run = _trunk_layout(
-            grid, tuple(take for _, take in assignment))
+        price = _price_for(grid, tuple(take for _, take in assignment))
         if trunk_budget is not None and any(
                 ports > trunk_budget.get(region, 0)
-                for (region, _), ports in zip(assignment, ports_by_run)):
+                for (region, _), ports in zip(assignment,
+                                              price.ports_by_region)):
             continue
         leftover = sum(free_of[region] for region, _ in assignment) - needed
-        key = (len(assignment) - 1, len(trunks), leftover,
+        key = (len(assignment) - 1, price.trunk_count, leftover,
                tuple(region for region, _ in assignment))
         if best is None or key < best_key:
             best = MultiRegionPlacement(
                 shape=dims, grid=grid, region_blocks=tuple(assignment),
-                trunk_adjacencies=trunks)
+                price=price)
             best_key = key
     return best
 
@@ -429,22 +517,6 @@ class SliceScheduler:
         if strategy is PlacementStrategy.FIRST_FIT:
             return self._first_static_fit(self.healthy, orientations)
         return self._best_static_fit(self.healthy, orientations)
-
-    @staticmethod
-    def place_multi(shape: SliceShape,
-                    free_by_region: Sequence[tuple[int, int]],
-                    strategy: PlacementStrategy =
-                    PlacementStrategy.FIRST_FIT,
-                    *, trunk_budget: Mapping[int, int] | None = None
-                    ) -> MultiRegionPlacement | None:
-        """Machine-wide placement across regions (pods) under OCS.
-
-        Delegates to :func:`plan_multi_region`; lives here so the
-        placement stack has one front door for both the single-machine
-        and the machine-wide outcome.
-        """
-        return plan_multi_region(shape, free_by_region, strategy,
-                                 trunk_budget=trunk_budget)
 
     def pack(self, shape: SliceShape,
              policy: PlacementPolicy) -> ScheduleOutcome:

@@ -11,6 +11,7 @@ the failure trace is identical across placement policies.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -28,6 +29,22 @@ STREAM_SHAPES = 1
 STREAM_FAILURES = 2
 STREAM_REPAIRS = 3
 NUM_STREAMS = 4
+
+#: What a field's value must be, keyed by its annotation (a string here:
+#: annotations are postponed), and how the error names it.  Bools are
+#: ints to Python, so number fields turn them away explicitly; NaN or
+#: infinite floats would hang the event loop or poison every sum.
+_FIELD_TYPES = {
+    "float": (lambda value: isinstance(value, (int, float)) and
+              not isinstance(value, bool) and math.isfinite(value),
+              "a finite number"),
+    "int": (lambda value: isinstance(value, int) and
+            not isinstance(value, bool), "an int"),
+    "bool": (lambda value: type(value) is bool, "a bool"),
+    "str": (lambda value: type(value) is str, "a string"),
+    "PlacementStrategy": (lambda value: isinstance(value, PlacementStrategy),
+                          "a placement strategy"),
+}
 
 
 @dataclass(frozen=True)
@@ -191,6 +208,12 @@ class FleetConfig:
                 raise ConfigurationError(
                     f"unknown placement strategy {self.strategy!r}; have "
                     f"{[s.value for s in PlacementStrategy]}") from exc
+        for spec in dataclasses.fields(self):
+            valid, kind = _FIELD_TYPES[spec.type]
+            value = getattr(self, spec.name)
+            if not valid(value):
+                raise ConfigurationError(
+                    f"{spec.name} must be {kind}, got {value!r}")
         side = round(self.blocks_per_pod ** (1 / 3))
         if side ** 3 != self.blocks_per_pod:
             raise ConfigurationError(
@@ -242,14 +265,6 @@ class FleetConfig:
                 "optical_failure_fraction must be in [0, 1]")
         if self.port_repair_seconds < 0:
             raise ConfigurationError("port_repair_seconds must be >= 0")
-        if not isinstance(self.deploy_schedule, str):
-            raise ConfigurationError(
-                "deploy_schedule must be a schedule name string ('' for "
-                "none); schedules are materialized by repro.fleet.scenario")
-        if not isinstance(self.serve_scenario, str):
-            raise ConfigurationError(
-                "serve_scenario must be a scenario name string ('' for "
-                "none); scenarios are materialized by repro.fleet.serve")
         if self.serve_autoscaler not in (
                 "reactive", "predictive", "scheduled", "static"):
             raise ConfigurationError(

@@ -25,8 +25,9 @@ small slices.  Sub-block slices live entirely on a block's electrical
 mesh and reconfigure nothing.
 
 The fleet scheduler charges each rewiring from its memoized price
-(:func:`repro.fleet.machine.plan_price`); these banks are programmed
-only in verification mode, where they cross-check the price.
+(:func:`repro.core.scheduler.plan_price`, next to the multi-region
+planner that budgets with it); these banks are programmed only in
+verification mode, where they cross-check the price.
 """
 
 from __future__ import annotations

@@ -28,171 +28,31 @@ fabrics and the trunk bank before handover).
 
 A rewiring's cost — circuits, trunk ports, critical-path latency — is a
 pure function of the slice's block grid and its per-pod block counts,
-never of which physical blocks host it, so :func:`plan_price` memoizes
-one :class:`PlanPrice` per ``(shape, counts)`` and the scheduler charges
-every placement from it.  Only the trunk ledger is state the scheduler
-reads; the per-pod switch banks are programmed only in verification
-mode (:attr:`MachineFabric.program_pods`), where each plan's block-level
-wiring (:class:`MachinePlan`) must agree with its price.
+so the scheduler charges every placement from the memoized
+:func:`repro.core.scheduler.plan_price` (re-exported here), the same
+price the multi-region planner budgets with.  Only the trunk ledger is
+state the scheduler reads; the per-pod switch banks are programmed only
+in verification mode (:attr:`MachineFabric.program_pods`), where each
+plan's block-level wiring (:class:`MachinePlan`, the independent
+reference walk) must agree with its price.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
+from repro.core.scheduler import PlanPrice, plan_price
 from repro.core.slicing import SliceShape, block_grid, canonical_shape
 from repro.errors import OCSError
 from repro.fleet.fabric import PodFabric, ReconfigPlan
 from repro.ocs.fabric import FACE_LINKS
-from repro.ocs.reconfigure import (block_torus_adjacencies,
-                                   grid_adjacency_indices)
+from repro.ocs.reconfigure import grid_adjacency_indices
 from repro.topology.builder import is_block_multiple
 
 #: One cross-pod block adjacency: (dim, low_pod, low_block, high_pod,
 #: high_block).  Carries FACE_LINKS chip circuits over the trunk layer.
 TrunkAdjacency = tuple[int, int, int, int, int]
-
-
-# -- plan pricing -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlanPrice:
-    """Everything a rewiring costs, with no physical wiring attached.
-
-    Mirrors the consumer surface of :class:`MachinePlan` (circuit
-    counts, trunk ports, latency) value-for-value — every quantity is a
-    pure function of the slice's block grid and its per-region block
-    counts, independent of which physical blocks host it, which is what
-    makes the memoization sound.
-    """
-
-    num_blocks: int            # n; 0 for sub-block (empty) plans
-    trunk_count: int           # adjacencies crossing a region boundary
-    ports_by_region: tuple[int, ...]   # trunk endpoints per region
-    pod_moves: int             # busiest pod switch's mirror moves
-    trunk_moves: int           # busiest machine switch's mirror moves
-
-    @property
-    def empty(self) -> bool:
-        """True when nothing needs programming (sub-block slices)."""
-        return self.num_blocks == 0
-
-    @property
-    def cross_pod(self) -> bool:
-        """True when the plan rides the trunk layer."""
-        return self.trunk_count > 0
-
-    @property
-    def num_adjacencies(self) -> int:
-        """Block adjacencies across every layer (3 per block placed)."""
-        return 3 * self.num_blocks
-
-    @property
-    def num_circuits(self) -> int:
-        """Chip-level circuits the plan programs (16 per adjacency)."""
-        return self.num_adjacencies * FACE_LINKS
-
-    @property
-    def num_trunk_circuits(self) -> int:
-        """Chip circuits riding the machine-level trunk bank."""
-        return self.trunk_count * FACE_LINKS
-
-    @property
-    def cross_fraction(self) -> float:
-        """Share of the slice's links that traverse the trunk layer."""
-        total = self.num_adjacencies
-        return self.trunk_count / total if total else 0.0
-
-    @property
-    def total_trunk_ports(self) -> int:
-        """Trunk ports the plan holds across all pods (2 per adjacency)."""
-        return 2 * self.trunk_count
-
-    def latency_seconds(self, base_seconds: float, switch_seconds: float,
-                        trunk_base_seconds: float) -> float:
-        """Critical-path seconds before the slice's links carry traffic."""
-        if self.empty:
-            return 0.0
-        latency = base_seconds + switch_seconds * self.pod_moves
-        if self.trunk_count:
-            latency += trunk_base_seconds + \
-                switch_seconds * self.trunk_moves
-        return latency
-
-
-_EMPTY_PRICE = PlanPrice(num_blocks=0, trunk_count=0, ports_by_region=(),
-                         pod_moves=0, trunk_moves=0)
-
-
-@lru_cache(maxsize=None)
-def _adjacency_arrays(grid: tuple[int, int, int]
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's torus walk as (dim, low_slot, high_slot) columns."""
-    adj = np.asarray(grid_adjacency_indices(grid), dtype=np.int64)
-    return adj[:, 0], adj[:, 1], adj[:, 2]
-
-
-@lru_cache(maxsize=None)
-def _price_for(grid: tuple[int, int, int],
-               counts: tuple[int, ...]) -> PlanPrice:
-    n = grid[0] * grid[1] * grid[2]
-    if sum(counts) != n:
-        raise OCSError(
-            f"grid {grid} does not cover {sum(counts)} assigned blocks")
-    if len(counts) == 1:
-        # Pod-local: the torus walk gives every block one "+"-face
-        # adjacency per dimension, so each dimension's switches program
-        # exactly n circuits and nothing touches the trunk layer.
-        return PlanPrice(num_blocks=n, trunk_count=0,
-                         ports_by_region=(0,), pod_moves=n, trunk_moves=0)
-    dims, low, high = _adjacency_arrays(grid)
-    region = np.repeat(np.arange(len(counts), dtype=np.int64),
-                       np.asarray(counts, dtype=np.int64))
-    low_region = region[low]
-    high_region = region[high]
-    cross = low_region != high_region
-    trunk_count = int(np.count_nonzero(cross))
-    if trunk_count:
-        trunk_moves = int(np.bincount(dims[cross], minlength=3).max())
-        ports = np.bincount(low_region[cross], minlength=len(counts)) + \
-            np.bincount(high_region[cross], minlength=len(counts))
-        ports_by_region = tuple(int(p) for p in ports)
-    else:
-        trunk_moves = 0
-        ports_by_region = (0,) * len(counts)
-    intra = ~cross
-    if intra.any():
-        # max over (region, dim) == the busiest pod fabric's busiest
-        # dimension, exactly MachinePlan.pod_moves_per_switch.
-        pod_moves = int(np.bincount(
-            low_region[intra] * 3 + dims[intra]).max())
-    else:
-        pod_moves = 0
-    return PlanPrice(num_blocks=n, trunk_count=trunk_count,
-                     ports_by_region=ports_by_region,
-                     pod_moves=pod_moves, trunk_moves=trunk_moves)
-
-
-@lru_cache(maxsize=None)
-def plan_price(shape: SliceShape, counts: tuple[int, ...]) -> PlanPrice:
-    """The memoized price of hosting `shape` split as `counts` per pod.
-
-    `counts` is the block count of each region of the placement, in
-    assignment order — the only property of a placement its rewiring
-    price depends on (physical block ids never matter: the OCS can
-    wire any blocks into the same virtual torus).  Memoized on the
-    (shape, counts) pair itself so repeat placements skip even the
-    shape canonicalization.
-    """
-    dims = canonical_shape(shape)
-    if not is_block_multiple(dims):
-        return _EMPTY_PRICE
-    return _price_for(block_grid(dims), counts)
 
 
 # -- plans ------------------------------------------------------------------------
@@ -335,12 +195,6 @@ class MachineFabric:
         self.pods = [PodFabric(blocks_per_pod) for _ in range(num_pods)]
         self._trunk_free = [trunk_ports] * num_pods
         self._held_trunks: dict[int, dict[int, int]] = {}
-        #: Monotone count of releases that actually freed trunk ports.
-        #: The fleet scheduler's dispatch pass watches it to invalidate
-        #: its cross-pod failure caches: within one pass free space
-        #: normally only shrinks, but preemption and trunk-freeing
-        #: defragmentation can hand ports back mid-pass.
-        self.trunk_release_count = 0
         #: Verification mode: plans carry their block-level wiring,
         #: checked against the price, and every pod's switch bank is
         #: programmed and torn down.  Off, only the trunk ledger is
@@ -436,22 +290,6 @@ class MachineFabric:
             return MachinePlan(job_id=job_id, pod_plans=(),
                                trunk_adjacencies=())
         grid = block_grid(dims)
-        if len(assignments) == 1:
-            # Pod-local placement — the overwhelmingly common case:
-            # every adjacency is intra-pod, so the general slot
-            # classification below reduces to the plain block-torus
-            # walk.
-            pod_id, blocks = assignments[0]
-            if grid[0] * grid[1] * grid[2] != len(blocks):
-                raise OCSError(
-                    f"grid {grid} does not cover {len(blocks)} "
-                    f"assigned blocks")
-            adjacencies = block_torus_adjacencies(grid, list(blocks))
-            return MachinePlan(
-                job_id=job_id,
-                pod_plans=((pod_id, ReconfigPlan(
-                    job_id=job_id, adjacencies=tuple(adjacencies))),),
-                trunk_adjacencies=())
         slots = [(pod_id, block)
                  for pod_id, blocks in assignments for block in blocks]
         if grid[0] * grid[1] * grid[2] != len(slots):
@@ -534,7 +372,6 @@ class MachineFabric:
             for pod_id, count in ports.items():
                 # detlint: ignore[D005] integer trunk-port counts
                 self._trunk_free[pod_id] += count
-            self.trunk_release_count += 1
             # detlint: ignore[D005] integer port counts; order-free sum
             removed += sum(ports.values()) // 2 * FACE_LINKS
         return removed

@@ -150,23 +150,31 @@ class FleetScheduler:
         self.running: dict[int, ActiveJob] = {}
         self.verify_invariants = __debug__
         self._dispatches_since_full_check = 0
+        #: Whether a job bigger than one pod can run at all: it must
+        #: span pods over the trunk layer, which needs an OCS machine
+        #: (a static fleet has no trunk layer), cross-pod placement on,
+        #: and a second pod.  Fixed for the run, like the pod size.
+        self._can_span_pods = state.machine is not None and \
+            config.cross_pod and policy is PlacementPolicy.OCS and \
+            len(state.pods) >= 2
+        self._pod_blocks = state.pods[0].num_blocks
         #: Failure caches persisted across dispatch passes.  A failed
         #: placement attempt mutates nothing, so its result stays valid
         #: while capacity only *shrinks* (assignments, victimless block
         #: failures).  `_grow_epoch` counts every capacity-growing
-        #: mutation — block releases and repairs — and the caches are
-        #: flushed whenever it (or the machine's trunk-release counter)
-        #: moved since they were filled.  With observability enabled the
-        #: caches reset every pass so the decision log's
-        #: `failure_cache_hit` classification keeps its per-pass meaning.
+        #: mutation — block and trunk-port releases, and repairs — and
+        #: one rule keeps the caches sound: before each queued job is
+        #: tried, they are cleared if the epoch moved since they were
+        #: last synced.  With observability enabled the caches reset
+        #: every pass so the decision log's `failure_cache_hit`
+        #: classification keeps its per-pass meaning.
         self._grow_epoch = 0
-        self._cache_epoch = -1
-        self._cache_trunk_epoch = -1
-        #: Jobs that ever joined the queue (arrivals and requeues), and
-        #: the count the caches were last stamped at: a dispatch with
-        #: stamped caches and no new job can place nothing.
+        #: Jobs that ever joined the queue (arrivals and requeues).
         self._joins = 0
-        self._cache_joins = -1
+        #: (grow epoch, joins) at the start of the last pass that saw
+        #: no grow: its caches are synced at that epoch, and while
+        #: neither count moves, a dispatch can place nothing.
+        self._settled = (-1, -1)
         self._failed_shapes: set = set()
         self._failed_defrags: set[int] = set()
         self._failed_cross: set = set()
@@ -231,29 +239,20 @@ class FleetScheduler:
         victims, or a defragmentation migrated jobs between pods.
 
         A dispatch that can place nothing returns without sorting the
-        queue: with observability off, caches stamped valid (no
-        capacity grew and no trunk port came back since) and no job
-        joined the queue since the stamped pass, every queued job
+        queue: with observability off, when the last pass saw no grow
+        and since its start neither capacity grew (no block or trunk
+        port came back) nor a job joined the queue, every queued job
         failed each rung it tried in that pass and is cached as such,
         or needs more blocks than are free — a full sweep would skip
         them all.
         """
-        if not self.obs.enabled and self._cache_joins == self._joins and \
-                self._caches_stamped():
+        if not self.obs.enabled and \
+                self._settled == (self._grow_epoch, self._joins):
             self._post_dispatch_checks()
             return
         while self._dispatch_pass():
             pass
         self._post_dispatch_checks()
-
-    def _caches_stamped(self) -> bool:
-        """True while the failure caches' stamp holds: no capacity grew
-        and no trunk port came back since the stamped pass."""
-        machine = self.state.machine
-        trunk_epoch = machine.trunk_release_count \
-            if machine is not None else 0
-        return self._cache_epoch == self._grow_epoch and \
-            self._cache_trunk_epoch == trunk_epoch
 
     def _post_dispatch_checks(self) -> None:
         """The per-dispatch drift guard (probe + cadenced full rescan)."""
@@ -279,39 +278,19 @@ class FleetScheduler:
         # is priority-sorted) no preemptible job starts before a
         # preemptor is considered — so a failed placement, defrag,
         # cross-pod, or preemption attempt stays failed for identical
-        # later requests, until an eviction or migration moves blocks.
-        # The same monotonicity holds *across* passes and dispatches
-        # while only shrinking mutations occurred, so the caches persist
-        # until the grow epoch (or the trunk ledger) moves.
-        if obs_enabled or not self._caches_stamped():
-            self._failed_shapes.clear()
-            self._failed_defrags.clear()
-            self._failed_cross.clear()
-            self._failed_preemptions.clear()
+        # later requests until capacity grows.  The same monotonicity
+        # holds *across* passes and dispatches, so the caches persist,
+        # synced to the grow epoch before each job: a defrag or
+        # preemption that frees blocks or trunk ports mid-pass
+        # invalidates them for every later job.  They start synced at
+        # the last settled pass's epoch, or empty under observability.
         epoch_at_start = self._grow_epoch
         joins_at_start = self._joins
-        machine = self.state.machine
-        trunk_epoch = machine.trunk_release_count \
-            if machine is not None else 0
+        synced = -1 if obs_enabled else self._settled[0]
         failed_shapes = self._failed_shapes
         failed_defrags = self._failed_defrags
         failed_cross = self._failed_cross
         failed_preemptions = self._failed_preemptions
-        # ...except for the trunk layer: preemption and trunk-freeing
-        # defragmentation can hand trunk ports back mid-pass, so any
-        # release observed on the machine fabric invalidates the caches
-        # whose entries depend on the trunk budget.  (The block-freeing
-        # paths below clear every cache at their success sites; this
-        # watcher catches releases on any path that does not.)
-
-        def refresh_trunk_caches() -> None:
-            nonlocal trunk_epoch
-            if machine is not None and \
-                    machine.trunk_release_count != trunk_epoch:
-                trunk_epoch = machine.trunk_release_count
-                failed_cross.clear()
-                failed_preemptions.clear()
-
         # Capacity check (observability off): a job that cannot preempt
         # and needs more blocks than are free machine-wide fails every
         # rung — free, defrag, and cross-pod placement all need that
@@ -323,11 +302,18 @@ class FleetScheduler:
         free_epoch = -1
         total_free = 0
         for active in self._queue_in_order():
+            epoch = self._grow_epoch
+            if synced != epoch:
+                synced = epoch
+                failed_shapes.clear()
+                failed_defrags.clear()
+                failed_cross.clear()
+                failed_preemptions.clear()
             shape = active.job.shape
             can_preempt = active.job.priority >= preempt_priority
             if not (obs_enabled or can_preempt):
-                if free_epoch != self._grow_epoch:
-                    free_epoch = self._grow_epoch
+                if free_epoch != epoch:
+                    free_epoch = epoch
                     total_free = self.state.total_free
                 if active.job.blocks > total_free:
                     continue
@@ -349,17 +335,8 @@ class FleetScheduler:
                 if placement is not None:  # migrations moved blocks
                     via = "defrag"
                     moved_any = True
-                    failed_shapes.clear()
-                    failed_defrags.clear()
-                    failed_cross.clear()
-                    failed_preemptions.clear()
                 else:
                     failed_defrags.add(active.job.blocks)
-            # Any contention path — this job's defrag attempt just now,
-            # or an earlier iteration's — may have released trunk ports
-            # without reaching the blanket clears above; the
-            # trunk-dependent caches are stale the moment that happens.
-            refresh_trunk_caches()
             if placement is None and shape not in failed_cross:
                 attempted = True
                 placement = self._find_cross_pod(active.job)
@@ -375,10 +352,6 @@ class FleetScheduler:
                     if placement is not None:  # eviction freed blocks
                         via = "preemption"
                         moved_any = True
-                        failed_shapes.clear()
-                        failed_defrags.clear()
-                        failed_cross.clear()
-                        failed_preemptions.clear()
                     else:
                         failed_preemptions.add(key)
             if obs_enabled:
@@ -391,19 +364,10 @@ class FleetScheduler:
             if placement is None:
                 continue  # backfill: later (smaller) jobs may still fit
             self._start(active, placement)
-        # Stamp the caches as valid only when the pass saw no grow
-        # event at all.  A mid-pass release on a *failed* contention
-        # path (a defrag that evicted but still returned None) leaves
-        # `failed_shapes`/`failed_defrags` stale — the original
-        # per-pass caches bounded that staleness to one pass, so the
-        # persistent caches must not carry it any further.  The trunk
-        # stamp is the last value the watcher reconciled the caches
-        # against, not the machine's current count, for the same
-        # reason.
+        # Settle only a pass that saw no grow at all; after one that
+        # did, the next pass starts with empty caches.
         if self._grow_epoch == epoch_at_start:
-            self._cache_epoch = epoch_at_start
-            self._cache_trunk_epoch = trunk_epoch
-            self._cache_joins = joins_at_start
+            self._settled = (epoch_at_start, joins_at_start)
         return moved_any
 
     def _rejection_cause(self, active: ActiveJob, attempted: bool,
@@ -424,12 +388,8 @@ class FleetScheduler:
             return "failure_cache_hit"
         if can_preempt:
             return "preemption_declined"
-        machine = self.state.machine
         needed = active.job.blocks
-        if machine is not None and self.config.cross_pod and \
-                self.policy is PlacementPolicy.OCS and \
-                len(self.state.pods) >= 2 and \
-                needed > self.state.pods[0].num_blocks and \
+        if self._can_span_pods and needed > self._pod_blocks and \
                 self.state.total_free >= needed and \
                 plan_multi_region(active.job.shape,
                                   self.state.free_by_pod(),
@@ -491,19 +451,14 @@ class FleetScheduler:
         placement that would oversubscribe any pod's trunks is never
         attempted.
         """
-        machine = self.state.machine
-        if machine is None or not self.config.cross_pod or \
-                self.policy is not PlacementPolicy.OCS or \
-                len(self.state.pods) < 2:
-            return None
         needed = job.blocks
-        if needed <= self.state.pods[0].num_blocks:
+        if not self._can_span_pods or needed <= self._pod_blocks:
             return None  # fits one pod in principle; spill never pays
         if self.state.total_free < needed:
             return None
         placement = plan_multi_region(
             job.shape, self.state.free_by_pod(), self.strategy,
-            trunk_budget=machine.trunk_budget())
+            trunk_budget=self.state.machine.trunk_budget())
         if placement is None:
             return None
         return self._materialize(placement)
@@ -528,7 +483,7 @@ class FleetScheduler:
         ports a cross-pod victim would hand back) under the trunk
         budget, via :func:`plan_multi_region_hypothetical`.
         """
-        if active.job.blocks > self.state.pods[0].num_blocks:
+        if active.job.blocks > self._pod_blocks:
             return self._preempt_cross_pod(active)
         for pod in self.state.pods_by_space():
             victims = sorted(
@@ -571,12 +526,9 @@ class FleetScheduler:
         monotone: dropping one victim's credits never makes another
         droppable), and only those are evicted.
         """
-        machine = self.state.machine
-        if machine is None or not self.config.cross_pod or \
-                not self.config.cross_pod_preemption or \
-                self.policy is not PlacementPolicy.OCS or \
-                len(self.state.pods) < 2:
+        if not (self._can_span_pods and self.config.cross_pod_preemption):
             return None
+        machine = self.state.machine
         victims = sorted(
             (candidate for candidate in self.running.values()
              if candidate.job.priority < active.job.priority),
@@ -653,7 +605,7 @@ class FleetScheduler:
         needed = active.job.blocks
         if self.state.total_free < needed:
             return None  # compaction cannot conjure capacity
-        if needed > self.state.pods[0].num_blocks:
+        if needed > self._pod_blocks:
             # No single pod can ever host this job; the only defrag
             # that helps is freeing the *trunk layer* it must ride.
             return self._defrag_trunks_for(active)
@@ -692,11 +644,9 @@ class FleetScheduler:
         `defrag_max_moves`, and committed only once the whole move set
         is known to succeed — no job moves for nothing.
         """
-        machine = self.state.machine
-        if machine is None or not self.config.cross_pod or \
-                not self.config.cross_pod_preemption or \
-                len(self.state.pods) < 2:
+        if not (self._can_span_pods and self.config.cross_pod_preemption):
             return None
+        machine = self.state.machine
         shape = active.job.shape
         free = self.state.free_by_pod()
         budget = machine.trunk_budget()
@@ -705,8 +655,8 @@ class FleetScheduler:
         if plan is not None:
             # Feasible as-is: no migration needed.  Report failure so
             # the cross-pod rung right after this one places it — a
-            # defrag "success" here would set moved_any and wipe every
-            # failure cache for a placement that moved nothing.
+            # defrag "success" here would set moved_any and force a
+            # re-pass for a placement that moved nothing.
             return None
         if plan_multi_region(shape, free, self.strategy) is None:
             return None  # blocks are the shortage; moves conserve blocks

@@ -216,9 +216,11 @@ def grid_adjacency_indices(grid: tuple[int, int, int]
     one "+"-face adjacency per dimension (its torus neighbor, wrapping),
     so a grid of n slots always yields 3*n adjacencies.  This is the
     layout walk shared by per-pod wiring (:func:`block_torus_adjacencies`)
-    and the machine-level trunk classification in
-    :mod:`repro.fleet.machine`, which maps slots onto (pod, block) pairs
-    and splits the same adjacencies into intra-pod and cross-pod sets.
+    and the machine-level trunk classification: the plan price
+    (:mod:`repro.core.scheduler`) splits the same adjacencies into
+    intra-region and cross-region sets, and the machine fabric's
+    block-level wiring (:mod:`repro.fleet.machine`) maps slots onto
+    (pod, block) pairs to check it.
 
     The walk is memoized per grid (the handful of legal slice grids
     recur thousands of times over a fleet run); callers get a fresh

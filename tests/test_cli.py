@@ -340,6 +340,33 @@ class TestFleetFlagMatrix:
         from repro.__main__ import main
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "run", "--reconfig-seconds", "nan", "--json"],
+        ["fleet", "run", "--sample-every", "inf"],
+        ["fleet", "run", "--trunk-ports", "-1"],
+        ["fleet", "sweep", "--seeds", "1", "--trunk-ports", "-1"],
+    ])
+    def test_invalid_flag_values_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fleet: ")
+        assert captured.err.count("\n") == 1
+
+    def test_replay_of_non_finite_header_exits_two(self, tmp_path,
+                                                   capsys):
+        trace_path = tmp_path / "run.jsonl"
+        assert main(["fleet", "record", "--preset", "tiny", "--trace",
+                     str(trace_path), "--policy", "ocs"]) == 0
+        lines = trace_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"]["horizon_seconds"] = float("nan")
+        trace_path.write_text("\n".join([json.dumps(header), *lines[1:]])
+                              + "\n")
+        capsys.readouterr()
+        assert main(["fleet", "replay", "--trace", str(trace_path)]) == 2
+        assert "horizon_seconds" in capsys.readouterr().err
+
     def test_every_mode_has_a_subparser(self):
         from repro.__main__ import FLEET_MODES
         assert FLEET_MODES == ("run", "record", "replay", "report",

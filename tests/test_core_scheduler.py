@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (PlacementPolicy, SliceScheduler, TPUv4Supercomputer,
                         analytic_ocs_goodput, simulate_goodput)
 from repro.core.availability import balanced_block_shape, spares_staircase
-from repro.core.scheduler import PlacementStrategy
+from repro.core.scheduler import PlacementStrategy, _price_for
 from repro.errors import SchedulingError
+from repro.ocs.reconfigure import grid_adjacency_indices
 
 
 def all_healthy(n=64):
@@ -162,6 +163,54 @@ class TestPlacementStrategy:
         if best is not None:
             assert all(free[b] for b in best)
             assert len(set(best)) == 2
+
+
+def _reference_trunk_layout(grid, takes):
+    """Reference trunk walk, slot by slot in plain Python.
+
+    Each slot gets the index of the region-contiguous run that hosts
+    it; the adjacencies whose endpoints sit in different runs are the
+    trunks, and each lands one port on both of its runs.
+    """
+    owner = []
+    for run, take in enumerate(takes):
+        owner.extend([run] * take)
+    trunks = tuple((dim, low, high)
+                   for dim, low, high in grid_adjacency_indices(grid)
+                   if owner[low] != owner[high])
+    ports = [0] * len(takes)
+    for _, low, high in trunks:
+        ports[owner[low]] += 1
+        ports[owner[high]] += 1
+    return trunks, tuple(ports)
+
+
+@st.composite
+def _grid_splits(draw):
+    """A block grid with sides 1-4 and a split of it into 1-6 runs."""
+    grid = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    slots = grid[0] * grid[1] * grid[2]
+    runs = draw(st.integers(1, min(6, slots)))
+    cuts = sorted(draw(st.sets(st.integers(1, slots - 1),
+                               min_size=runs - 1, max_size=runs - 1))
+                  ) if runs > 1 else []
+    bounds = [0, *cuts, slots]
+    return grid, tuple(high - low for low, high in zip(bounds, bounds[1:]))
+
+
+class TestPlanPriceOracle:
+    """The multi-region planner filters on `ports_by_region` and ranks
+    on `trunk_count`, so those two values equal to the reference walk's
+    mean the planner picks the same placements."""
+
+    @given(_grid_splits())
+    @settings(max_examples=300, deadline=None)
+    def test_price_matches_the_reference_walk(self, grid_split):
+        grid, takes = grid_split
+        trunks, ports = _reference_trunk_layout(grid, takes)
+        price = _price_for(grid, takes)
+        assert price.trunk_count == len(trunks)
+        assert price.ports_by_region == ports
 
 
 class TestBalancedShape:

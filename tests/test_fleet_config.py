@@ -1,10 +1,17 @@
 """Tests for fleet configuration validation."""
 
+import dataclasses
+import time
+
 import pytest
 
 from repro.core.scheduler import PlacementStrategy
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
+from repro.fleet.presets import preset_config
+
+FLOAT_FIELDS = [spec.name for spec in dataclasses.fields(FleetConfig)
+                if spec.type == "float"]
 
 
 class TestValidation:
@@ -39,6 +46,22 @@ class TestValidation:
     def test_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
             FleetConfig(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        *(pytest.param({name: value}, id=f"{name}={value}")
+          for name in FLOAT_FIELDS for value in (float("nan"), float("inf"))),
+        pytest.param(dict(num_pods=2.5), id="num_pods=2.5"),
+        pytest.param(dict(num_pods="2"), id="num_pods='2'"),
+        pytest.param(dict(trunk_ports=True), id="trunk_ports=True"),
+    ])
+    def test_hostile_value_is_a_typed_error_at_once(self, overrides):
+        # Past the constructor, a NaN or infinite float hangs the event
+        # loop or fails deep inside a run, and range checks compare a
+        # wrong type without complaint.
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match=next(iter(overrides))):
+            preset_config("small").with_overrides(**overrides)
+        assert time.perf_counter() - start < 1.0
 
     def test_zero_serving_fraction_skips_qps_check(self):
         config = FleetConfig(serving_fraction=0.0, serving_qps=0.0)

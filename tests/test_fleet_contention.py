@@ -1,6 +1,6 @@
 """Tests for machine-wide contention resolution: cross-pod preemption,
-trunk-freeing defragmentation, the failure-cache invalidation on trunk
-releases, the static-wiring migration guard, and the invariant-guard
+trunk-freeing defragmentation, the failure-cache invalidation after
+mid-pass releases, the static-wiring migration guard, and the invariant-guard
 wiring — the ISSUE 5 tentpole and its bugfix satellites."""
 
 import json
@@ -308,38 +308,45 @@ class TestTrunkFreeingDefrag:
         assert scheduler.telemetry.trunk_freeing_migrations == 0
 
 
-class TestStaleFailedCrossCache:
-    """Satellite bugfix: `failed_cross` must clear on any mid-pass
-    trunk release, not only on the blanket success-site clears."""
+class _LeakyDefrag(FleetScheduler):
+    """A defrag rung that frees capacity *without* returning a placement.
+
+    No real contention path does that — every release during a pass
+    comes from a defrag or preemption that then places its job — so
+    this one models the worst case for the failure caches: trying
+    `probe_id` interrupts job 0 and reports failure, and later jobs in
+    the same pass meet caches filled before capacity grew.
+    """
+
+    probe_id = -1
+    releases = 0
+
+    def _defrag_for(self, active):
+        # Bounded so a broken invalidation fails the assertions below
+        # instead of livelocking the dispatch loop.
+        if active.job.job_id == self.probe_id and self.releases < 3:
+            victim = self.running.get(0)
+            if victim is not None:
+                self.releases += 1
+                self._interrupt(victim, preempted=False)
+            return None
+        return super()._defrag_for(active)
+
+
+class TestStaleFailureCaches:
+    """A mid-pass release must clear every failure cache before the
+    next job is tried, also on paths that place nothing."""
 
     def test_trunk_release_unskips_cross_pod_jobs_in_same_pass(self):
-        # Model a contention path that frees trunk ports *without*
-        # returning a placement (the class of path the blanket
-        # success-site clears never see): the probe job's defrag
-        # interrupts the running trunk holder and reports failure.  A
+        # The probe's defrag frees job 0's slice and trunk ports.  A
         # cross-pod job later in the same pass whose shape was cached
         # as failed must not be skipped by the stale entry.
-        probe_id = 2
-
-        class LeakyDefrag(FleetScheduler):
-            releases = 0
-
-            def _defrag_for(self, active):
-                # Bounded so a broken invalidation fails the assertion
-                # below instead of livelocking the dispatch loop.
-                if active.job.job_id == probe_id and self.releases < 3:
-                    victim = self.running.get(0)
-                    if victim is not None:
-                        self.releases += 1
-                        self._interrupt(victim, preempted=False)
-                    return None
-                return super()._defrag_for(active)
-
         # Four 8-block pods, 16 trunk ports each; no trunk-freeing
         # defrag, so only the leak can hand trunk ports back.
         scheduler = _make(num_pods=4, strategy="defrag",
-                          scheduler_cls=LeakyDefrag, trunk_ports=16,
+                          scheduler_cls=_LeakyDefrag, trunk_ports=16,
                           cross_pod_preemption=False)
+        scheduler.probe_id = 2
         shape = (8, 8, 12)       # 12 blocks: cross-pod on 8-block pods
         scheduler.submit(_train(0, shape, 0.0, 50000.0))
         assert [(pod_id, len(blocks)) for pod_id, blocks
@@ -359,7 +366,7 @@ class TestStaleFailedCrossCache:
         # ports), 3 (shape S again — the stale failed_cross victim)].
         scheduler.sim.now = 1.0
         for job in (_train(1, shape, 1.0, 1000.0),
-                    _train(probe_id, (8, 8, 8), 1.0, 1000.0),
+                    _train(2, (8, 8, 8), 1.0, 1000.0),
                     _train(3, shape, 1.0, 1000.0)):
             scheduler._enqueue(job)
         scheduler.dispatch()
@@ -368,6 +375,36 @@ class TestStaleFailedCrossCache:
         # the trunk mid-pass; the invalidation must retry it.
         assert 3 in scheduler.running
         assert scheduler.running[3].is_cross_pod
+        assert 1 not in scheduler.running
+        scheduler.state.check_invariants()
+
+    def test_block_release_unskips_pod_local_jobs_in_same_pass(self):
+        # A single-pod victim: the probe's defrag frees all of pod 0,
+        # and a later job whose shape was cached in failed_shapes
+        # must get a fresh try at it.
+        scheduler = _make(num_pods=3, strategy="defrag",
+                          scheduler_cls=_LeakyDefrag)
+        scheduler.probe_id = 2
+        shape = (8, 8, 8)        # 8 blocks: a whole pod
+        scheduler.submit(_train(0, shape, 0.0, 50000.0))
+        assert scheduler.running[0].assignments == [(0, list(range(8)))]
+        for pod_id in (1, 2):
+            for block in range(4, 8):
+                scheduler.on_block_down(pod_id, block)
+        assert scheduler.state.free_by_pod() == [(0, 0), (1, 4), (2, 4)]
+        # One dispatch pass over [1 (shape S: no pod has 8 free, so S
+        # is cached in failed_shapes), probe (6 blocks: its defrag
+        # interrupts job 0 and frees pod 0), 3 (shape S again — the
+        # stale failed_shapes victim)].
+        scheduler.sim.now = 1.0
+        for job in (_train(1, shape, 1.0, 1000.0),
+                    _train(2, (4, 8, 12), 1.0, 1000.0),
+                    _train(3, shape, 1.0, 1000.0)):
+            scheduler._enqueue(job)
+        scheduler.dispatch()
+        assert scheduler.releases == 1
+        assert 3 in scheduler.running
+        assert scheduler.running[3].assignments == [(0, list(range(8)))]
         assert 1 not in scheduler.running
         scheduler.state.check_invariants()
 

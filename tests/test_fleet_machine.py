@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.scheduler import (PlacementPolicy, PlacementStrategy,
-                                  SliceScheduler, plan_multi_region)
+                                  plan_multi_region)
 from repro.errors import OCSError
 from repro.fleet.config import FleetConfig
 from repro.fleet.failures import (apply_spare_repairs, build_failure_trace,
@@ -45,7 +45,7 @@ class TestPlanMultiRegion:
         placement = plan_multi_region(self.SHAPE, [(0, 16), (1, 16)],
                                       PlacementStrategy.BEST_FIT)
         assert placement.spill == 0
-        assert placement.num_trunk_adjacencies == 0
+        assert placement.price.trunk_count == 0
         assert placement.region_blocks == ((0, 16),)
 
     def test_spans_when_no_region_fits(self):
@@ -53,10 +53,10 @@ class TestPlanMultiRegion:
                                       PlacementStrategy.BEST_FIT)
         assert placement.spill == 1
         assert placement.num_blocks == 16
-        assert placement.num_trunk_adjacencies > 0
+        assert placement.price.trunk_count > 0
         # Both sides of every trunk adjacency terminate a port.
         ports = placement.trunk_ports_by_region()
-        assert sum(ports.values()) == 2 * placement.num_trunk_adjacencies
+        assert sum(ports.values()) == 2 * placement.price.trunk_count
 
     def test_best_fit_minimizes_spill_then_trunks(self):
         # 12 + 4 and 10 + 6 both cover 16 blocks with one spill;
@@ -71,8 +71,8 @@ class TestPlanMultiRegion:
                               PlacementStrategy.FIRST_FIT)
             for a, take_a, b, take_b in
             ((1, 12, 2, 10), (1, 12, 0, 6), (2, 10, 0, 6))]
-        assert placement.num_trunk_adjacencies == min(
-            alt.num_trunk_adjacencies for alt in alternatives)
+        assert placement.price.trunk_count == min(
+            alt.price.trunk_count for alt in alternatives)
 
     def test_first_fit_takes_regions_in_order(self):
         placement = plan_multi_region(self.SHAPE, [(0, 9), (1, 5), (2, 16)],
@@ -104,10 +104,6 @@ class TestPlanMultiRegion:
         second = plan_multi_region(self.SHAPE, pools,
                                    PlacementStrategy.BEST_FIT)
         assert first == second
-
-    def test_exposed_on_slice_scheduler(self):
-        assert SliceScheduler.place_multi(
-            self.SHAPE, [(0, 10), (1, 10)]) is not None
 
 
 class TestMachineFabric:
@@ -207,18 +203,20 @@ class TestMachineFabric:
         assert fabric.holds_trunks(1)
         fabric.check_trunk_accounting()
 
-    def test_release_bumps_the_release_counter(self):
-        # The dispatch pass's cache-invalidation signal: only releases
-        # that actually hand trunk ports back count.
+    def test_release_of_unknown_or_released_job_is_a_no_op(self):
+        # The trunk ledger hands each job's ports back exactly once.
         fabric = self._fabric()
-        assert fabric.trunk_release_count == 0
-        fabric.apply(self._cross_plan(fabric))
-        fabric.release(99)   # held nothing: no trunk came back
-        assert fabric.trunk_release_count == 0
-        fabric.release(1)
-        assert fabric.trunk_release_count == 1
-        fabric.release(1)    # already gone: idempotent, no bump
-        assert fabric.trunk_release_count == 1
+        plan = self._cross_plan(fabric)
+        fabric.apply(plan)
+        held = fabric.trunk_budget()
+        assert fabric.release(99) == 0   # held nothing
+        assert fabric.trunk_budget() == held
+        assert fabric.holds_trunks(1)
+        assert fabric.release(1) == plan.price.num_circuits
+        assert fabric.trunk_in_use() == 0
+        assert fabric.release(1) == 0    # already gone
+        assert fabric.trunk_budget() == {0: 48, 1: 48}
+        fabric.check_trunk_accounting()
 
     def test_priced_mode_touches_no_pod(self, monkeypatch):
         # Outside verification mode a plan is its price: apply holds
@@ -267,7 +265,6 @@ class TestTrunkReserve:
         fabric.check_trunk_accounting()
         released = fabric.release(7)
         assert released == (4 // 2) * FACE_LINKS
-        assert fabric.trunk_release_count == 1
         assert not fabric.holds_trunks(7)
         assert fabric.trunk_in_use() == 0
         fabric.check_trunk_accounting()
@@ -276,7 +273,6 @@ class TestTrunkReserve:
         fabric = MachineFabric(num_pods=2, blocks_per_pod=16,
                                trunk_ports=8)
         assert fabric.release(99) == 0
-        assert fabric.trunk_release_count == 0
 
     def test_double_reserve_rejected(self):
         fabric = MachineFabric(num_pods=2, blocks_per_pod=16,
