@@ -51,8 +51,8 @@ from repro.experiments import list_experiments, run
 from repro.fleet import (FleetSimulator, preset_config, preset_names,
                          run_sweep, schedule_for, schedule_names,
                          sweep_mean)
-from repro.fleet.obs import (DispatchProfiler, load_obs, render_report,
-                             save_obs)
+from repro.fleet.obs import (DispatchProfiler, ObsRecorder, load_obs,
+                             render_report, save_obs)
 from repro.fleet.serve import AUTOSCALERS, scenario_names
 from repro.fleet.trace import load_trace, save_trace, trace_of
 
@@ -100,8 +100,6 @@ def _apply_fleet_overrides(config, args: argparse.Namespace):
         overrides["strategy"] = PlacementStrategy(args.strategy)
     if args.sample_every is not None:
         overrides["obs_sample_every_seconds"] = args.sample_every
-    if getattr(args, "trace_out", None) is not None:
-        overrides["observability"] = True
     if getattr(args, "scenario", None) is not None:
         overrides["serve_scenario"] = args.scenario
     if getattr(args, "autoscaler", None) is not None:
@@ -159,6 +157,10 @@ def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator | int:
 
 def _cmd_fleet_report(args: argparse.Namespace) -> int:
     """Render a recorded observability trace (either export format)."""
+    if args.limit < 0:
+        print(f"fleet report needs --limit >= 0, got {args.limit}",
+              file=sys.stderr)
+        return 2
     try:
         recorder = load_obs(args.trace)
     except TraceError as exc:
@@ -191,10 +193,12 @@ def _cmd_fleet_profile(args: argparse.Namespace) -> int:
     report = profiler = None
     for _ in range(args.repeat):
         candidate = DispatchProfiler()
-        candidate_report = simulator.run(policy, profiler=candidate)
+        candidate_report = simulator.run(
+            policy, profiler=candidate,
+            recorder=ObsRecorder() if args.trace_out is not None else None)
         if profiler is None or candidate.run_seconds < profiler.run_seconds:
             report, profiler = candidate_report, candidate
-    if args.trace_out is not None and report.obs is not None:
+    if args.trace_out is not None:
         path = save_obs(report.obs, args.trace_out)
         print(f"fleet: wrote observability trace "
               f"({report.obs.num_records} records) to {path}",
@@ -225,6 +229,10 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.seeds < 1:
         print(f"fleet sweep needs --seeds >= 1, got {args.seeds}",
+              file=sys.stderr)
+        return 2
+    if args.processes is not None and args.processes < 1:
+        print(f"fleet sweep needs --processes >= 1, got {args.processes}",
               file=sys.stderr)
         return 2
     try:
@@ -343,7 +351,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         }
     else:
         policy = PlacementPolicy(args.policy)
-        reports = {policy.value: simulator.run(policy)}
+        reports = {policy.value: simulator.run(
+            policy,
+            recorder=ObsRecorder() if args.trace_out is not None else None)}
     if args.trace_out is not None:
         report = next(iter(reports.values()))
         path = save_obs(report.obs, args.trace_out)

@@ -139,17 +139,10 @@ class FleetConfig:
             time (CLI/experiments) so configs stay a plain data layer;
             recorded traces store the materialized windows, never the
             name.
-        observability: record the run's observability log (job
-            lifecycle spans, the scheduler decision log, time-series
-            samples; see :mod:`repro.fleet.obs`).  Off by default: the
-            disabled path holds the shared no-op recorder and the
-            dispatch loop pays one attribute check per queued job.
-            Enabling it never changes results — the recorder only
-            observes — but the extra sampler events grow
-            `events_fired`.
         obs_sample_every_seconds: sim-time cadence of the time-series
             sampler (free blocks per pod, trunk-port occupancy, queue
-            depth, running jobs) when observability is on.
+            depth, running jobs) of a run given a recorder (see
+            :meth:`repro.fleet.simulator.FleetSimulator.run`).
         serve_scenario: name of an online-serving traffic scenario from
             :data:`repro.fleet.serve.SCENARIOS` to run on top of this
             config ('' = no request-level serving tier).  Like
@@ -196,7 +189,6 @@ class FleetConfig:
     deploy_schedule: str = ""
     serve_scenario: str = ""
     serve_autoscaler: str = "reactive"
-    observability: bool = False
     obs_sample_every_seconds: float = 15 * MINUTE
 
     def __post_init__(self) -> None:

@@ -37,7 +37,8 @@ from repro.fleet.obs.tracer import (Decision, Instant, ObsRecorder,
 from repro.units import HOUR
 
 #: Bump on any schema change; loaders accept exactly this version.
-OBS_VERSION = 1
+#: The decision causes (PLACED_CAUSES, REJECTED_CAUSES) are part of it.
+OBS_VERSION = 2
 
 #: The JSONL header's schema tag — guards against feeding a workload
 #: trace (schema repro.fleet.trace) or a bench artifact to the loader.
@@ -239,40 +240,111 @@ def dumps_obs(recorder: ObsRecorder) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fail(line_no: int, message: str) -> TraceError:
-    return TraceError(f"observability line {line_no}: {message}")
+def _fail(where: str, message: str) -> TraceError:
+    return TraceError(f"{where}: {message}")
 
 
-def _number(record: dict, key: str, line_no: int) -> float:
+def _number(record: dict, key: str, where: str) -> float:
     value = record.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(line_no, f"{key} must be a number, got {value!r}")
+        raise _fail(where, f"{key} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
-        raise _fail(line_no, f"{key} must be finite")
+        raise _fail(where, f"{key} must be finite")
     return value
 
 
-def _integer(record: dict, key: str, line_no: int) -> int:
+def _integer(record: dict, key: str, where: str) -> int:
     value = record.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(line_no, f"{key} must be an integer, got {value!r}")
+        raise _fail(where, f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _string(record: dict, key: str, line_no: int) -> str:
+def _string(record: dict, key: str, where: str) -> str:
     value = record.get(key)
     if not isinstance(value, str) or not value:
-        raise _fail(line_no, f"{key} must be a non-empty string, "
-                             f"got {value!r}")
+        raise _fail(where, f"{key} must be a non-empty string, "
+                           f"got {value!r}")
     return value
 
 
-def _args(record: dict, line_no: int) -> dict:
+def _args(record: dict, where: str) -> dict:
+    """A record's args, with the keys the exporters and report read typed."""
     value = record.get("args", {})
     if not isinstance(value, dict):
-        raise _fail(line_no, f"args must be an object, got {value!r}")
+        raise _fail(where, f"args must be an object, got {value!r}")
+    for key in ("job_id", "blocks", "pod_id"):
+        item = value.get(key, 0)
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise _fail(where, f"args.{key} must be an integer, "
+                               f"got {item!r}")
+    if not isinstance(value.get("kind", ""), str):
+        raise _fail(where, f"args.kind must be a string, "
+                           f"got {value['kind']!r}")
     return value
+
+
+def _check_version(version: Any, where: str) -> None:
+    if version != OBS_VERSION:
+        raise _fail(where, f"unsupported version {version!r} (this "
+                           f"library reads version {OBS_VERSION})")
+
+
+def _parse_record(recorder: ObsRecorder, record: dict, where: str) -> None:
+    """Validate one body record (JSONL shape) and append it to the log.
+
+    The one record parser: the JSONL reader feeds it each line after
+    the header, and the Chrome reader each event it rebuilds.
+    """
+    kind = record.get("type")
+    if kind == "span":
+        start = _number(record, "start", where)
+        end = _number(record, "end", where)
+        if end < start:
+            raise _fail(where, f"span ends at {end} before its start "
+                               f"{start}")
+        recorder.spans.append(Span(
+            name=_string(record, "name", where),
+            job_id=_integer(record, "job_id", where),
+            start=start, end=end, args=_args(record, where)))
+    elif kind == "instant":
+        recorder.instants.append(Instant(
+            name=_string(record, "name", where),
+            time=_number(record, "time", where),
+            args=_args(record, where)))
+    elif kind == "decision":
+        outcome = _string(record, "outcome", where)
+        if outcome not in _OUTCOMES:
+            raise _fail(where, f"outcome must be one of {_OUTCOMES}, "
+                               f"got {outcome!r}")
+        cause = _string(record, "cause", where)
+        if cause not in _CAUSES:
+            raise _fail(where, f"unknown decision cause {cause!r}; have "
+                               f"{sorted(_CAUSES)}")
+        recorder.decisions.append(Decision(
+            time=_number(record, "time", where),
+            job_id=_integer(record, "job_id", where),
+            kind=_string(record, "kind", where),
+            blocks=_integer(record, "blocks", where),
+            priority=_integer(record, "priority", where),
+            outcome=outcome, cause=cause))
+    elif kind == "sample":
+        free = record.get("free_blocks")
+        if not (isinstance(free, list) and
+                all(isinstance(f, int) and not isinstance(f, bool)
+                    for f in free)):
+            raise _fail(where, f"free_blocks must be a list of integers, "
+                               f"got {free!r}")
+        recorder.sample(
+            time=_number(record, "time", where),
+            queue_depth=_integer(record, "queue_depth", where),
+            running_jobs=_integer(record, "running_jobs", where),
+            trunk_ports_in_use=_integer(record, "trunk_ports_in_use",
+                                        where),
+            free_by_pod=list(free))
+    else:
+        raise _fail(where, f"unknown record type {kind!r}")
 
 
 def loads_obs(text: str) -> ObsRecorder:
@@ -281,80 +353,30 @@ def loads_obs(text: str) -> ObsRecorder:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"observability line {line_no}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise _fail(line_no, f"not valid JSON: {exc}") from exc
+            raise _fail(where, f"not valid JSON: {exc}") from exc
         if not isinstance(record, dict):
-            raise _fail(line_no, "expected an object")
-        kind = record.get("type")
+            raise _fail(where, "expected an object")
         if recorder is None:
-            if kind != "header":
-                raise _fail(line_no, "first record must be the header")
+            if record.get("type") != "header":
+                raise _fail(where, "first record must be the header")
             if record.get("schema") != OBS_SCHEMA:
-                raise _fail(line_no,
+                raise _fail(where,
                             f"not an observability log (schema "
                             f"{record.get('schema')!r}, expected "
                             f"{OBS_SCHEMA!r})")
-            if record.get("version") != OBS_VERSION:
-                raise _fail(line_no,
-                            f"unsupported version "
-                            f"{record.get('version')!r} (this library "
-                            f"reads version {OBS_VERSION})")
+            _check_version(record.get("version"), where)
             meta = record.get("meta", {})
             if not isinstance(meta, dict):
-                raise _fail(line_no, "meta must be an object")
+                raise _fail(where, "meta must be an object")
             recorder = ObsRecorder(meta=meta)
-            continue
-        if kind == "header":
-            raise _fail(line_no, "duplicate header")
-        if kind == "span":
-            start = _number(record, "start", line_no)
-            end = _number(record, "end", line_no)
-            if end < start:
-                raise _fail(line_no, f"span ends at {end} before its "
-                                     f"start {start}")
-            recorder.spans.append(Span(
-                name=_string(record, "name", line_no),
-                job_id=_integer(record, "job_id", line_no),
-                start=start, end=end, args=_args(record, line_no)))
-        elif kind == "instant":
-            recorder.instants.append(Instant(
-                name=_string(record, "name", line_no),
-                time=_number(record, "time", line_no),
-                args=_args(record, line_no)))
-        elif kind == "decision":
-            outcome = _string(record, "outcome", line_no)
-            if outcome not in _OUTCOMES:
-                raise _fail(line_no, f"outcome must be one of "
-                                     f"{_OUTCOMES}, got {outcome!r}")
-            cause = _string(record, "cause", line_no)
-            if cause not in _CAUSES:
-                raise _fail(line_no, f"unknown decision cause {cause!r}; "
-                                     f"have {sorted(_CAUSES)}")
-            recorder.decisions.append(Decision(
-                time=_number(record, "time", line_no),
-                job_id=_integer(record, "job_id", line_no),
-                kind=_string(record, "kind", line_no),
-                blocks=_integer(record, "blocks", line_no),
-                priority=_integer(record, "priority", line_no),
-                outcome=outcome, cause=cause))
-        elif kind == "sample":
-            free = record.get("free_blocks")
-            if not (isinstance(free, list) and
-                    all(isinstance(f, int) and not isinstance(f, bool)
-                        for f in free)):
-                raise _fail(line_no, f"free_blocks must be a list of "
-                                     f"integers, got {free!r}")
-            recorder.sample(
-                time=_number(record, "time", line_no),
-                queue_depth=_integer(record, "queue_depth", line_no),
-                running_jobs=_integer(record, "running_jobs", line_no),
-                trunk_ports_in_use=_integer(record, "trunk_ports_in_use",
-                                            line_no),
-                free_by_pod=list(free))
+        elif record.get("type") == "header":
+            raise _fail(where, "duplicate header")
         else:
-            raise _fail(line_no, f"unknown record type {kind!r}")
+            _parse_record(recorder, record, where)
     if recorder is None:
         raise TraceError("empty observability log: no header record")
     return recorder
@@ -377,8 +399,10 @@ def _from_chrome_trace(payload: dict) -> ObsRecorder:
     """Rebuild a recorder from an exported Chrome trace object.
 
     Lossless for spans, instants, and decisions (their args embed the
-    source records); counter samples stay in counter form and are not
-    rebuilt — the report only summarizes them.
+    source records): each one is turned back into its JSONL record and
+    validated by the same parser as the JSONL reader.  Counter samples
+    stay in counter form and are not rebuilt — the report only
+    summarizes them.
     """
     validate_chrome_trace(payload)
     other = payload.get("otherData", {})
@@ -386,33 +410,28 @@ def _from_chrome_trace(payload: dict) -> ObsRecorder:
         raise TraceError("chrome trace was not exported by this library "
                          "(otherData.schema missing); fleet report needs "
                          "the JSONL export for foreign traces")
+    _check_version(other.get("version"), "chrome trace otherData")
     meta = {key: value for key, value in other.items()
             if key not in ("schema", "version")}
     recorder = ObsRecorder(meta=meta)
-    for event in payload["traceEvents"]:
-        args = event.get("args", {})
+    for index, event in enumerate(payload["traceEvents"]):
+        if event["ph"] not in ("X", "i"):
+            continue  # track metadata and counter samples
+        where = f"traceEvents[{index}]"
+        args = _args(event, where)
+        time = event["ts"] / _MICROS
         if event["ph"] == "X":
-            span_args = {key: value for key, value in args.items()
-                         if key != "job_id"}
-            recorder.spans.append(Span(
-                name=event["name"], job_id=int(args.get("job_id", -1)),
-                start=event["ts"] / _MICROS,
-                end=(event["ts"] + event["dur"]) / _MICROS,
-                args=span_args))
-        elif event["ph"] == "i":
-            if "outcome" in args:
-                recorder.decisions.append(Decision(
-                    time=event["ts"] / _MICROS,
-                    job_id=int(args.get("job_id", -1)),
-                    kind=str(args.get("kind", "job")),
-                    blocks=int(args.get("blocks", 0)),
-                    priority=int(args.get("priority", 0)),
-                    outcome=str(args["outcome"]),
-                    cause=str(args.get("cause", ""))))
-            else:
-                recorder.instants.append(Instant(
-                    name=event["name"], time=event["ts"] / _MICROS,
-                    args=dict(args)))
+            record = {"type": "span", "name": event["name"],
+                      "job_id": args.get("job_id"), "start": time,
+                      "end": (event["ts"] + event["dur"]) / _MICROS,
+                      "args": {key: value for key, value in args.items()
+                               if key != "job_id"}}
+        elif "outcome" in args:
+            record = {**args, "type": "decision", "time": time}
+        else:
+            record = {"type": "instant", "name": event["name"],
+                      "time": time, "args": dict(args)}
+        _parse_record(recorder, record, where)
     return recorder
 
 

@@ -13,17 +13,19 @@ This module records that timeline as four deterministic record streams:
   trunk stall) in their args.
 * **instants** — point events: outages and repairs, deployment drains,
   trunk rewirings, preemptions, interruptions, migrations, completions.
-* **decisions** — the scheduler decision log: one record per placement
-  attempt, with outcome (placed via which rung, or rejected) and cause.
+* **decisions** — the scheduler decision log: one record per dispatch
+  pass and queued job on which a placement rung ran, with outcome
+  (placed via which rung, or rejected) and cause.
 * **samples** — the time-series columns filled by
   :class:`repro.fleet.obs.metrics.MetricsSampler`.
 
 Every timestamp is *simulation* time — wall-clock never leaks into a
 record — so double runs of the same scenario produce byte-identical
-exports.  When observability is disabled the scheduler holds the shared
-:data:`NULL_RECORDER`, whose ``enabled`` flag gates the one hot-path
-call site (the decision log inside the dispatch loop) and whose event
-methods are no-ops, keeping the disabled overhead to attribute checks.
+exports.  The scheduler runs the same path with or without a
+recorder; without one it holds the shared :data:`NULL_RECORDER`,
+whose ``enabled`` flag gates the one hot-path call site (the decision
+log inside the dispatch loop) and whose event methods are no-ops,
+keeping the disabled overhead to attribute checks.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ SPAN_PHASES = ("queued", "reconfig", "restore", "running")
 #: Decision outcomes: the rung that placed the job, or a rejection.
 PLACED_CAUSES = ("pod_local", "defrag", "cross_pod", "preemption")
 REJECTED_CAUSES = ("insufficient_blocks", "insufficient_trunk_ports",
-                   "failure_cache_hit", "preemption_declined")
+                   "preemption_declined")
 
 
 @dataclass(frozen=True)

@@ -143,8 +143,8 @@ class FleetScheduler:
         self.state = state
         self.telemetry = telemetry
         #: Observability sink; the shared no-op recorder unless the run
-        #: asked for a log.  Cold-path hooks call it unconditionally;
-        #: the dispatch loop's decision log gates on `obs.enabled`.
+        #: asked for a log.  It only records: `obs.enabled` gates building
+        #: a record, never a scheduling choice.
         self.obs = obs
         self.queue: list[ActiveJob] = []
         self.running: dict[int, ActiveJob] = {}
@@ -165,9 +165,7 @@ class FleetScheduler:
         #: mutation — block and trunk-port releases, and repairs — and
         #: one rule keeps the caches sound: before each queued job is
         #: tried, they are cleared if the epoch moved since they were
-        #: last synced.  With observability enabled the caches reset
-        #: every pass so the decision log's `failure_cache_hit`
-        #: classification keeps its per-pass meaning.
+        #: last synced.
         self._grow_epoch = 0
         #: Jobs that ever joined the queue (arrivals and requeues).
         self._joins = 0
@@ -239,15 +237,13 @@ class FleetScheduler:
         victims, or a defragmentation migrated jobs between pods.
 
         A dispatch that can place nothing returns without sorting the
-        queue: with observability off, when the last pass saw no grow
-        and since its start neither capacity grew (no block or trunk
-        port came back) nor a job joined the queue, every queued job
-        failed each rung it tried in that pass and is cached as such,
-        or needs more blocks than are free — a full sweep would skip
-        them all.
+        queue: when the last pass saw no grow and since its start
+        neither capacity grew (no block or trunk port came back) nor a
+        job joined the queue, every queued job failed each rung it
+        tried in that pass and is cached as such, or needs more blocks
+        than are free — a full sweep would skip them all.
         """
-        if not self.obs.enabled and \
-                self._settled == (self._grow_epoch, self._joins):
+        if self._settled == (self._grow_epoch, self._joins):
             self._post_dispatch_checks()
             return
         while self._dispatch_pass():
@@ -283,21 +279,21 @@ class FleetScheduler:
         # synced to the grow epoch before each job: a defrag or
         # preemption that frees blocks or trunk ports mid-pass
         # invalidates them for every later job.  They start synced at
-        # the last settled pass's epoch, or empty under observability.
+        # the last settled pass's epoch.
         epoch_at_start = self._grow_epoch
         joins_at_start = self._joins
-        synced = -1 if obs_enabled else self._settled[0]
+        synced = self._settled[0]
         failed_shapes = self._failed_shapes
         failed_defrags = self._failed_defrags
         failed_cross = self._failed_cross
         failed_preemptions = self._failed_preemptions
-        # Capacity check (observability off): a job that cannot preempt
-        # and needs more blocks than are free machine-wide fails every
-        # rung — free, defrag, and cross-pod placement all need that
-        # many free blocks — with no side effect, so it is skipped
-        # without touching any cache.  Free space grows only with the
-        # grow epoch, so the total is re-read whenever the epoch moves
-        # (a mid-pass eviction frees blocks later jobs may take).
+        # Capacity check: a job that cannot preempt and needs more
+        # blocks than are free machine-wide fails every rung — free,
+        # defrag, and cross-pod placement all need that many free
+        # blocks — with no side effect, so it is skipped without
+        # touching any cache.  Free space grows only with the grow
+        # epoch, so the total is re-read whenever the epoch moves (a
+        # mid-pass eviction frees blocks later jobs may take).
         preempt_priority = self.config.preempt_priority
         free_epoch = -1
         total_free = 0
@@ -311,7 +307,7 @@ class FleetScheduler:
                 failed_preemptions.clear()
             shape = active.job.shape
             can_preempt = active.job.priority >= preempt_priority
-            if not (obs_enabled or can_preempt):
+            if not can_preempt:
                 if free_epoch != epoch:
                     free_epoch = epoch
                     total_free = self.state.total_free
@@ -354,13 +350,13 @@ class FleetScheduler:
                         moved_any = True
                     else:
                         failed_preemptions.add(key)
-            if obs_enabled:
+            if obs_enabled and attempted:
                 self.obs.decision(
                     self.sim.now, active.job.job_id, active.job.kind,
                     active.job.blocks, active.job.priority,
                     "placed" if placement is not None else "rejected",
                     via if placement is not None else
-                    self._rejection_cause(active, attempted, can_preempt))
+                    self._rejection_cause(active, can_preempt))
             if placement is None:
                 continue  # backfill: later (smaller) jobs may still fit
             self._start(active, placement)
@@ -370,22 +366,18 @@ class FleetScheduler:
             self._settled = (epoch_at_start, joins_at_start)
         return moved_any
 
-    def _rejection_cause(self, active: ActiveJob, attempted: bool,
-                         can_preempt: bool) -> str:
+    def _rejection_cause(self, active: ActiveJob, can_preempt: bool) -> str:
         """Classify one failed placement attempt for the decision log.
 
-        Only called with observability enabled, so the extra
-        unbounded-trunk probe below never runs on the default path.
-        Precedence: a fully cache-skipped attempt is a `failure_cache_hit`
-        (nothing was even tried this iteration); a preemption-capable
-        job's last resort was eviction, so its failure is `preemption_
-        declined`; otherwise the job wanted free capacity, and the
-        shortage is trunk ports exactly when a cross-pod plan succeeds
-        with the trunk budget lifted (`trunk_budget=None` = unbounded)
-        but failed under the live budget.
+        Only called with observability enabled, for a job on which at
+        least one rung ran, so the extra unbounded-trunk probe below
+        never runs on the default path.  A preemption-capable job's
+        last resort was eviction, so its failure is
+        `preemption_declined`; otherwise the job wanted free capacity,
+        and the shortage is trunk ports exactly when a cross-pod plan
+        succeeds with the trunk budget lifted (`trunk_budget=None` =
+        unbounded) but failed under the live budget.
         """
-        if not attempted:
-            return "failure_cache_hit"
         if can_preempt:
             return "preemption_declined"
         needed = active.job.blocks
@@ -966,11 +958,8 @@ class FleetScheduler:
         elapsed = self.sim.now - active.started_at
         reconfig, restore, run_wall, _ = self._segment_progress(active,
                                                                 elapsed)
-        useful = active.remaining
-        stall = useful * active.overhead * active.trunk_tax
-        writes = max(0.0, run_wall - useful - stall)
-        self._account_segment(active, elapsed, reconfig, restore, useful,
-                              0.0, writes, stall)
+        self._account_segment(active, elapsed, reconfig, restore, run_wall,
+                              active.remaining, active.remaining)
         self._release(active)
         active.remaining = 0.0
         self.telemetry.record_for(job).completed_at = self.sim.now
@@ -995,14 +984,11 @@ class FleetScheduler:
         reconfig, restore, run_wall, progressed = \
             self._segment_progress(active, elapsed)
         if job.is_serving or planned:
-            saved, replay = progressed, 0.0
+            saved = progressed
         else:
             saved = math.floor(progressed / active.interval) * active.interval
-            replay = progressed - saved
-        stall = progressed * active.overhead * active.trunk_tax
-        writes = max(0.0, run_wall - progressed - stall)
-        self._account_segment(active, elapsed, reconfig, restore, saved,
-                              replay, writes, stall)
+        self._account_segment(active, elapsed, reconfig, restore, run_wall,
+                              progressed, saved)
         self._release(active)
         active.remaining = max(0.0, active.remaining - saved)
         active.pending_reconfig = 0.0  # a restart replans the fabric
@@ -1057,27 +1043,30 @@ class FleetScheduler:
             self.state.pods[pod_id].release(active.job.job_id, blocks)
         if self.state.machine is not None:
             self.state.machine.release(active.job.job_id)
-        if active.trunk_ports_held:
-            self.telemetry.trunk_port_seconds += active.trunk_ports_held * \
-                (self.sim.now - active.started_at)
         del self.running[active.job.job_id]
         active.assignments = []
         active.trunk_tax = 0.0
         active.trunk_ports_held = 0
 
     def _account_segment(self, active: ActiveJob, elapsed: float,
-                         reconfig: float, restore: float, useful: float,
-                         replay: float, writes: float,
-                         stall: float = 0.0) -> None:
+                         reconfig: float, restore: float, run_wall: float,
+                         progressed: float, saved: float) -> None:
         """Bank one segment into the identity's buckets.
 
+        Of the `progressed` useful work, `saved` is kept and the rest
+        replays; run wall beyond that work and its trunk stall went to
+        checkpoint writes.
         Trunk stall is busy time the slice spends on trunk-hop links:
         part of the job's step time, so it rides inside the goodput
         bucket (keeping utilization = goodput + replay + restore +
         checkpoint + reconfig exact) while being surfaced separately —
-        and excluded from the job's own useful-progress credit.
+        and excluded from the job's own useful-progress credit.  Trunk
+        ports a cross-pod slice holds are charged for the whole segment.
         """
         blocks = active.job.blocks
+        replay = progressed - saved
+        stall = progressed * active.overhead * active.trunk_tax
+        writes = max(0.0, run_wall - progressed - stall)
         if self.obs.enabled:
             # Span boundaries ARE the accounting boundaries: the
             # segment's elapsed wall partitions into reconfig, then
@@ -1094,19 +1083,18 @@ class FleetScheduler:
                 self.obs.span("restore", job.job_id, t0 + reconfig,
                               t0 + reconfig + restore,
                               kind=job.kind, blocks=blocks)
-            run_wall = elapsed - reconfig - restore
             if run_wall > 0:
                 self.obs.span("running", job.job_id,
                               t0 + reconfig + restore, t0 + elapsed,
                               kind=job.kind, blocks=blocks,
-                              useful=useful, replay=replay,
+                              useful=saved, replay=replay,
                               checkpoint=writes, trunk_stall=stall)
         record = self.telemetry.record_for(active.job)
-        record.useful_seconds += useful
+        record.useful_seconds += saved
         record.busy_seconds += elapsed
         record.trunk_stall_seconds += stall
         self.telemetry.busy_block_seconds += elapsed * blocks
-        self.telemetry.useful_block_seconds += (useful + stall) * blocks
+        self.telemetry.useful_block_seconds += (saved + stall) * blocks
         self.telemetry.trunk_stall_block_seconds += stall * blocks
         self.telemetry.reconfig_block_seconds += reconfig * blocks
         self.telemetry.restore_block_seconds += restore * blocks
@@ -1114,6 +1102,9 @@ class FleetScheduler:
         self.telemetry.checkpoint_block_seconds += writes * blocks
         if active.is_cross_pod:
             self.telemetry.cross_pod_block_seconds += elapsed * blocks
+        if active.trunk_ports_held:
+            self.telemetry.trunk_port_seconds += \
+                active.trunk_ports_held * elapsed
 
     # -- failure hooks -----------------------------------------------------------
 
@@ -1150,13 +1141,8 @@ class FleetScheduler:
             reconfig, restore, run_wall, progressed = \
                 self._segment_progress(active, elapsed)
             progressed = min(active.remaining, progressed)
-            stall = progressed * active.overhead * active.trunk_tax
-            writes = max(0.0, run_wall - progressed - stall)
             self._account_segment(active, elapsed, reconfig, restore,
-                                  progressed, 0.0, writes, stall)
-            if active.trunk_ports_held:
-                self.telemetry.trunk_port_seconds += \
-                    active.trunk_ports_held * (horizon - active.started_at)
+                                  run_wall, progressed, progressed)
         # End-of-run backstop for the cadenced rescan: whatever drift
         # the per-dispatch probe could not see fails the run here
         # rather than surviving into the report.

@@ -73,8 +73,8 @@ class FleetReport:
     #: Per-job lifetime records, for per-class analysis (e.g. the
     #: 48-block goodput gate); the JSON-facing summary stays flat.
     job_records: tuple[JobRecord, ...] = ()
-    #: The run's observability log when recording was on; None on the
-    #: default (disabled) path.  Export via :mod:`repro.fleet.obs`.
+    #: The run's observability log when `run` was given a recorder;
+    #: None otherwise.  Export via :mod:`repro.fleet.obs`.
     obs: ObsRecorder | None = None
     #: Serving-tier telemetry when the config names a `serve_scenario`;
     #: None otherwise.  Lives beside the base summary (its own
@@ -220,19 +220,20 @@ class FleetSimulator:
         merged into the down/up event sequence here — with none, the
         merged trace IS the failure trace, byte for byte.
 
-        `recorder` forces observability on for this run regardless of
-        `config.observability` (None = follow the config); `profiler`
-        instruments the dispatch loop with wall-clock counters (see
+        `recorder` records the run's observability log (spans, the
+        scheduler decision log, time-series samples; see
+        :mod:`repro.fleet.obs`) and is the only switch for it: None
+        records nothing.  `profiler` instruments the dispatch loop
+        with wall-clock counters (see
         :class:`~repro.fleet.obs.profiler.DispatchProfiler`).  Neither
-        changes any result — observers only read — but the sampler's
-        ticks do grow `events_fired`.
+        changes any result — the scheduler runs the same path with or
+        without them — but the sampler's ticks do grow `events_fired`.
         """
         strategy = strategy if strategy is not None else \
             self.config.strategy
         horizon = self.config.horizon_seconds
         if recorder is None:
-            recorder = ObsRecorder() if self.config.observability \
-                else NULL_RECORDER
+            recorder = NULL_RECORDER
         sim = Simulator()
         state = FleetState(self.config.num_pods, self.config.blocks_per_pod,
                            with_fabric=policy is PlacementPolicy.OCS,

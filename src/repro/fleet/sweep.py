@@ -78,6 +78,9 @@ def run_sweep(config: FleetConfig | str, seeds: Sequence[int], *,
         raise ConfigurationError(f"sweep seeds repeat: {seeds}")
     if any(seed < 0 for seed in seeds):
         raise ConfigurationError(f"sweep seeds must be >= 0: {seeds}")
+    if processes is not None and processes < 1:
+        raise ConfigurationError(
+            f"sweep needs processes >= 1, got {processes}")
     tasks = [(config, seed, policy.value) for seed in seeds]
     if processes is None:
         processes = os.cpu_count() or 1

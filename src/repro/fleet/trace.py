@@ -11,7 +11,7 @@ schedule" instead of "write a generator".
 
 Schema (one JSON object per line):
 
-    {"type": "header", "schema": "repro.fleet.trace", "version": 2,
+    {"type": "header", "schema": "repro.fleet.trace", "version": 3,
      "seed": 0, "config": {...FleetConfig fields...}}
     {"type": "job", "job_id": 0, "kind": "train", "model_type": "...",
      "shape": [4, 4, 8], "arrival": 12.5, "work_seconds": 3600.0,
@@ -49,7 +49,9 @@ from repro.fleet.simulator import FleetSimulator
 from repro.fleet.workload import FleetJob
 
 #: Bump on any schema change; loaders accept exactly this version.
-TRACE_VERSION = 2
+#: The header embeds every FleetConfig field, so adding or removing a
+#: field is a schema change.
+TRACE_VERSION = 3
 
 #: The header's schema tag — guards against feeding some other JSONL
 #: file (a telemetry dump, a bench artifact) to the replayer.

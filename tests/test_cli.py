@@ -237,6 +237,18 @@ class TestFleetObsCLI:
                      str(tmp_path / "nope.json")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_report_rejects_negative_limit(self, tmp_path, capsys):
+        from repro.fleet.obs import ObsRecorder, save_obs
+        trace_path = save_obs(ObsRecorder(), tmp_path / "obs.jsonl")
+        assert main(["fleet", "report", "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert main(["fleet", "report", "--trace", str(trace_path),
+                     "--limit", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_report_round_trip(self, tmp_path, capsys):
         trace_path = str(tmp_path / "obs.jsonl")
         assert main(["fleet", "--preset", "edge", "--seed", "0",

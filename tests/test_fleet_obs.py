@@ -7,25 +7,28 @@ export formats validate strictly and round-trip.
 """
 
 import json
+import time
 
 import pytest
 
+from repro.__main__ import main
 from repro.core.scheduler import PlacementPolicy
 from repro.errors import ConfigurationError, TraceError
 from repro.fleet import FleetSimulator, preset_config
+from repro.fleet.scheduler import ActiveJob
 from repro.sim.events import Simulator
 from repro.fleet.obs import (DispatchProfiler, MetricsSampler,
-                             NULL_RECORDER, ObsRecorder, PLACED_CAUSES,
-                             REJECTED_CAUSES, dumps_chrome_trace,
-                             dumps_obs, load_obs, loads_obs,
-                             render_report, save_obs,
+                             NULL_RECORDER, OBS_VERSION, ObsRecorder,
+                             PLACED_CAUSES, REJECTED_CAUSES,
+                             dumps_chrome_trace, dumps_obs, load_obs,
+                             loads_obs, render_report, save_obs,
                              validate_chrome_trace)
 
 
 def _run_with_obs(preset: str, seed: int = 0, **overrides):
-    config = preset_config(preset).with_overrides(
-        observability=True, **overrides)
-    return FleetSimulator(config, seed=seed).run(PlacementPolicy.OCS)
+    config = preset_config(preset).with_overrides(**overrides)
+    return FleetSimulator(config, seed=seed).run(PlacementPolicy.OCS,
+                                                 recorder=ObsRecorder())
 
 
 class TestRecorderBasics:
@@ -172,7 +175,6 @@ class TestDecisionLog:
         assert {d.cause for d in rejected} <= set(REJECTED_CAUSES)
         # Contention machinery fired and is attributed as such.
         assert any(d.cause == "preemption_declined" for d in rejected)
-        assert any(d.cause == "failure_cache_hit" for d in rejected)
 
     def test_placed_decisions_match_starts(self):
         # Every placed decision corresponds to a queued span closing
@@ -193,6 +195,68 @@ class TestDecisionLog:
                             trunk_ports=1).obs
         causes = obs.rejection_counts()
         assert causes.get("insufficient_trunk_ports", 0) > 0
+
+
+class _RungLog:
+    """A profiler that logs scheduler work instead of timing it.
+
+    Implements the `install(scheduler, sim)` / `run_seconds` protocol
+    of `FleetSimulator.run(profiler=...)` and records every queue sort
+    and placement-rung call as (sim time, method, job id).
+    """
+
+    RUNGS = ("_find_anywhere", "_defrag_for", "_find_cross_pod",
+             "_preempt_for")
+
+    def __init__(self):
+        self.calls = []
+        self.run_seconds = 0.0
+
+    def install(self, scheduler, sim):
+        in_order = scheduler._queue_in_order
+
+        def logged_order():
+            self.calls.append((sim.now, "_queue_in_order", None))
+            return in_order()
+
+        scheduler._queue_in_order = logged_order
+        for name in self.RUNGS:
+            setattr(scheduler, name,
+                    self._logged(sim, name, getattr(scheduler, name)))
+
+    def _logged(self, sim, name, rung):
+        def logged(target):  # an ActiveJob or its FleetJob
+            job = target.job if isinstance(target, ActiveJob) else target
+            self.calls.append((sim.now, name, job.job_id))
+            return rung(target)
+        return logged
+
+
+class TestObservingChangesNoWork:
+    @pytest.mark.parametrize("preset,seed", [
+        ("edge", 0), ("edge", 1), ("edge", 2), ("serve_surge", 0)])
+    def test_recorder_adds_no_rung_call(self, preset, seed):
+        # The scheduler runs one dispatch path with or without a
+        # recorder, and the decision log holds exactly one record per
+        # (pass, job) on which some rung ran, in that order; a pass
+        # starts at each queue sort.
+        simulator = FleetSimulator(preset_config(preset), seed=seed)
+        plain, observed = _RungLog(), _RungLog()
+        simulator.run(PlacementPolicy.OCS, profiler=plain)
+        recorder = ObsRecorder()
+        simulator.run(PlacementPolicy.OCS, recorder=recorder,
+                      profiler=observed)
+        assert observed.calls == plain.calls
+        attempts, seen, passes = [], set(), 0
+        for now, method, job_id in observed.calls:
+            if method == "_queue_in_order":
+                passes += 1
+            elif (passes, job_id) not in seen:
+                seen.add((passes, job_id))
+                attempts.append((now, job_id))
+        assert attempts
+        assert [(decision.time, decision.job_id)
+                for decision in recorder.decisions] == attempts
 
 
 class TestMetricsSampler:
@@ -256,13 +320,14 @@ class TestJsonlExport:
         header = json.loads(dumps_obs(ObsRecorder()).splitlines()[0])
         assert header["type"] == "header"
         assert header["schema"] == "repro.fleet.obs"
-        assert header["version"] == 1
+        assert header["version"] == OBS_VERSION
 
     @pytest.mark.parametrize("mutate,needle", [
         (lambda lines: lines[1:], "header"),
         (lambda lines: [lines[0].replace("repro.fleet.obs", "bogus")] +
          lines[1:], "not an observability log"),
-        (lambda lines: [lines[0].replace('"version": 1', '"version": 99')]
+        (lambda lines: [lines[0].replace(f'"version": {OBS_VERSION}',
+                                         '"version": 99')]
          + lines[1:], "version"),
         (lambda lines: lines + [lines[0]], "duplicate header"),
         (lambda lines: lines + ['{"type": "mystery"}'], "unknown record"),
@@ -369,6 +434,71 @@ class TestFileRoundTrip:
         alien_chrome.write_text('{"traceEvents": []}')
         with pytest.raises(TraceError, match="not exported"):
             load_obs(alien_chrome)
+
+
+def _event(payload, phase, key, *, decision=False):
+    """The first Chrome event of `phase` whose args hold `key`; a
+    decision instant exactly when `decision`."""
+    return next(event for event in payload["traceEvents"]
+                if event["ph"] == phase and key in event["args"] and
+                ("outcome" in event["args"]) == decision)
+
+
+def _job_instant(records):
+    """The first JSONL instant record that names a job."""
+    return next(record for record in records
+                if record["type"] == "instant" and
+                "job_id" in record["args"])
+
+
+class TestHostileFiles:
+    """A malformed export ends in TraceError from either reader, and
+    `fleet report` turns it into exit 2 with one stderr line."""
+
+    @pytest.fixture(scope="class")
+    def tiny_obs(self):
+        return _run_with_obs("tiny").obs
+
+    @pytest.mark.parametrize("suffix,mutate,needle", [
+        (".json", lambda p: p["otherData"].update(version=99),
+         "unsupported version 99"),
+        (".json", lambda p: _event(p, "i", "outcome", decision=True)
+         ["args"].update(outcome="maybe"), "outcome"),
+        (".json", lambda p: _event(p, "i", "cause", decision=True)
+         ["args"].update(cause="nope"), "cause"),
+        (".json", lambda p: _event(p, "X", "job_id").update(
+            args=["useful"]), "args must be an object"),
+        (".json", lambda p: _event(p, "i", "job_id")["args"].update(
+            job_id={"id": 1}), "args.job_id"),
+        (".json", lambda p: _event(p, "i", "blocks", decision=True)
+         ["args"].update(blocks="two"), "blocks"),
+        (".jsonl", lambda records: _job_instant(records)["args"].update(
+            job_id=[1]), "args.job_id"),
+    ], ids=["chrome-version", "chrome-outcome", "chrome-cause",
+            "chrome-args-list", "chrome-job-id-object",
+            "chrome-blocks-word", "jsonl-job-id-list"])
+    def test_typed_error_and_exit_two(self, tiny_obs, tmp_path, capsys,
+                                      suffix, mutate, needle):
+        path = tmp_path / f"obs{suffix}"
+        if suffix == ".json":
+            payload = json.loads(dumps_chrome_trace(tiny_obs))
+            mutate(payload)
+            path.write_text(json.dumps(payload))
+        else:
+            records = [json.loads(line)
+                       for line in dumps_obs(tiny_obs).splitlines()]
+            mutate(records)
+            path.write_text("".join(json.dumps(record) + "\n"
+                                    for record in records))
+        began = time.perf_counter()
+        with pytest.raises(TraceError, match=needle):
+            load_obs(path)
+        assert main(["fleet", "report", "--trace", str(path)]) == 2
+        assert time.perf_counter() - began < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fleet report: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestReportRendering:

@@ -543,8 +543,8 @@ class TestSettledDispatch:
     def test_capacity_skip_leaves_every_cache_untouched(self):
         # A job that cannot preempt and needs more blocks than are free
         # fails every rung with no side effect, so it is skipped
-        # without being cached; observed runs still try every rung so
-        # the decision log keeps one entry per queued job per pass.
+        # without being cached.  An observed scheduler skips it the
+        # same way and, having tried no rung, logs no decision for it.
         scheduler = _make()
         scheduler.submit(_train(0, (8, 8, 8), 0.0, 1000.0))
         scheduler.submit(_train(1, (4, 4, 8), 0.0, 1000.0))
@@ -554,4 +554,9 @@ class TestSettledDispatch:
         observed.obs = ObsRecorder()
         observed.submit(_train(0, (8, 8, 8), 0.0, 1000.0))
         observed.submit(_train(1, (4, 4, 8), 0.0, 1000.0))
-        assert (4, 4, 8) in observed._failed_shapes
+        assert not observed._failed_shapes
+        assert not observed._failed_defrags
+        assert not observed._failed_cross
+        assert not observed._failed_preemptions
+        assert [decision.job_id
+                for decision in observed.obs.decisions] == [0]

@@ -84,6 +84,10 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep("tiny", [-1])
 
+    def test_rejects_bad_process_count(self):
+        with pytest.raises(ConfigurationError, match="processes"):
+            run_sweep("tiny", [0], processes=0)
+
     def test_unknown_preset_rejected_before_forking(self):
         with pytest.raises(ConfigurationError):
             run_sweep("no_such_preset", [0])
@@ -128,6 +132,11 @@ class TestSweepCli:
                      "--seeds", "0"]) == 2
         assert main(["fleet", "sweep", "--preset", "tiny",
                      "--strategy", "all"]) == 2
+        for processes in ("0", "-3"):
+            capsys.readouterr()
+            assert main(["fleet", "sweep", "--preset", "tiny",
+                         "--processes", processes]) == 2
+            assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestHyperscalePreset:

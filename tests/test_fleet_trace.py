@@ -142,6 +142,17 @@ class TestHeaderValidation:
                            match="unsupported trace version 1 "):
             loads_trace(_mutated(tiny_text, 0, header))
 
+    def test_version_two_header_rejected_on_its_version(self, tiny_text):
+        # A version-2 header still carries the retired `observability`
+        # config key; the loader must reject it by version, before any
+        # ConfigurationError from deep inside FleetConfig.from_dict.
+        header = _line(tiny_text, 0)
+        header["version"] = 2
+        header["config"]["observability"] = True
+        with pytest.raises(TraceError,
+                           match="unsupported trace version 2 "):
+            loads_trace(_mutated(tiny_text, 0, header))
+
     def test_wrong_schema_tag_rejected(self, tiny_text):
         header = _line(tiny_text, 0)
         header["schema"] = "some.other.jsonl"
