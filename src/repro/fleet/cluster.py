@@ -13,13 +13,15 @@ reconfiguration latency and trunk-port occupancy.
 Free-block state is indexed incrementally — ``num_free`` is O(1) and the
 free mask is maintained, not rescanned — because the fleet scheduler's
 dispatch loop queries it for every queued job after every event, which
-profiling showed dominated medium-preset runs.  The machine-wide view
-(`total_free`, `free_by_pod`, the trunk budget) is built on those O(1)
-per-pod counters, and :meth:`FleetState.check_invariants` can recompute
-everything from scratch to catch index drift — the scheduler calls it
-under ``__debug__`` after moves that historically risked staleness
-(defrag migrations cancelled by a checkpoint covering the donor's
-remaining work).
+profiling showed dominated medium-preset runs.  Every pod mirrors its
+counter into one shared ``list[int]`` of per-pod free counts; at 4 to
+64 pods a Python scan of that list beats a numpy reduction.  The
+machine-wide view (`total_free`, `free_by_pod`, the trunk budget) is
+built on those counters, and :meth:`FleetState.check_invariants` can
+recompute everything from scratch to catch index drift — the scheduler
+calls it under ``__debug__`` after moves that historically risked
+staleness (defrag migrations cancelled by a checkpoint covering the
+donor's remaining work).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class Pod:
                  fabric: PodFabric | None = None, *,
                  up: np.ndarray | None = None,
                  free: np.ndarray | None = None,
-                 counts: np.ndarray | None = None,
+                 counts: list[int] | None = None,
                  counts_slot: int = 0) -> None:
         self.pod_id = pod_id
         self.num_blocks = num_blocks
@@ -62,13 +64,11 @@ class Pod:
         self._free = np.ones(num_blocks, dtype=bool) if free is None \
             else free
         self._num_free = num_blocks
-        # Mirror of _num_free in a shared int64 vector.  Scalar reads
-        # stay on the plain int (cheaper); every mutation writes both,
-        # so a FleetState-owned vector always holds all pods' counts
-        # for vectorized consumers (the scheduler's pod-choice argmin,
-        # the machine-wide free total).
-        self._counts = np.full(1, num_blocks, dtype=np.int64) \
-            if counts is None else counts
+        # Mirror of _num_free in a shared list of per-pod counts.
+        # Every mutation writes both, so a FleetState-owned list always
+        # holds all pods' counts for the scans that read them all (the
+        # scheduler's pod choice, the machine-wide free total).
+        self._counts = [num_blocks] if counts is None else counts
         self._slot = counts_slot
         # Down-and-unowned count, maintained incrementally so the
         # per-dispatch conservation probe is O(1) per pod.
@@ -203,8 +203,7 @@ class FleetState:
         self._up_matrix = np.ones((num_pods, blocks_per_pod), dtype=bool)
         self._free_matrix = np.ones((num_pods, blocks_per_pod),
                                     dtype=bool)
-        self._free_counts = np.full(num_pods, blocks_per_pod,
-                                    dtype=np.int64)
+        self._free_counts = [blocks_per_pod] * num_pods
         self.pods = [
             Pod(pod_id, blocks_per_pod,
                 fabric=self.machine.pods[pod_id] if self.machine else None,
@@ -215,13 +214,13 @@ class FleetState:
             for pod_id in range(num_pods)]
 
     @property
-    def free_counts(self) -> np.ndarray:
-        """Per-pod free-block counts as one shared int64 vector.
+    def free_counts(self) -> list[int]:
+        """Per-pod free-block counts, indexed by pod id (the shared list).
 
-        Kept in lockstep with every pod's O(1) counter; vectorized
-        consumers (the scheduler's single-pod placement, one argmin
-        per placement) index it directly instead of looping
-        ``pod.num_free`` across pods.
+        Kept in lockstep with every pod's O(1) counter, so the
+        scheduler's single-pod placement picks a pod in one scalar scan
+        of it instead of reading ``pod.num_free`` across pods.  Callers
+        must not mutate it.
         """
         return self._free_counts
 
@@ -234,11 +233,11 @@ class FleetState:
     def total_free(self) -> int:
         """Healthy, unowned blocks machine-wide.
 
-        Summed over the shared free-count vector (every per-pod counter
-        mirrors into it on mutation), so the cost stays flat as the pod
-        count grows — this guard runs per queued job per dispatch pass.
+        Summed over the shared per-pod free counts (every per-pod
+        counter mirrors into them on mutation) rather than over the pod
+        objects; the dispatch pass re-reads it whenever capacity grows.
         """
-        return int(self._free_counts.sum())
+        return sum(self._free_counts)
 
     @property
     def busy_blocks(self) -> int:
@@ -253,11 +252,10 @@ class FleetState:
     def free_by_pod(self) -> list[tuple[int, int]]:
         """(pod id, free blocks) per pod — the machine placement index.
 
-        Read off the shared free-count vector (pod ids are its indices)
-        so the multi-region planner's per-call cost stays flat in pod
-        count.
+        Read off the shared per-pod free counts (pod ids are their
+        indices) rather than the pod objects.
         """
-        return list(enumerate(self._free_counts.tolist()))
+        return list(enumerate(self._free_counts))
 
     def pods_by_space(self) -> list[Pod]:
         """Pods ordered most-free first (ties by id, deterministic)."""
@@ -317,15 +315,15 @@ class FleetState:
             raise SchedulingError(
                 f"pod {int(np.flatnonzero(drifted)[0])} free mask "
                 f"drifted from up/owner state")
-        free_counts = np.count_nonzero(rescan, axis=1)
-        for pod, free_count in zip(self.pods, free_counts.tolist()):
+        free_counts = np.count_nonzero(rescan, axis=1).tolist()
+        for pod, free_count in zip(self.pods, free_counts):
             if pod.num_free != free_count:
                 raise SchedulingError(
                     f"pod {pod.pod_id} free counter {pod.num_free} != "
                     f"rescan {free_count}")
-        if not np.array_equal(self._free_counts, free_counts):
+        if self._free_counts != free_counts:
             raise SchedulingError(
-                "shared free-count vector drifted from per-pod counters")
+                "shared free-count list drifted from per-pod counters")
         down_unowned = np.count_nonzero(~self._up_matrix, axis=1) - \
             down_owned
         for pod, extra in zip(self.pods, down_unowned.tolist()):

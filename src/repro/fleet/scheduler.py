@@ -38,10 +38,9 @@ would otherwise queue.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.block import HOSTS_PER_BLOCK
 from repro.core.checkpoint import CheckpointParams, optimal_interval
@@ -58,9 +57,6 @@ from repro.fleet.workload import FleetJob
 from repro.sim.events import AnyEvent, Simulator
 
 _EPSILON = 1e-9
-
-#: Masks infeasible pods out of the best-fit argmin over free counts.
-_NO_FIT = np.iinfo(np.int64).max
 
 #: One placement: (pod, physical blocks) per pod, in virtual slot order.
 Placement = list[tuple[Pod, list[int]]]
@@ -216,13 +212,18 @@ class FleetScheduler:
         self.telemetry.record_for(job)
         active = ActiveJob(job=job, remaining=job.work_seconds,
                           submitted_at=self.sim.now)
-        self.queue.append(active)
+        bisect.insort(self.queue, active, key=self._queue_order)
         self._joins += 1
         return active
 
     def _queue_in_order(self) -> list[ActiveJob]:
-        """The queue in dispatch order (priority, then age, then id)."""
-        return sorted(self.queue, key=self._queue_order)
+        """The queue in dispatch order (priority, then age, then id).
+
+        `self.queue` is kept in that order as jobs join — a waiting
+        job's key never changes — so this is a snapshot copy for a pass
+        to walk while placements leave the queue and victims join it.
+        """
+        return self.queue[:]
 
     def submit(self, job: FleetJob) -> None:
         """Accept a new arrival and try to run it."""
@@ -236,7 +237,7 @@ class FleetScheduler:
         help when blocks moved underneath it — an eviction requeued
         victims, or a defragmentation migrated jobs between pods.
 
-        A dispatch that can place nothing returns without sorting the
+        A dispatch that can place nothing returns without walking the
         queue: when the last pass saw no grow and since its start
         neither capacity grew (no block or trunk port came back) nor a
         job joined the queue, every queued job failed each rung it
@@ -397,22 +398,24 @@ class FleetScheduler:
         over (ties to the lowest id), preserving large free pools for
         large arrivals.  Under OCS any free blocks of a pod are
         equivalent, so pod choice IS the strategy — one scan of the
-        shared free-count vector; under static wiring the strategy
+        shared per-pod free counts; under static wiring the strategy
         also picks the cuboid inside the pod.
         """
         needed = job.blocks
         if self.policy is PlacementPolicy.OCS:
-            counts = self.state.free_counts
+            pod_id = -1
             if self.strategy is PlacementStrategy.FIRST_FIT:
-                feasible = counts >= needed
-                pod_id = int(feasible.argmax())
-                if not feasible[pod_id]:
-                    return None
+                for candidate, free in enumerate(self.state.free_counts):
+                    if free >= needed:
+                        pod_id = candidate
+                        break
             else:
-                pod_id = int(np.where(counts >= needed, counts,
-                                      _NO_FIT).argmin())
-                if counts[pod_id] < needed:
-                    return None
+                least = self._pod_blocks + 1
+                for candidate, free in enumerate(self.state.free_counts):
+                    if needed <= free < least:
+                        pod_id, least = candidate, free
+            if pod_id < 0:
+                return None
             pod = self.state.pods[pod_id]
             return [(pod, pod.first_free(needed))]
         if self.strategy is PlacementStrategy.FIRST_FIT:
@@ -1013,7 +1016,7 @@ class FleetScheduler:
             return
         active.pending_restore = self.config.restore_seconds
         active.submitted_at = self.sim.now
-        self.queue.append(active)
+        bisect.insort(self.queue, active, key=self._queue_order)
         self._joins += 1
 
     def cancel(self, active: ActiveJob) -> None:

@@ -82,6 +82,10 @@ def _mixture_quantile(samples: list[tuple[float, float, float]],
 
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            # The bracket can no longer move, so every later step, and
+            # the final midpoint, would land on this same value.
+            return mid
         if cdf(mid) < fraction:
             lo = mid
         else:

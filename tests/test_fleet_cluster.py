@@ -1,6 +1,8 @@
 """Tests for pod/fleet inventory state and single-slice placement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scheduler import PlacementPolicy, SliceScheduler
 from repro.errors import SchedulingError
@@ -88,3 +90,51 @@ class TestFleetState:
         state = FleetState(num_pods=2, blocks_per_pod=8)
         state.pods[0].assign([0, 1, 2], job_id=1)
         assert [p.pod_id for p in state.pods_by_space()] == [1, 0]
+
+
+#: (operation, pod pick, argument pick) steps over a FleetState.
+_STEPS = st.lists(st.tuples(
+    st.sampled_from(["assign", "release", "block_down", "block_up"]),
+    st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)), max_size=60)
+
+
+class TestFreeCountIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(num_pods=st.integers(1, 64),
+           blocks_per_pod=st.sampled_from([8, 27, 64]), steps=_STEPS)
+    def test_shared_counts_match_pod_counters(self, num_pods,
+                                              blocks_per_pod, steps):
+        state = FleetState(num_pods, blocks_per_pod)
+        next_job = 0
+        for op, pod_pick, arg in steps:
+            pod = state.pods[pod_pick % num_pods]
+            if op == "assign":
+                blocks = pod.first_free(1 + arg % blocks_per_pod)
+                if blocks is not None:
+                    pod.assign(blocks, job_id=next_job)
+                    next_job += 1
+            elif op == "release":
+                jobs = pod.jobs_on()
+                if jobs:
+                    pod.release(jobs[arg % len(jobs)])
+            elif op == "block_down":
+                pod.block_down(arg % blocks_per_pod)
+            else:
+                pod.block_up(arg % blocks_per_pod)
+            counters = [p.num_free for p in state.pods]
+            rescanned = [sum(1 for block in range(blocks_per_pod)
+                             if p.up[block] and block not in p.owner)
+                         for p in state.pods]
+            assert counters == rescanned
+            assert state.free_counts == counters
+            assert state.total_free == sum(counters)
+            assert state.free_by_pod() == list(enumerate(counters))
+        state.check_invariants()
+
+    def test_rescan_catches_a_drifted_shared_count(self):
+        state = FleetState(num_pods=3, blocks_per_pod=8)
+        state.pods[1].assign([0, 1], job_id=1)
+        state.free_counts[2] -= 1  # the pod's own counter still says 8
+        with pytest.raises(SchedulingError,
+                           match="shared free-count list drifted"):
+            state.check_invariants()

@@ -201,8 +201,9 @@ class _RungLog:
     """A profiler that logs scheduler work instead of timing it.
 
     Implements the `install(scheduler, sim)` / `run_seconds` protocol
-    of `FleetSimulator.run(profiler=...)` and records every queue sort
-    and placement-rung call as (sim time, method, job id).
+    of `FleetSimulator.run(profiler=...)` and records every pass start
+    (`_queue_in_order`) and placement-rung call as (sim time, method,
+    job id).
     """
 
     RUNGS = ("_find_anywhere", "_defrag_for", "_find_cross_pod",
@@ -239,7 +240,7 @@ class TestObservingChangesNoWork:
         # The scheduler runs one dispatch path with or without a
         # recorder, and the decision log holds exactly one record per
         # (pass, job) on which some rung ran, in that order; a pass
-        # starts at each queue sort.
+        # starts at each `_queue_in_order` call.
         simulator = FleetSimulator(preset_config(preset), seed=seed)
         plain, observed = _RungLog(), _RungLog()
         simulator.run(PlacementPolicy.OCS, profiler=plain)

@@ -1,9 +1,15 @@
 """Tests for the fleet scheduler: queueing, preemption, interrupts,
 placement strategies, reconfiguration latency, and defragmentation."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.scheduler import PlacementPolicy, PlacementStrategy
+from repro.fleet import FleetSimulator, preset_config
 from repro.fleet.cluster import FleetState
 from repro.fleet.config import FleetConfig
 from repro.fleet.obs import ObsRecorder
@@ -492,7 +498,7 @@ class TestCancelledDefragMigration:
 
 
 class TestSettledDispatch:
-    """A dispatch that can place nothing skips the queue sort; new
+    """A dispatch that can place nothing skips the queue walk; new
     capacity or a new queued job turns the sweep back on."""
 
     @staticmethod
@@ -560,3 +566,119 @@ class TestSettledDispatch:
         assert not observed._failed_preemptions
         assert [decision.job_id
                 for decision in observed.obs.decisions] == [0]
+
+
+class _QueueOrderCheck:
+    """A profiler that checks the queue order instead of timing it.
+
+    Implements the `install(scheduler, sim)` / `run_seconds` protocol
+    of `FleetSimulator.run(profiler=...)`; at every pass start it
+    asserts that `scheduler.queue` is already in dispatch order and
+    that the pass walks exactly that order.
+    """
+
+    def __init__(self):
+        self.passes = 0
+        self.run_seconds = 0.0
+
+    def install(self, scheduler, sim):
+        in_order = scheduler._queue_in_order
+
+        def checked():
+            expected = sorted(scheduler.queue, key=scheduler._queue_order)
+            assert scheduler.queue == expected
+            walked = in_order()
+            assert walked == expected
+            self.passes += 1
+            return walked
+
+        scheduler._queue_in_order = checked
+
+
+class TestQueueOrder:
+    """The queue stays in dispatch order as jobs join, so a pass walks
+    it as is: (-priority, submitted_at, job_id), no per-pass sort."""
+
+    @pytest.mark.parametrize("preset,seed", [
+        ("edge", 0), ("edge", 1), ("edge", 2),   # preemption, defrag
+        ("serve_surge", 0),                      # cancels, failover
+        ("large", 0)])
+    def test_queue_in_dispatch_order_at_every_pass(self, preset, seed):
+        check = _QueueOrderCheck()
+        FleetSimulator(preset_config(preset), seed=seed).run(
+            PlacementPolicy.OCS, profiler=check)
+        assert check.passes > 0
+
+    def test_requeue_and_arrival_at_one_instant_order_by_id(self):
+        scheduler = _make()
+        scheduler.submit(_train(2, (8, 8, 8), 0.0, 1000.0))  # whole pod
+
+        def arrival_then_requeue():
+            scheduler.submit(_train(4, (8, 8, 8), 100.0, 1000.0))
+            scheduler.on_block_down(0, 0)  # requeues job 2 at t=100
+
+        scheduler.sim.schedule_at(100.0, arrival_then_requeue)
+        scheduler.sim.run(until=100.0)
+        # Neither fits the 7 healthy blocks; the requeue joined after
+        # the arrival at the same instant, and the lower id goes first.
+        assert [active.submitted_at for active in scheduler.queue] == \
+            [100.0, 100.0]
+        assert [active.job.job_id for active in scheduler.queue] == [2, 4]
+        assert scheduler._queue_in_order() == scheduler.queue
+
+
+def _reference_pod_choice(counts, needed, strategy):
+    """The numpy pod choice `_find_anywhere` made before its scalar scan."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if strategy is PlacementStrategy.FIRST_FIT:
+        feasible = counts >= needed
+        pod_id = int(feasible.argmax())
+        return pod_id if feasible[pod_id] else None
+    pod_id = int(np.where(counts >= needed, counts,
+                          np.iinfo(np.int64).max).argmin())
+    return pod_id if counts[pod_id] >= needed else None
+
+
+class TestPodChoiceOracle:
+    """OCS single-pod choice is a scan of per-pod free counts: the first
+    feasible pod for first_fit, the least-free feasible pod (ties to the
+    lowest id) for best_fit and defrag."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks_per_pod=st.sampled_from([8, 27, 64]),
+           fill=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+           demand=st.floats(0.0, 1.0),
+           strategy=st.sampled_from(list(PlacementStrategy)))
+    # Free counts [4, 6, 4, 6]: a 3-block demand ties pods 0 and 2.
+    @example(blocks_per_pod=8, fill=[0.5, 0.25, 0.5, 0.25], demand=0.3,
+             strategy=PlacementStrategy.BEST_FIT)
+    # Free counts [4, 6, 4]: no pod holds a 7-block demand.
+    @example(blocks_per_pod=8, fill=[0.5, 0.25, 0.5], demand=0.8,
+             strategy=PlacementStrategy.FIRST_FIT)
+    @example(blocks_per_pod=8, fill=[0.5, 0.25, 0.5], demand=0.8,
+             strategy=PlacementStrategy.DEFRAG)
+    def test_matches_numpy_choice(self, blocks_per_pod, fill, demand,
+                                  strategy):
+        num_pods = len(fill)
+        config = FleetConfig(num_pods=num_pods,
+                             blocks_per_pod=blocks_per_pod,
+                             max_job_blocks=blocks_per_pod,
+                             strategy=strategy)
+        state = FleetState(num_pods, blocks_per_pod)
+        for pod, share in zip(state.pods, fill):
+            taken = round(share * blocks_per_pod)
+            if taken:
+                pod.assign(list(range(taken)), job_id=1000 + pod.pod_id)
+        scheduler = FleetScheduler(config, PlacementPolicy.OCS,
+                                   Simulator(), state, FleetTelemetry())
+        needed = 1 + round(demand * blocks_per_pod)  # may exceed a pod
+        # Under OCS, pod choice reads nothing of the job but its demand.
+        placement = scheduler._find_anywhere(SimpleNamespace(blocks=needed))
+        counts = [pod.num_free for pod in state.pods]
+        expected = _reference_pod_choice(counts, needed, strategy)
+        if expected is None:
+            assert placement is None
+        else:
+            [(pod, blocks)] = placement
+            assert pod.pod_id == expected
+            assert blocks == pod.first_free(needed)

@@ -3,7 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.scheduler import PlacementPolicy
 from repro.errors import ConfigurationError
@@ -13,7 +16,7 @@ from repro.fleet.serve import (AUTOSCALERS, SERVE_SCHEMA, ModelTraffic,
                                ReplicaPool, SurgeWindow, desired_replicas,
                                reconciliation_residual, scenario_for,
                                scenario_names)
-from repro.fleet.serve.tier import _mixture_quantile
+from repro.fleet.serve.tier import _TAIL_MEANS, _mixture_quantile
 from repro.units import DAY, HOUR, MINUTE
 
 #: A serve fleet small enough for unit tests: light background
@@ -131,6 +134,41 @@ class TestAutoscalerPolicies:
                              min_replicas=1, lead_seconds=0.0)
 
 
+#: Weights, bases and waits: zeros and spans from microseconds up.
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+
+
+def _full_bisection(samples, fraction):
+    """`_mixture_quantile` with all 100 bisection steps, no early stop."""
+    if not samples:
+        return 0.0
+    rows = np.asarray(samples, dtype=np.float64)
+    weights, bases, waits = rows[:, 0], rows[:, 1], rows[:, 2]
+    total = float(weights.sum())
+    if total <= 0:
+        return 0.0
+    lo = float(bases.min())
+    hi = float((bases + np.maximum(waits, 0.0) * _TAIL_MEANS).max())
+    safe_waits = np.where(waits > 0, waits, 1.0)
+
+    def cdf(x):
+        tail = np.where(x >= bases,
+                        np.where(waits > 0,
+                                 np.exp(-np.maximum(x - bases, 0.0)
+                                        / safe_waits),
+                                 0.0),
+                        1.0)
+        return float(weights @ (1.0 - tail)) / total
+
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < fraction:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestMixtureQuantile:
     def test_empty_and_degenerate(self):
         assert _mixture_quantile([], 0.5) == 0.0
@@ -149,6 +187,17 @@ class TestMixtureQuantile:
         samples = [(5.0, 1e-3, 2e-4), (1.0, 2e-3, 1e-3)]
         assert _mixture_quantile(samples, 0.99) > \
             _mixture_quantile(samples, 0.50)
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.lists(st.tuples(_MAGNITUDES, _MAGNITUDES, _MAGNITUDES),
+                            max_size=8),
+           fraction=st.one_of(st.sampled_from([0.5, 0.99]),
+                              st.floats(0.0, 1.0)))
+    @example(samples=[], fraction=0.5)
+    @example(samples=[(0.0, 1.0, 2.0), (0.0, 3.0, 0.0)], fraction=0.99)
+    def test_early_stop_equals_the_full_bisection(self, samples, fraction):
+        assert _mixture_quantile(samples, fraction) == \
+            _full_bisection(samples, fraction)
 
 
 class TestStrictTierRun:
