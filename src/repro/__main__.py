@@ -107,6 +107,16 @@ def _apply_fleet_overrides(config, args: argparse.Namespace):
     return config.with_overrides(**overrides) if overrides else config
 
 
+def _save(save, payload, path: str) -> Path | None:
+    """Write `payload` with `save`; None after reporting an OSError."""
+    try:
+        return save(payload, path)
+    except OSError as exc:
+        print(f"fleet: cannot write {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return None
+
+
 def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator | int:
     """Build the run's simulator, or return an exit code on bad usage.
 
@@ -148,7 +158,9 @@ def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator | int:
         windows=windows)
     if args.mode == "record":
         trace = trace_of(simulator)
-        path = save_trace(trace, args.trace)
+        path = _save(save_trace, trace, args.trace)
+        if path is None:
+            return 2
         # stderr, so record/replay stdout stays byte-comparable.
         print(f"fleet: recorded {trace.num_records} trace records to "
               f"{path}", file=sys.stderr)
@@ -199,7 +211,9 @@ def _cmd_fleet_profile(args: argparse.Namespace) -> int:
         if profiler is None or candidate.run_seconds < profiler.run_seconds:
             report, profiler = candidate_report, candidate
     if args.trace_out is not None:
-        path = save_obs(report.obs, args.trace_out)
+        path = _save(save_obs, report.obs, args.trace_out)
+        if path is None:
+            return 2
         print(f"fleet: wrote observability trace "
               f"({report.obs.num_records} records) to {path}",
               file=sys.stderr)
@@ -356,7 +370,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             recorder=ObsRecorder() if args.trace_out is not None else None)}
     if args.trace_out is not None:
         report = next(iter(reports.values()))
-        path = save_obs(report.obs, args.trace_out)
+        path = _save(save_obs, report.obs, args.trace_out)
+        if path is None:
+            return 2
         # stderr, so run stdout stays byte-comparable across reruns.
         print(f"fleet: wrote observability trace "
               f"({report.obs.num_records} records) to {path}",

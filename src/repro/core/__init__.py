@@ -17,8 +17,6 @@ from repro.core.availability import (GoodputResult, analytic_ocs_goodput,
 from repro.core.deployment import (incremental_deployment,
                                    monolithic_deployment,
                                    sample_delivery_days)
-from repro.core.jobsim import (JobRequest, sample_jobs, scheduling_benefit,
-                               simulate_job_stream)
 from repro.core.checkpoint import (CheckpointParams, expected_overhead,
                                    goodput_fraction, optimal_interval,
                                    policy_report, simulate_run,
@@ -42,6 +40,4 @@ __all__ = [
     "GoodputResult", "analytic_ocs_goodput", "simulate_goodput",
     "incremental_deployment", "monolithic_deployment",
     "sample_delivery_days",
-    "JobRequest", "sample_jobs", "scheduling_benefit",
-    "simulate_job_stream",
 ]

@@ -398,7 +398,11 @@ def _grid_dims(num_blocks: int) -> tuple[int, int, int]:
 
 
 class SliceScheduler:
-    """Greedy first-fit packer over a machine's block health map."""
+    """Slice placement over a machine's block health map.
+
+    :meth:`place_one` finds one slice first-fit or best-fit;
+    :meth:`pack` fills the machine greedily, first-fit.
+    """
 
     def __init__(self, healthy: Sequence[bool],
                  grid: tuple[int, int, int] | None = None) -> None:
@@ -407,11 +411,6 @@ class SliceScheduler:
         if self.grid[0] * self.grid[1] * self.grid[2] != len(self.healthy):
             raise SchedulingError(
                 f"grid {self.grid} does not cover {len(self.healthy)} blocks")
-
-    @classmethod
-    def from_machine(cls, machine) -> "SliceScheduler":
-        """Build a scheduler view over a TPUv4Supercomputer."""
-        return cls([b.available for b in machine.blocks])
 
     # -- helpers ---------------------------------------------------------------
 

@@ -18,10 +18,11 @@ counter into one shared ``list[int]`` of per-pod free counts; at 4 to
 64 pods a Python scan of that list beats a numpy reduction.  The
 machine-wide view (`total_free`, `free_by_pod`, the trunk budget) is
 built on those counters, and :meth:`FleetState.check_invariants` can
-recompute everything from scratch to catch index drift — the scheduler
-calls it under ``__debug__`` after moves that historically risked
-staleness (defrag migrations cancelled by a checkpoint covering the
-donor's remaining work).
+rebuild every index from the up/owner state to catch drift.  In
+verification mode (``__debug__`` by default) the scheduler runs that
+full rescan every ``FULL_CHECK_EVERY`` (64) dispatches and at finalize,
+and the O(pods) :meth:`FleetState.check_conservation` probe on every
+other dispatch.
 """
 
 from __future__ import annotations
@@ -288,8 +289,9 @@ class FleetState:
         authoritative up/owner state, and the machine fabric's trunk
         ledger is re-summed, so any code path that updates one side of
         an index without the other fails loudly here instead of
-        corrupting placement decisions later.  Cheap enough to run
-        under ``__debug__`` after every scheduler dispatch.
+        corrupting placement decisions later.  The scheduler runs it
+        in verification mode every ``FULL_CHECK_EVERY`` dispatches and
+        at finalize.
         """
         num_pods, blocks_per_pod = self._up_matrix.shape
         rescan = self._up_matrix.copy()

@@ -444,7 +444,11 @@ def load_obs(path: str | Path) -> ObsRecorder:
     source = Path(path)
     if not source.exists():
         raise TraceError(f"observability file {source} does not exist")
-    text = source.read_text()
+    try:
+        text = source.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(
+            f"cannot read observability file {source}: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:

@@ -336,7 +336,11 @@ def load_trace(path: str | Path) -> FleetTrace:
     source = Path(path)
     if not source.exists():
         raise TraceError(f"trace file {source} does not exist")
-    return loads_trace(source.read_text())
+    try:
+        text = source.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"cannot read trace file {source}: {exc}") from exc
+    return loads_trace(text)
 
 
 def validate_trace(trace: FleetTrace) -> None:

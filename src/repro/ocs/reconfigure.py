@@ -248,21 +248,3 @@ def block_torus_adjacencies(grid: tuple[int, int, int],
     return [(dim, blocks[low], blocks[high])
             for dim, low, high in grid_adjacency_indices(grid)]
 
-
-def program_adjacencies(fabric: OCSFabric,
-                        adjacencies: list[BlockAdjacency]) -> int:
-    """Create the chip circuits of each block adjacency; returns circuits."""
-    for dim, low, high in adjacencies:
-        for face_index in range(FACE_SIDE * FACE_SIDE):
-            fabric.connect_blocks(dim, face_index, low, high)
-    return len(adjacencies) * FACE_SIDE * FACE_SIDE
-
-
-def teardown_adjacencies(fabric: OCSFabric,
-                         adjacencies: list[BlockAdjacency]) -> int:
-    """Disconnect the chip circuits of each block adjacency; returns circuits."""
-    for dim, low, _ in adjacencies:
-        port = fabric.port_for(low, "+")
-        for face_index in range(FACE_SIDE * FACE_SIDE):
-            fabric.switch_for(dim, face_index).disconnect(port)
-    return len(adjacencies) * FACE_SIDE * FACE_SIDE

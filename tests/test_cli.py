@@ -289,6 +289,44 @@ class TestFleetObsCLI:
         assert "--repeat >= 1" in capsys.readouterr().err
 
 
+class TestFleetPathErrors:
+    """A path the CLI cannot read or write ends in exit 2 and one
+    stderr line naming it, whether it is read before the run or
+    written after it."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["fleet", "replay", "--trace", "{dir}"], "{dir}"),
+        (["fleet", "report", "--trace", "{dir}"], "{dir}"),
+        (["fleet", "replay", "--trace", "{binary}"], "{binary}"),
+        (["fleet", "report", "--trace", "{binary}"], "{binary}"),
+        (["fleet", "record", "--preset", "tiny", "--trace",
+          "{missing}/t.jsonl"], "{missing}/t.jsonl"),
+        (["fleet", "run", "--preset", "tiny", "--policy", "ocs",
+          "--trace-out", "{missing}/o.json"], "{missing}/o.json"),
+        (["fleet", "replay", "--trace", "{trace}", "--policy", "ocs",
+          "--trace-out", "{missing}/o.json"], "{missing}/o.json"),
+        (["fleet", "profile", "--preset", "tiny", "--trace-out",
+          "{missing}/o.json"], "{missing}/o.json"),
+    ], ids=["replay-directory", "report-directory", "replay-non-utf8",
+            "report-non-utf8", "record-missing-dir", "run-trace-out",
+            "replay-trace-out", "profile-trace-out"])
+    def test_exit_two_with_one_stderr_line(self, tmp_path, capsys, argv,
+                                           named):
+        from repro.fleet import preset_config, record_trace, save_trace
+        paths = {"dir": tmp_path, "binary": tmp_path / "binary.jsonl",
+                 "missing": tmp_path / "missing",
+                 "trace": tmp_path / "run.jsonl"}
+        paths["binary"].write_bytes(b"\xff\xfe")
+        save_trace(record_trace(preset_config("tiny"), seed=0),
+                   paths["trace"])
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fleet")
+        assert captured.err.count("\n") == 1
+        assert named.format(**paths) in captured.err
+
+
 class TestFleetFlagMatrix:
     """The shared-parent contract: one flag, one definition, everywhere.
 

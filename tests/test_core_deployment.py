@@ -1,5 +1,4 @@
-"""Tests for incremental deployment (Sec 2.4) and job-stream scheduling
-(Sec 2.5)."""
+"""Tests for incremental deployment (Sec 2.4)."""
 
 import numpy as np
 import pytest
@@ -8,10 +7,7 @@ from repro.core.deployment import (deployment_advantage,
                                    incremental_deployment,
                                    monolithic_deployment,
                                    sample_delivery_days)
-from repro.core.jobsim import (JobRequest, sample_jobs, scheduling_benefit,
-                               simulate_job_stream)
-from repro.core.scheduler import PlacementPolicy
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 
 
 class TestDeployment:
@@ -54,60 +50,6 @@ class TestDeployment:
     def test_invalid_block_count(self):
         with pytest.raises(ConfigurationError):
             sample_delivery_days(num_blocks=0)
-
-
-class TestJobStream:
-    def test_sample_jobs_shapes_from_table2(self):
-        jobs = sample_jobs(100, seed=0)
-        assert len(jobs) == 100
-        arrivals = [j.arrival for j in jobs]
-        assert arrivals == sorted(arrivals)
-        assert all(j.duration > 0 for j in jobs)
-
-    def test_jobs_reproducible(self):
-        first = sample_jobs(50, seed=9)
-        second = sample_jobs(50, seed=9)
-        assert [(j.shape, j.arrival) for j in first] == \
-            [(j.shape, j.arrival) for j in second]
-
-    def test_simulation_accounts_all_jobs(self):
-        jobs = sample_jobs(60, seed=1)
-        outcome = simulate_job_stream(jobs, PlacementPolicy.OCS)
-        assert outcome.accepted + outcome.rejected == 60
-        assert 0.0 <= outcome.utilization <= 1.0
-
-    def test_ocs_utilization_at_least_static(self):
-        # Acceptance *rate* can dip (OCS places big jobs that crowd small
-        # ones); the paper's claim is about utilization, which must win.
-        for seed in (0, 1, 2):
-            benefit = scheduling_benefit(num_jobs=150, seed=seed)
-            assert benefit["ocs_utilization"] >= \
-                benefit["static_utilization"] - 1e-9, seed
-
-    def test_empty_machine_accepts_small_job(self):
-        job = JobRequest(job_id=0, shape=(4, 4, 4), arrival=0.0,
-                         duration=1.0)
-        outcome = simulate_job_stream([job], PlacementPolicy.STATIC)
-        assert outcome.accepted == 1
-
-    def test_released_blocks_are_reusable(self):
-        jobs = [
-            JobRequest(0, (16, 16, 16), arrival=0.0, duration=1.0),
-            JobRequest(1, (16, 16, 16), arrival=2.0, duration=1.0),
-        ]
-        outcome = simulate_job_stream(jobs, PlacementPolicy.OCS)
-        assert outcome.accepted == 2
-
-    def test_overload_rejects(self):
-        jobs = [JobRequest(i, (16, 16, 16), arrival=0.0, duration=10.0)
-                for i in range(3)]
-        outcome = simulate_job_stream(jobs, PlacementPolicy.OCS)
-        assert outcome.accepted == 1
-        assert outcome.rejected == 2
-
-    def test_zero_jobs_rejected(self):
-        with pytest.raises(SchedulingError):
-            sample_jobs(0)
 
 
 class TestEnergyDecomposition:

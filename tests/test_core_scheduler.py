@@ -76,7 +76,7 @@ class TestScheduler:
     def test_from_machine(self):
         machine = TPUv4Supercomputer()
         machine.blocks[0].fail_host(0)
-        scheduler = SliceScheduler.from_machine(machine)
+        scheduler = SliceScheduler([b.available for b in machine.blocks])
         assert scheduler.healthy.count(False) == 1
 
     @given(st.integers(0, 2**16 - 1))

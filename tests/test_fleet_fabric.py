@@ -5,9 +5,7 @@ import pytest
 from repro.errors import OCSError
 from repro.fleet.fabric import PodFabric, ReconfigPlan
 from repro.ocs.fabric import OCSFabric
-from repro.ocs.reconfigure import (block_torus_adjacencies,
-                                   program_adjacencies, realize_slice,
-                                   teardown_adjacencies)
+from repro.ocs.reconfigure import block_torus_adjacencies, realize_slice
 
 
 class TestBlockTorusAdjacencies:
@@ -30,16 +28,6 @@ class TestBlockTorusAdjacencies:
     def test_grid_must_cover_blocks(self):
         with pytest.raises(OCSError):
             block_torus_adjacencies((1, 1, 2), [1, 2, 3])
-
-    def test_program_and_teardown_roundtrip(self):
-        fabric = OCSFabric(8)
-        adjacencies = block_torus_adjacencies((1, 1, 2), [0, 4])
-        created = program_adjacencies(fabric, adjacencies)
-        assert created == 6 * 16
-        assert fabric.total_circuits() == created
-        removed = teardown_adjacencies(fabric, adjacencies)
-        assert removed == created
-        assert fabric.total_circuits() == 0
 
 
 class TestReconfigPlan:

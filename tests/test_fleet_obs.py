@@ -7,6 +7,7 @@ export formats validate strictly and round-trip.
 """
 
 import json
+import re
 import time
 
 import pytest
@@ -435,6 +436,18 @@ class TestFileRoundTrip:
         alien_chrome.write_text('{"traceEvents": []}')
         with pytest.raises(TraceError, match="not exported"):
             load_obs(alien_chrome)
+
+    @pytest.mark.parametrize("binary", [False, True],
+                             ids=["directory", "non-utf8"])
+    def test_load_unreadable(self, tmp_path, binary):
+        path = tmp_path
+        if binary:
+            path = tmp_path / "binary.json"
+            path.write_bytes(b"\xff\xfe")
+        with pytest.raises(TraceError,
+                           match=f"cannot read observability file "
+                                 f"{re.escape(str(path))}"):
+            load_obs(path)
 
 
 def _event(payload, phase, key, *, decision=False):

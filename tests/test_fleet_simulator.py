@@ -67,6 +67,13 @@ class TestPolicyGap:
         assert tiny_reports["ocs"].summary["mean_queue_wait"] <= \
             tiny_reports["static"].summary["mean_queue_wait"]
 
+    def test_ocs_utilization_at_least_static(self):
+        """Section 2.5: any-blocks placement increases utilization."""
+        for seed in (0, 1, 2):
+            reports = compare_policies(preset_config("tiny"), seed=seed)
+            assert reports["ocs"].summary["utilization"] >= \
+                reports["static"].summary["utilization"], seed
+
 
 class TestInvariants:
     @pytest.mark.parametrize("policy", ["ocs", "static"])

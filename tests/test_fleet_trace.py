@@ -9,6 +9,7 @@ a single event fires.
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -397,6 +398,17 @@ class TestFileHandling:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="does not exist"):
             load_trace(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize("binary", [False, True],
+                             ids=["directory", "non-utf8"])
+    def test_unreadable_file_rejected(self, tmp_path, binary):
+        path = tmp_path
+        if binary:
+            path = tmp_path / "binary.jsonl"
+            path.write_bytes(b"\xff\xfe")
+        with pytest.raises(TraceError, match=f"cannot read trace file "
+                                             f"{re.escape(str(path))}"):
+            load_trace(path)
 
     def test_blank_lines_tolerated(self, tiny_text):
         padded = tiny_text.replace("\n", "\n\n", 3)
