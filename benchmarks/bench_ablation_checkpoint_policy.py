@@ -2,8 +2,9 @@
 
 Section 1 frames the reliability problem; this ablation shows the
 Young/Daly optimum for a 3K-chip slice and validates the closed form
-against failure injection.  The ~15-minute optimum and ~90% goodput
-underpin the trainingrun model's 50-day sustained-MFU numbers.
+against failure injection.  The fleet engine checkpoints at this
+optimum, and its 50-day training run (`bench_ablation_training_run`)
+lands within 0.02 of the ~90% goodput.
 """
 
 import pytest

@@ -51,8 +51,8 @@ from repro.experiments import list_experiments, run
 from repro.fleet import (FleetSimulator, preset_config, preset_names,
                          run_sweep, schedule_for, schedule_names,
                          sweep_mean)
-from repro.fleet.obs import (DispatchProfiler, ObsRecorder, load_obs,
-                             render_report, save_obs)
+from repro.fleet.obs import (DispatchProfiler, MetricsSampler, ObsRecorder,
+                             load_obs, render_report, save_obs)
 from repro.fleet.serve import AUTOSCALERS, scenario_names
 from repro.fleet.trace import load_trace, save_trace, trace_of
 
@@ -72,8 +72,14 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    targets = list_experiments() if args.experiments == ["all"] \
-        else args.experiments
+    known = list_experiments()
+    targets = known if args.experiments == ["all"] else args.experiments
+    # Checked before any run, so a typo never follows a long report.
+    unknown = [target for target in targets if target not in known]
+    if unknown:
+        print(f"run: unknown experiment {', '.join(map(repr, unknown))}; "
+              f"have {', '.join(known)}", file=sys.stderr)
+        return 2
     for target in targets:
         print(run(target).render())
         print()
@@ -139,6 +145,9 @@ def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator | int:
                              else "small")
     try:
         config = _apply_fleet_overrides(base, args)
+        if args.trace_out is not None:
+            MetricsSampler.check_cadence(config.obs_sample_every_seconds,
+                                         config.horizon_seconds)
     except ConfigurationError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,9 @@ fails about every three hours.  The classic Young/Daly analysis then
 fixes the checkpoint cadence: checkpoint too often and the writes eat
 the run; too rarely and each failure replays hours of work.  This
 module provides the closed-form optimum, the overhead curve around it,
-and a failure-injection Monte Carlo that validates the closed form —
-the policy layer under :mod:`repro.core.trainingrun`'s 50-day PaLM-style
-simulation.
+and a failure-injection Monte Carlo that validates the closed form.
+The fleet scheduler (:mod:`repro.fleet.scheduler`) checkpoints every
+training job at :func:`optimal_interval`.
 """
 
 from __future__ import annotations

@@ -55,6 +55,16 @@ class MetricsSampler:
         self.state = state
         self.every_seconds = every_seconds
 
+    @classmethod
+    def check_cadence(cls, every_seconds: float, horizon: float) -> None:
+        """Reject a (positive) cadence needing over :attr:`MAX_TICKS`
+        ticks: run by :meth:`install`, and by the CLI before any I/O."""
+        if horizon / every_seconds >= cls.MAX_TICKS:
+            raise ConfigurationError(
+                f"sample cadence {every_seconds}s over a "
+                f"{horizon}s horizon needs more than {cls.MAX_TICKS} "
+                f"ticks; raise obs_sample_every_seconds")
+
     def install(self, sim: "Simulator", horizon: float) -> int:
         """Schedule every sample tick up to the horizon; returns count.
 
@@ -65,11 +75,7 @@ class MetricsSampler:
         ticks raise :class:`ConfigurationError` instead of scheduling
         an unbounded event flood.
         """
-        if horizon / self.every_seconds >= self.MAX_TICKS:
-            raise ConfigurationError(
-                f"sample cadence {self.every_seconds}s over a "
-                f"{horizon}s horizon needs more than {self.MAX_TICKS} "
-                f"ticks; raise obs_sample_every_seconds")
+        self.check_cadence(self.every_seconds, horizon)
         ticks = 0
         time = 0.0
         while time <= horizon:

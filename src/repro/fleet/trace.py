@@ -45,6 +45,7 @@ from repro.core.slicing import blocks_needed
 from repro.errors import ConfigurationError, SchedulingError, TraceError
 from repro.fleet.config import FleetConfig
 from repro.fleet.failures import BlockOutage, DrainWindow
+from repro.fleet.serve.scenarios import scenario_for
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.workload import FleetJob
 
@@ -203,6 +204,8 @@ def _parse_header(record: dict, line_no: int) -> tuple[int, FleetConfig]:
         raise _fail(line_no, "config must be an object")
     try:
         config = FleetConfig.from_dict(payload)
+        if config.serve_scenario:  # resolved by name when replayed
+            scenario_for(config.serve_scenario, config)
     except TypeError as exc:  # missing config fields
         raise _fail(line_no, f"bad config: {exc}") from exc
     except ConfigurationError as exc:

@@ -48,17 +48,26 @@ class TestCLI:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
 
-    def test_unknown_experiment_raises(self):
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            main(["run", "figure99"])
+    @staticmethod
+    def _assert_unknown_id(argv, unknown, capsys):
+        """Exit 2 and one stderr line naming the id, before any run."""
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("run: unknown experiment "), argv
+        assert captured.err.count("\n") == 1, argv
+        assert repr(unknown) in captured.err, argv
+
+    def test_unknown_experiment_raises(self, capsys):
+        # The CLI's form of the library's ConfigurationError: a usage
+        # error, checked for every id before the first one runs.
+        for argv in (["run", "figure99"], ["run", "table4", "figure99"]):
+            self._assert_unknown_id(argv, "figure99", capsys)
 
     def test_all_mixed_with_ids_is_not_expanded(self, capsys):
         # 'all' is only magic as the sole target; mixed in with real
         # ids it is an unknown experiment, not a silent full run.
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            main(["run", "table4", "all"])
+        self._assert_unknown_id(["run", "table4", "all"], "all", capsys)
 
 
 class TestFleetCLI:
@@ -403,19 +412,64 @@ class TestFleetFlagMatrix:
         assert captured.err.startswith("fleet: ")
         assert captured.err.count("\n") == 1
 
-    def test_replay_of_non_finite_header_exits_two(self, tmp_path,
-                                                   capsys):
+    @staticmethod
+    def _replay_with_config(tmp_path, capsys, key, value):
+        """Exit code of replaying a tiny trace whose header config has
+        `key` set to `value`; stdout and stderr are left to read."""
         trace_path = tmp_path / "run.jsonl"
         assert main(["fleet", "record", "--preset", "tiny", "--trace",
                      str(trace_path), "--policy", "ocs"]) == 0
         lines = trace_path.read_text().splitlines()
         header = json.loads(lines[0])
-        header["config"]["horizon_seconds"] = float("nan")
+        header["config"][key] = value
         trace_path.write_text("\n".join([json.dumps(header), *lines[1:]])
                               + "\n")
         capsys.readouterr()
-        assert main(["fleet", "replay", "--trace", str(trace_path)]) == 2
+        return main(["fleet", "replay", "--trace", str(trace_path)])
+
+    def test_replay_of_non_finite_header_exits_two(self, tmp_path,
+                                                   capsys):
+        assert self._replay_with_config(tmp_path, capsys,
+                                        "horizon_seconds",
+                                        float("nan")) == 2
         assert "horizon_seconds" in capsys.readouterr().err
+
+    def test_replay_of_unknown_serve_scenario_exits_two(self, tmp_path,
+                                                        capsys):
+        assert self._replay_with_config(tmp_path, capsys,
+                                        "serve_scenario", "bogus") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fleet replay: trace line 1: ")
+        assert captured.err.count("\n") == 1
+        assert "'bogus'" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "run", "--preset", "tiny", "--policy", "ocs"],
+        ["fleet", "record", "--preset", "tiny", "--policy", "ocs",
+         "--trace", "{written}"],
+        ["fleet", "replay", "--trace", "{trace}", "--policy", "ocs"],
+        ["fleet", "profile", "--preset", "tiny"],
+    ], ids=["run", "record", "replay", "profile"])
+    def test_sample_cadence_over_tick_cap_exits_two(self, tmp_path,
+                                                    capsys, argv):
+        # tiny's 1-day horizon at 0.5 s needs 172,800 sampler ticks,
+        # over the cap; the run must stop before it writes any file.
+        from repro.fleet import preset_config, record_trace, save_trace
+        paths = {"trace": tmp_path / "run.jsonl",
+                 "written": tmp_path / "new.jsonl"}
+        save_trace(record_trace(preset_config("tiny"), seed=0),
+                   paths["trace"])
+        obs_path = tmp_path / "obs.json"
+        assert main([arg.format(**paths) for arg in argv] +
+                    ["--sample-every", "0.5",
+                     "--trace-out", str(obs_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fleet: sample cadence 0.5s ")
+        assert captured.err.count("\n") == 1
+        assert not paths["written"].exists()
+        assert not obs_path.exists()
 
     def test_every_mode_has_a_subparser(self):
         from repro.__main__ import FLEET_MODES

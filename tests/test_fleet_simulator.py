@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.core.checkpoint import (CheckpointParams, goodput_fraction,
+                                   optimal_interval)
 from repro.core.scheduler import PlacementPolicy
 from repro.errors import ConfigurationError
-from repro.fleet import (FleetSimulator, compare_policies, preset_config,
-                         preset_names, run_fleet)
+from repro.fleet import (FleetConfig, FleetSimulator, compare_policies,
+                         preset_config, preset_names, run_fleet)
+from repro.fleet.workload import PRIORITY_PROD, FleetJob, TraceWorkload
+from repro.units import DAY, HOUR
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,39 @@ class TestPolicyGap:
             reports = compare_policies(preset_config("tiny"), seed=seed)
             assert reports["ocs"].summary["utilization"] >= \
                 reports["static"].summary["utilization"], seed
+
+
+class TestFiftyDayRun:
+    """The abstract's 50-day training run as one fleet job: 48 blocks
+    (768 hosts) with 50 days of work on a 64-block pod, 2 h repairs."""
+
+    @pytest.fixture(scope="class", params=[0, 1, 2])
+    def availability(self, request):
+        """The job's useful seconds over its wall time, by policy."""
+        config = FleetConfig(num_pods=1, blocks_per_pod=64,
+                             mean_repair_seconds=2 * HOUR,
+                             horizon_seconds=100 * DAY)
+        job = FleetJob(job_id=0, kind="train", model_type="Transformer",
+                       shape=(12, 16, 16), arrival=0.0,
+                       work_seconds=50 * DAY, priority=PRIORITY_PROD)
+        simulator = FleetSimulator(config, seed=request.param,
+                                   workload=TraceWorkload((job,)))
+        availability = {}
+        for policy in PlacementPolicy:
+            (record,) = simulator.run(policy).job_records
+            availability[policy.value] = record.useful_seconds / (
+                record.completed_at - record.arrival)
+        return availability
+
+    def test_ocs_matches_young_daly(self, availability):
+        """With any healthy blocks to restart on, the job loses only
+        checkpoint writes, replay and restores: the closed form."""
+        params = CheckpointParams(num_hosts=768)
+        assert availability["ocs"] == pytest.approx(
+            goodput_fraction(optimal_interval(params), params), abs=0.02)
+
+    def test_ocs_beats_static(self, availability):
+        assert availability["ocs"] > availability["static"]
 
 
 class TestInvariants:

@@ -187,6 +187,18 @@ class TestHeaderValidation:
         with pytest.raises(TraceError, match="invalid config"):
             loads_trace(_mutated(tiny_text, 0, header))
 
+    def test_unknown_serve_scenario_rejected(self, tiny_text):
+        # The replay resolves the name, so an unknown one must fail
+        # here, at load, as an unknown serve_autoscaler does.
+        header = _line(tiny_text, 0)
+        header["config"]["serve_scenario"] = "steady"
+        assert loads_trace(_mutated(tiny_text, 0, header)) \
+            .config.serve_scenario == "steady"
+        header["config"]["serve_scenario"] = "bogus"
+        with pytest.raises(TraceError, match="trace line 1: invalid "
+                           "config: unknown serve scenario 'bogus'"):
+            loads_trace(_mutated(tiny_text, 0, header))
+
     def test_unknown_config_field_rejected(self, tiny_text):
         header = _line(tiny_text, 0)
         header["config"]["flux_capacitor"] = 1.21
