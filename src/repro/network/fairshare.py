@@ -12,10 +12,17 @@ once and decremented as flows freeze, so a filling round is one scan of
 the links rather than a re-count of every link's flows.  The scan order,
 the strict ``<`` tie-break, the freeze order and the per-traversal charge
 are those of the plain algorithm, so the rates are bit-identical to it.
+
+Link ids are only hashed and compared: the build makes one ``weight``
+lookup per traversal and reads ``capacities`` once per link.  Any
+one-to-one relabeling of the ids keeps their identity and first-use
+order, so it gives the same rates; the flow simulator passes small ints,
+which hash far faster than nested coordinate tuples.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Mapping, Sequence
 
 from repro.errors import SimulationError
@@ -32,7 +39,8 @@ def max_min_fair_rates(
     Args:
         flow_routes: per flow, the links it traverses (loop-free; a flow
             using a link twice counts it twice).
-        capacities: per-link capacity; every referenced link must appear.
+        capacities: per-link capacity; every referenced link must appear
+            with a finite, non-negative capacity.
 
     Returns one rate per flow, in input order.  Flows with empty routes
     (src == dst, purely local) get infinite rate represented as
@@ -48,20 +56,25 @@ def max_min_fair_rates(
     flows_on: dict[LinkId, list[int]] = {}
     for flow_id, route in enumerate(flow_routes):
         for link in route:
-            if link not in capacities:
-                raise SimulationError(f"flow {flow_id} uses unknown link {link}")
-            if link in weight:
-                weight[link] += 1
-                if flows_on[link][-1] != flow_id:
-                    flows_on[link].append(flow_id)
-            else:
+            count = weight.get(link)
+            if count is None:
+                if link not in capacities:
+                    raise SimulationError(
+                        f"flow {flow_id} uses unknown link {link}")
                 remaining[link] = float(capacities[link])
                 weight[link] = 1
                 flows_on[link] = [flow_id]
+            else:
+                weight[link] = count + 1
+                on_link = flows_on[link]
+                if on_link[-1] != flow_id:
+                    on_link.append(flow_id)
 
     for link, capacity in remaining.items():
-        if capacity < 0:
-            raise SimulationError(f"link {link} has negative capacity")
+        if not 0.0 <= capacity < math.inf:
+            raise SimulationError(
+                f"link {link} capacity must be finite and >= 0, "
+                f"got {capacity}")
 
     rates = [0.0] * len(flow_routes)
     active = {flow_id for flow_id, route in enumerate(flow_routes) if route}
@@ -89,6 +102,7 @@ def max_min_fair_rates(
             active.discard(flow_id)
             # Charge this flow's rate against every link traversal.
             for link in flow_routes[flow_id]:
-                remaining[link] = max(remaining[link] - bottleneck_share, 0.0)
+                left = remaining[link] - bottleneck_share
+                remaining[link] = 0.0 if left < 0.0 else left
                 weight[link] -= 1
     return rates

@@ -14,6 +14,11 @@ elapses) and its completion event is cancelled unfired.  A start still
 cancels the scheduled completion at once, as a solve at the start would,
 so a completion due at the instant a flow starts is re-solved with the
 new flow rather than fired.
+
+Links are numbered once, in capacity-map order, and ``add_flow`` interns
+each route into those ints, so the solver never rehashes a coordinate
+tuple; a route through a link the map lacks is rejected there, before
+the flow is recorded.  ``Flow.route`` keeps the caller's link ids.
 """
 
 from __future__ import annotations
@@ -70,6 +75,11 @@ class FlowSim:
         self.latency = latency
         self.sim = Simulator()
         self.flows: list[Flow] = []
+        # The solver's view: link ids as ints, per flow by flow_id.
+        self._link_index = {link: index
+                            for index, link in enumerate(self.capacities)}
+        self._link_capacities = dict(enumerate(self.capacities.values()))
+        self._routes: list[tuple[int, ...]] = []
         self._active: list[Flow] = []
         self._pending_event = None
         self._settle_pending = False
@@ -92,10 +102,17 @@ class FlowSim:
         if not (math.isfinite(delay) and delay >= 0):
             raise SimulationError(
                 f"flow delay must be finite and >= 0, got {delay}")
-        flow = Flow(flow_id=len(self.flows), route=tuple(route), size=size,
+        route = tuple(route)
+        try:
+            links = tuple([self._link_index[link] for link in route])
+        except KeyError as error:
+            raise SimulationError(
+                f"flow route uses unknown link {error.args[0]}") from None
+        flow = Flow(flow_id=len(self.flows), route=route, size=size,
                     remaining=size, start_time=self.sim.now + delay,
                     on_complete=on_complete)
         self.flows.append(flow)
+        self._routes.append(links)
         self.sim.schedule(delay + self.latency, lambda: self._start(flow))
         return flow
 
@@ -149,8 +166,9 @@ class FlowSim:
         self._settle_pending = False
         if not self._active:
             return
-        rates = max_min_fair_rates([f.route for f in self._active],
-                                   self.capacities)
+        routes = self._routes
+        rates = max_min_fair_rates([routes[f.flow_id] for f in self._active],
+                                   self._link_capacities)
         soonest = math.inf
         for flow, rate in zip(self._active, rates):
             flow.rate = rate

@@ -38,9 +38,11 @@ class TestMaxMinFair:
         with pytest.raises(SimulationError):
             max_min_fair_rates([["zzz"]], {"a": 1.0})
 
-    def test_negative_capacity_raises(self):
-        with pytest.raises(SimulationError):
-            max_min_fair_rates([["a"]], {"a": -1.0})
+    @pytest.mark.parametrize("capacity", [-1.0, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_bad_capacity_raises(self, capacity):
+        with pytest.raises(SimulationError, match="link a"):
+            max_min_fair_rates([["a"], ["b"]], {"a": capacity, "b": 1.0})
 
     def test_parking_lot_fairness(self):
         # Chain topology: long flow through all links, short flows each.
@@ -152,6 +154,20 @@ class TestExactnessOracle:
         routes, caps = case
         assert max_min_fair_rates(routes, caps) == \
             reference_max_min_fair_rates(routes, caps)
+
+    @given(route_sets(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_relabeled_links_give_identical_rates(self, case, data):
+        # The solver uses a link id only for identity and first-use
+        # order, which any one-to-one relabeling keeps.
+        routes, caps = case
+        labels = data.draw(st.permutations(range(len(caps))))
+        relabel = dict(zip(caps, labels))
+        relabeled_routes = [[relabel[link] for link in route]
+                            for route in routes]
+        relabeled_caps = {relabel[link]: cap for link, cap in caps.items()}
+        assert max_min_fair_rates(relabeled_routes, relabeled_caps) == \
+            max_min_fair_rates(routes, caps)
 
     def test_matches_reference_on_torus_alltoall(self):
         from repro.network.flowsim import route_links, topology_capacities

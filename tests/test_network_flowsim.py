@@ -246,6 +246,14 @@ class TestHostileInputs:
             case()
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("size", [1.0, 0.0])
+    def test_unknown_link_rejected_at_add_flow(self, size):
+        sim = FlowSim({"a": 1.0})
+        with pytest.raises(SimulationError, match="unknown link zzz"):
+            sim.add_flow(["a", "zzz"], size)
+        assert sim.flows == []
+        assert sim.run() == 0.0
+
     def test_rejected_flow_is_not_recorded(self):
         sim = FlowSim({"a": 1.0})
         with pytest.raises(SimulationError):

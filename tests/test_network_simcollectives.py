@@ -1,7 +1,10 @@
 """Tests cross-validating simulated collectives against analytic models."""
 
+import re
+
 import pytest
 
+import repro.network.flowsim as flowsim
 from repro.errors import SimulationError
 from repro.network.collectives import ring_allreduce_time
 from repro.network.simcollectives import (simulate_alltoall,
@@ -43,6 +46,28 @@ class TestSimulatedRingAllReduce:
         with pytest.raises(SimulationError, match="dim must be"):
             simulate_ring_allreduce(Torus3D((4, 4, 8)), 1e6, 50e9, dim=dim)
 
+    @pytest.mark.parametrize("topology, dim, link", [
+        (TwistedTorus3D((4, 4, 8)), 0, ((3, 0, 0), (0, 0, 0))),
+        (TwistedTorus3D((2, 2, 4), twists={2: (1, 0, 0)}), None,
+         ((0, 0, 3), (0, 0, 0))),
+    ], ids=["4x4x8-dim0", "2x2x4-dim2"])
+    def test_ring_along_twisted_dim_rejected_before_solving(
+            self, monkeypatch, topology, dim, link):
+        # Coordinate-order rings close through a wrap link the twist
+        # moved elsewhere; the flow that names it is refused when added.
+        solves = []
+        solve = flowsim.max_min_fair_rates
+
+        def counting(routes, capacities):
+            solves.append(len(routes))
+            return solve(routes, capacities)
+
+        monkeypatch.setattr(flowsim, "max_min_fair_rates", counting)
+        with pytest.raises(SimulationError,
+                           match=re.escape(f"unknown link {link}")):
+            simulate_ring_allreduce(topology, 1e6, 50e9, dim=dim)
+        assert solves == []
+
     def test_two_ring_matches_analytic(self):
         torus = Torus3D((2, 1, 1))
         result = simulate_ring_allreduce(torus, 1e6, 50e9, dim=0)
@@ -82,3 +107,48 @@ class TestSimulatedAllToAll:
         ideal_seconds = per_pair * (torus.num_nodes - 1) \
             / analysis.per_node_throughput
         assert simulated.seconds >= ideal_seconds * 0.99
+
+
+class TestGoldenTimes:
+    """Routing, FlowSim and the solver together, pinned bit for bit.
+
+    Simulated seconds at 50 GB/s links: all-to-all at 1e4 bytes per
+    pair, ring all-reduce of 1e6 bytes.  Any change that moves one bit
+    of a route, a rate or a completion time fails here.
+    """
+
+    @pytest.mark.parametrize("shape, seconds", [
+        ((2, 2, 2), 1.8000000000000001e-06),
+        ((2, 2, 4), 5.400000000000001e-06),
+        ((3, 3, 3), 4.9999999999999996e-06),
+        ((4, 4, 2), 1.62e-05),
+        ((2, 4, 4), 1.62e-05),
+        ((3, 4, 5), 2.6999999999999802e-05),
+    ], ids=lambda value: "x".join(map(str, value))
+        if isinstance(value, tuple) else None)
+    def test_torus_alltoall(self, shape, seconds):
+        assert simulate_alltoall(Torus3D(shape), 1e4, 50e9).seconds == seconds
+
+    def test_twisted_alltoall(self):
+        twisted = TwistedTorus3D((2, 2, 4), twists={2: (1, 0, 0)})
+        assert simulate_alltoall(twisted, 1e4, 50e9).seconds == \
+            3.000000000000001e-06
+
+    @pytest.mark.parametrize("dim, seconds", [
+        (0, 1.3333333333333333e-05),
+        (1, 1.5e-05),
+        (2, 1.6e-05),
+    ])
+    def test_torus_ring(self, dim, seconds):
+        result = simulate_ring_allreduce(Torus3D((3, 4, 5)), 1e6, 50e9,
+                                         dim=dim)
+        assert result.seconds == seconds
+
+    @pytest.mark.parametrize("dim, seconds", [
+        (1, 1.5e-05),
+        (2, 1.7500000000000002e-05),
+    ])
+    def test_twisted_ring_on_untwisted_dims(self, dim, seconds):
+        result = simulate_ring_allreduce(TwistedTorus3D((4, 4, 8)), 1e6,
+                                         50e9, dim=dim)
+        assert result.seconds == seconds
