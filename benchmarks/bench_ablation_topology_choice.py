@@ -1,6 +1,6 @@
 """Ablation benchmark: topology choice vs partitioning choice (Table 3).
 
-Not a paper artifact — a DESIGN.md ablation quantifying how much of the
+Not a paper artifact — an ablation quantifying how much of the
 Table 3 gain the OCS's topology freedom supplies on top of auto-tuned
 partitioning.
 """

@@ -4,7 +4,8 @@ Every experiment returns an :class:`~repro.experiments.base.ExperimentResult`
 carrying structured rows, the paper's published claims, and our measured
 values; `render()` prints the paper-vs-measured comparison.  The registry
 maps experiment ids ('table1', 'figure6', 'section73', ...) to runners;
-`benchmarks/` times them and EXPERIMENTS.md records the outcomes.
+`python -m repro run <id>` prints one report, and `benchmarks/` times the
+runners and asserts each artifact's headline claims.
 """
 
 from repro.experiments.base import ExperimentResult

@@ -8,8 +8,8 @@ simulator that operates at the TensorFlow graph operation level"
   max-min-fair fluid flow simulator driven by the event kernel;
 * :mod:`repro.network.analytic` — closed-form all-to-all throughput from
   ECMP edge loads (used for Figure 6);
-* :mod:`repro.network.collectives` — all-reduce / all-gather / all-to-all
-  time models and functional (numpy) executions;
+* :mod:`repro.network.collectives` — torus all-reduce time models and
+  functional (numpy) all-reduce / all-to-all executions;
 * :mod:`repro.network.fattree` + :mod:`repro.network.hybrid` — the
   Infiniband fat-tree alternative and hybrid ICI/IB collectives
   (Section 7.3's what-if).
@@ -17,8 +17,7 @@ simulator that operates at the TensorFlow graph operation level"
 
 from repro.network.alphabeta import AxisGeometry, CollectiveCostModel
 from repro.network.analytic import AllToAllAnalysis, alltoall_analysis
-from repro.network.collectives import (CollectiveTimes, allreduce_time_torus,
-                                       alltoall_time_torus,
+from repro.network.collectives import (allreduce_time_torus,
                                        functional_ring_allreduce,
                                        functional_alltoall)
 from repro.network.fairshare import max_min_fair_rates
@@ -36,7 +35,7 @@ from repro.network.traffic import (alltoall_pairs, neighbor_exchange_pairs,
 __all__ = [
     "AxisGeometry", "CollectiveCostModel",
     "AllToAllAnalysis", "alltoall_analysis",
-    "CollectiveTimes", "allreduce_time_torus", "alltoall_time_torus",
+    "allreduce_time_torus",
     "functional_ring_allreduce", "functional_alltoall",
     "max_min_fair_rates",
     "FatTreeNetwork", "ib_switch_count",

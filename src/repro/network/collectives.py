@@ -3,7 +3,7 @@
 Two layers:
 
 * **Time models** — closed-form step times for bandwidth-dominated
-  collectives on a torus with per-direction link bandwidth C:
+  all-reduce on a torus with per-direction link bandwidth C:
 
   - ring all-reduce along one dimension of length n moves
     2*(n-1)/n * bytes through each node, split across the ring's two
@@ -12,6 +12,9 @@ Two layers:
     dimension (shrinking the shard each time) and all-gathers back;
   - the bandwidth-optimal bound uses all 2*d directed ports concurrently.
 
+  All-to-all throughput on a torus comes from exact ECMP link loads in
+  :mod:`repro.network.analytic`.
+
 * **Functional executions** — the same schedules executed over numpy
   arrays, proving the schedule logic is real (tests compare against a
   direct sum / concatenation).
@@ -19,23 +22,11 @@ Two layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.topology.base import Topology
-from repro.topology.routing import ecmp_edge_loads, max_edge_load
-
-
-@dataclass(frozen=True)
-class CollectiveTimes:
-    """Times (seconds) for the standard collectives at one message size."""
-
-    allreduce: float
-    reduce_scatter: float
-    allgather: float
-    alltoall: float
 
 
 def _ring_dims(shape: tuple[int, int, int]) -> list[int]:
@@ -67,11 +58,15 @@ def allreduce_time_torus(shape: tuple[int, int, int], num_bytes: float,
     wall time is the per-chunk time (they proceed in parallel on disjoint
     links).  Without it, a single dimension-ordered pass runs serially.
     """
+    if not (math.isfinite(num_bytes) and num_bytes >= 0):
+        raise ConfigurationError(
+            f"num_bytes must be finite and >= 0, got {num_bytes}")
+    if not (math.isfinite(link_bandwidth) and link_bandwidth > 0):
+        raise ConfigurationError(
+            f"link_bandwidth must be finite and > 0, got {link_bandwidth}")
     dims = _ring_dims(shape)
     if not dims:
         return 0.0
-    if num_bytes < 0:
-        raise ConfigurationError("num_bytes must be >= 0")
 
     def pass_time(order: list[int], chunk: float) -> float:
         total = 0.0
@@ -99,33 +94,6 @@ def allreduce_lower_bound(shape: tuple[int, int, int], num_bytes: float,
     if ports == 0 or n < 2:
         return 0.0
     return 2 * (n - 1) / n * num_bytes / (ports * link_bandwidth)
-
-
-def alltoall_time_torus(topology: Topology, per_pair_bytes: float,
-                        link_bandwidth: float) -> float:
-    """Uniform all-to-all completion time under ECMP fair sharing.
-
-    Each ordered pair exchanges `per_pair_bytes`; the most-loaded link
-    admits per-pair rate C / load, so completion takes load * bytes / C.
-    """
-    loads = ecmp_edge_loads(topology)
-    worst = max_edge_load(topology, loads)
-    return worst * per_pair_bytes / link_bandwidth
-
-
-def collective_times(topology: Topology, num_bytes: float,
-                     link_bandwidth: float) -> CollectiveTimes:
-    """Bundle of collective times for one buffer size on one slice."""
-    shape = topology.shape
-    ar = allreduce_time_torus(shape, num_bytes, link_bandwidth)
-    n = topology.num_nodes
-    per_pair = num_bytes / max(n - 1, 1)
-    return CollectiveTimes(
-        allreduce=ar,
-        reduce_scatter=ar / 2,
-        allgather=ar / 2,
-        alltoall=alltoall_time_torus(topology, per_pair, link_bandwidth),
-    )
 
 
 # --------------------------------------------------------------------------

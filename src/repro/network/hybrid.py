@@ -13,28 +13,53 @@ Model:
 * hybrid all-reduce: hierarchical reduce-scatter (island) / all-reduce
   (IB rings per rail) / all-gather (island), with the local and global
   phases pipelined chunk-wise, so wall time is max(local, global);
-* torus all-to-all: bisection/ECMP-limited per-node throughput
-  (exact edge-betweenness up to 512 chips, the bisection bound scaled by
-  the measured ECMP efficiency beyond);
+* torus all-to-all: the ECMP-limited per-node throughput of
+  :func:`repro.network.analytic.alltoall_analysis`, exact at every slice
+  size;
 * hybrid all-to-all: NIC-bound on the cross-island traffic fraction,
   derated by fat-tree routing efficiency.
 
-IB efficiency (default 0.70) covers ECMP collisions and transport
-overheads the paper's simulator also modelled; it is the one free
-parameter and is documented in EXPERIMENTS.md.
+There are two free parameters.  IB `fabric_efficiency` (default 0.70)
+covers ECMP collisions and transport overheads the paper's simulator also
+modelled; ICI `alltoall_efficiency` (default 0.85) derates the analytic
+torus all-to-all to the measured level (see :class:`ICIParams`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.availability import balanced_block_shape
 from repro.errors import ConfigurationError
 from repro.network.analytic import alltoall_analysis
 from repro.network.collectives import allreduce_time_torus
-from repro.topology.properties import bisection_links
 from repro.topology.torus import Torus3D
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_efficiency(name: str, value: float) -> None:
+    if not 0 < value <= 1:
+        raise ConfigurationError(f"{name} must be in (0, 1], got {value}")
+
+
+def _check_bytes(num_bytes: float) -> None:
+    if not (math.isfinite(num_bytes) and num_bytes >= 0):
+        raise ConfigurationError(
+            f"byte count must be finite and >= 0, got {num_bytes}")
+
+
+def _island_links_per_chip(island_size: int) -> int:
+    """ICI links per chip inside an island (2x2x2 mesh -> 3 links)."""
+    if island_size == 8:
+        return 3
+    if island_size == 4:
+        return 2
+    raise ConfigurationError(f"unsupported island size {island_size}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +75,13 @@ class ICIParams:
     links_per_chip: int = 6
     alltoall_efficiency: float = 0.85
 
+    def __post_init__(self) -> None:
+        _check_positive("link_bandwidth", self.link_bandwidth)
+        if self.links_per_chip < 1:
+            raise ConfigurationError(
+                f"links_per_chip must be >= 1, got {self.links_per_chip}")
+        _check_efficiency("alltoall_efficiency", self.alltoall_efficiency)
+
 
 @dataclass(frozen=True)
 class IBParams:
@@ -58,6 +90,11 @@ class IBParams:
     nic_bandwidth: float = 25e9    # 200 Gbit/s HDR, bytes/s per direction
     fabric_efficiency: float = 0.70
     island_size: int = 8           # chips glued by ICI, like a DGX
+
+    def __post_init__(self) -> None:
+        _check_positive("nic_bandwidth", self.nic_bandwidth)
+        _check_efficiency("fabric_efficiency", self.fabric_efficiency)
+        _island_links_per_chip(self.island_size)
 
 
 @dataclass(frozen=True)
@@ -68,18 +105,10 @@ class HybridNetworkParams:
     ib: IBParams = IBParams()
 
 
-def _island_links_per_chip(island_size: int) -> int:
-    """ICI links per chip inside an island (2x2x2 mesh -> 3 links)."""
-    if island_size == 8:
-        return 3
-    if island_size == 4:
-        return 2
-    raise ConfigurationError(f"unsupported island size {island_size}")
-
-
 def allreduce_time_hybrid(num_chips: int, num_bytes: float,
                           params: HybridNetworkParams | None = None) -> float:
     """Hierarchical all-reduce time on the hybrid ICI/IB network."""
+    _check_bytes(num_bytes)
     params = params or HybridNetworkParams()
     k = params.ib.island_size
     if num_chips % k:
@@ -108,34 +137,14 @@ def allreduce_time_ocs(num_chips: int, num_bytes: float,
     return allreduce_time_torus(shape, num_bytes, params.ici.link_bandwidth)
 
 
-_EXACT_ALLTOALL_LIMIT = 512
-
-
-@lru_cache(maxsize=32)
-def _torus_alltoall_per_node(shape: tuple[int, int, int],
-                             link_bandwidth: float) -> float:
-    """Per-node all-to-all throughput on a torus (bytes/s).
-
-    Exact ECMP analysis up to 512 chips; beyond that the bisection bound
-    scaled by the ECMP efficiency measured on the 8x8x8 torus (the paper's
-    slices of interest are balanced, so the efficiency transfers).
-    """
-    n = shape[0] * shape[1] * shape[2]
-    if n <= _EXACT_ALLTOALL_LIMIT:
-        return alltoall_analysis(Torus3D(shape), link_bandwidth).per_node_throughput
-    reference = alltoall_analysis(Torus3D((8, 8, 8)), link_bandwidth)
-    efficiency = reference.per_node_throughput / reference.ideal_peak
-    bis = bisection_links(Torus3D(shape)) * link_bandwidth
-    bound = bis * (n - 1) / ((n / 2) ** 2)
-    return bound * efficiency
-
-
 def alltoall_time_ocs(num_chips: int, per_node_bytes: float,
                       params: HybridNetworkParams | None = None) -> float:
     """Uniform all-to-all time on the balanced OCS torus."""
+    _check_bytes(per_node_bytes)
     params = params or HybridNetworkParams()
-    shape = balanced_block_shape(num_chips)
-    throughput = (_torus_alltoall_per_node(shape, params.ici.link_bandwidth)
+    torus = Torus3D(balanced_block_shape(num_chips))
+    analysis = alltoall_analysis(torus, params.ici.link_bandwidth)
+    throughput = (analysis.per_node_throughput
                   * params.ici.alltoall_efficiency)
     return per_node_bytes / throughput
 
@@ -143,6 +152,7 @@ def alltoall_time_ocs(num_chips: int, per_node_bytes: float,
 def alltoall_time_hybrid(num_chips: int, per_node_bytes: float,
                          params: HybridNetworkParams | None = None) -> float:
     """Uniform all-to-all time on the hybrid network (NIC-bound)."""
+    _check_bytes(per_node_bytes)
     params = params or HybridNetworkParams()
     k = params.ib.island_size
     if num_chips <= k:

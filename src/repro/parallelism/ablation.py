@@ -8,7 +8,8 @@ The OCS lets users pick the slice *shape*; the compiler stack picks the
 * topology+partitioning — the full search (what the OCS enables).
 
 The gap between the two is the performance value of reconfigurability,
-separate from auto-tuning (one of the DESIGN.md ablation targets).
+separate from auto-tuning; `benchmarks/bench_ablation_topology_choice.py`
+asserts it.
 """
 
 from __future__ import annotations

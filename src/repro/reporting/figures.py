@@ -26,7 +26,7 @@ class AsciiChart:
     """Renders series as a column-aligned listing plus a coarse dot plot.
 
     The dot plot intentionally stays crude; the numeric listing is the
-    primary artifact (EXPERIMENTS.md records the numbers).
+    primary artifact.
     """
 
     title: str

@@ -3,9 +3,9 @@
 The ICI router resolves each packet's route one dimension at a time
 (x, then y, then z), taking the shorter way around each ring.  On a
 regular torus DOR is minimal; on a twisted torus it is not defined (the
-wrap changes coordinates), which is why the general code uses BFS/ECMP
-— this module exists for the regular-torus fast path and for tests that
-pin the router's behaviour.
+wrap changes coordinates), which is why the library routes with BFS/ECMP
+(:mod:`repro.topology.routing`).  Only tests use this module: they pin
+the router's behaviour and check DOR against the torus's links.
 """
 
 from __future__ import annotations

@@ -82,13 +82,17 @@ def bisection_links(topology: Topology) -> int:
     classic cut through the longest dimension); we scan every dimension of
     size >= 2 and every rotation offset and take the smallest cut.  Exact
     minimum bisection is NP-hard in general; for these lattice graphs the
-    axis cuts are the known optima (Dally & Towles [12]).
+    axis cuts are the known optima (Dally & Towles [12]).  On a
+    vertex-transitive torus one step along a dimension is an automorphism
+    that rotates that dimension's cut by one offset, so offset 0 stands
+    for them all.
     """
     best: int | None = None
     for dim in range(3):
         if topology.shape[dim] < 2:
             continue
-        for offset in range(topology.shape[dim]):
+        offsets = 1 if topology.vertex_transitive else topology.shape[dim]
+        for offset in range(offsets):
             crossings = _cut_crossings(topology, dim, offset)
             if best is None or crossings < best:
                 best = crossings

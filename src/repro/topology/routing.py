@@ -3,7 +3,9 @@
 The ICI routes packets over shortest paths; when several shortest paths
 exist the traffic splits evenly.  Under uniform all-to-all traffic the load
 on a directed link is exactly its (unnormalized, ordered-pair) edge
-betweenness, computed here with Brandes' algorithm.
+betweenness, computed here with Brandes' algorithm.  Regular and twisted
+tori are Cayley graphs (Camarero et al. [8]), so one source's dependencies,
+summed per link class, give every load exactly.
 """
 
 from __future__ import annotations
@@ -67,10 +69,22 @@ def ecmp_edge_loads(
     each DAG edge is summed; over all sources this equals, for every
     directed link, the number of (source, destination) unit flows crossing
     it after even ECMP splitting.
+
+    On a vertex-transitive torus every directed link is a translate of one
+    (dimension, direction) generator, and translation maps each source's
+    DAG onto node 0's.  A link's load is then the summed dependency of
+    node 0 on the links of its class, so one BFS serves the whole graph.
+    A dimension of size 2 makes +1 and -1 the same coordinate step, so
+    such shapes and meshes keep the all-sources scan, as does an explicit
+    `sources` list.
     """
+    shape = topology.shape
+    by_class = (sources is None and topology.vertex_transitive
+                and 2 not in shape)
+    if sources is None:
+        sources = topology.nodes[:1] if by_class else topology.nodes
     loads: dict[DirectedEdge, float] = {}
-    scan = list(sources) if sources is not None else topology.nodes
-    for source in scan:
+    for source in sources:
         dist, sigma, preds = _shortest_path_dag(topology, source)
         if len(dist) != topology.num_nodes:
             raise TopologyError("topology is disconnected")
@@ -85,7 +99,19 @@ def ecmp_edge_loads(
                 edge = (pred, node)
                 loads[edge] = loads.get(edge, 0.0) + contribution
                 delta[pred] += contribution
-    return loads
+    if not by_class:
+        return loads
+
+    def link_class(u: Coord, v: Coord) -> tuple[int, bool]:
+        d = topology.edge_dim(u, v)
+        return d, v[d] == (u[d] + 1) % shape[d]
+
+    class_loads: dict[tuple[int, bool], float] = {}
+    for (u, v), load in loads.items():
+        key = link_class(u, v)
+        class_loads[key] = class_loads.get(key, 0.0) + load
+    return {link: class_loads[link_class(*link)]
+            for u, v, _ in topology.edges() for link in ((u, v), (v, u))}
 
 
 def max_edge_load(topology: Topology,

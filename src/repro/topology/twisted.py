@@ -10,7 +10,11 @@ given dimension: wrapping ``x`` from ``a-1`` back to ``0`` lands at
 ``(0, (y + s_y) mod b, (z + s_z) mod c)``.  This construction is exactly a
 quotient of the integer lattice Z^3 by the lattice spanned by
 ``(a, -s_y, -s_z), (0, b, 0), (0, 0, c)``, so the resulting graph is a
-Cayley graph of an abelian group and therefore vertex-transitive.
+Cayley graph of an abelian group and therefore vertex-transitive.  Several
+dimensions may twist, provided no twist skews another twisted dimension.
+Otherwise the wiring adds that skew modulo a plain ring, where the lattice
+quotient would carry it through the other dimension's own twist; the graph
+is then not vertex-transitive, so such specs raise :class:`TopologyError`.
 
 The paper (Section 2.8/2.9) twists shapes of the form ``n x n x 2n`` and
 ``n x 2n x 2n`` with ``n >= 4``, using the ``k x k x 2k`` configuration of
@@ -63,6 +67,10 @@ class TwistedTorus3D(Topology):
             reduced = tuple(s % dims[i] for i, s in enumerate(skew))
             if any(reduced):
                 self.twists[dim] = reduced  # type: ignore[assignment]
+        for dim, skew in self.twists.items():
+            if any(skew[other] for other in self.twists):
+                raise TopologyError(
+                    f"twist of dim {dim} skews another twisted dim: {skew}")
         super().__init__(dims)
 
     def _edges(self) -> Iterator[tuple[Coord, Coord, int]]:

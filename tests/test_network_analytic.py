@@ -57,6 +57,25 @@ class TestAllToAllAnalysis:
             alltoall_analysis(Torus3D((1, 1, 1)), 50e9)
 
 
+class TestFigure6Golden:
+    # Pinned (per-node throughput, ideal peak) in bytes/s at 50 GB/s links.
+    # Loads are summed per link class, so a change in summation order may
+    # move the last bits: compare to rel=1e-12.
+    GOLDEN = [
+        (Torus3D, (4, 4, 8), 49609374999.99999, 49609375000.0),
+        (TwistedTorus3D, (4, 4, 8), 75595238095.23805, 82112068965.51724),
+        (Torus3D, (4, 8, 8), 49804687499.99997, 49804687500.0),
+        (TwistedTorus3D, (4, 8, 8), 69293478260.8695, 69293478260.86957),
+    ]
+
+    @pytest.mark.parametrize("cls, shape, per_node, ideal_peak", GOLDEN)
+    def test_pinned(self, cls, shape, per_node, ideal_peak):
+        analysis = alltoall_analysis(cls(shape), 50e9)
+        assert analysis.per_node_throughput == pytest.approx(per_node,
+                                                             rel=1e-12)
+        assert analysis.ideal_peak == pytest.approx(ideal_peak, rel=1e-12)
+
+
 class TestTrafficPatterns:
     def test_alltoall_pairs_count(self):
         from repro.network import alltoall_pairs

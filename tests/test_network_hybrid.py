@@ -1,5 +1,7 @@
 """Tests for the IB fat-tree baseline and hybrid collectives (Sec. 7.3)."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -90,3 +92,61 @@ class TestHybridCollectives:
         assert params.ici.link_bandwidth == 50e9   # Table 4
         assert params.ib.nic_bandwidth == 25e9     # 200 Gbit/s HDR
         assert params.ib.island_size == 8          # DGX-like ICI island
+
+
+class TestSection73Golden:
+    # Pinned (all-reduce, all-to-all) slowdowns of the default run.  The
+    # torus all-to-all sums ECMP loads per link class, so a change in
+    # summation order may move the last bits: compare to rel=1e-12.
+    GOLDEN = {
+        256: (2.0840336134453783, 2.3526785714285694),
+        512: (2.113502935420744, 2.390624999999998),
+        1024: (2.128194386258902, 1.204799107142856),
+        2048: (2.1355293460813733, 1.2095424107142845),
+        4096: (2.139194139194139, 1.211914062499999),
+    }
+
+    def test_default_slowdowns_pinned(self):
+        slowdowns = ib_vs_ocs_slowdowns()
+        assert sorted(slowdowns) == sorted(self.GOLDEN)
+        for size, (allreduce, alltoall) in self.GOLDEN.items():
+            assert slowdowns[size]["allreduce"] == pytest.approx(
+                allreduce, rel=1e-12)
+            assert slowdowns[size]["alltoall"] == pytest.approx(
+                alltoall, rel=1e-12)
+
+
+BAD_INPUTS = [
+    (ICIParams, {"link_bandwidth": 0}),
+    (ICIParams, {"link_bandwidth": -50e9}),
+    (ICIParams, {"link_bandwidth": math.inf}),
+    (ICIParams, {"link_bandwidth": math.nan}),
+    (ICIParams, {"links_per_chip": 0}),
+    (ICIParams, {"alltoall_efficiency": -1}),
+    (ICIParams, {"alltoall_efficiency": 0}),
+    (ICIParams, {"alltoall_efficiency": 1.5}),
+    (ICIParams, {"alltoall_efficiency": math.nan}),
+    (IBParams, {"nic_bandwidth": 0}),
+    (IBParams, {"nic_bandwidth": math.inf}),
+    (IBParams, {"fabric_efficiency": 0}),
+    (IBParams, {"fabric_efficiency": 1.01}),
+    (IBParams, {"island_size": 3}),
+    (IBParams, {"island_size": 16}),
+    (allreduce_time_hybrid, {"num_chips": 512, "num_bytes": -1.0}),
+    (allreduce_time_hybrid, {"num_chips": 8, "num_bytes": math.nan}),
+    (allreduce_time_ocs, {"num_chips": 512, "num_bytes": math.nan}),
+    (allreduce_time_ocs, {"num_chips": 512, "num_bytes": math.inf}),
+    (alltoall_time_hybrid, {"num_chips": 512, "per_node_bytes": -1.0}),
+    (alltoall_time_hybrid, {"num_chips": 8, "per_node_bytes": -1.0}),
+    (alltoall_time_hybrid, {"num_chips": 512, "per_node_bytes": math.nan}),
+    (alltoall_time_ocs, {"num_chips": 512, "per_node_bytes": -1.0}),
+    (alltoall_time_ocs, {"num_chips": 512, "per_node_bytes": math.inf}),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs", BAD_INPUTS, ids=[
+    f"{fn.__name__}-{'-'.join(f'{k}={v}' for k, v in kwargs.items())}"
+    for fn, kwargs in BAD_INPUTS])
+def test_bad_inputs_raise_configuration_error(fn, kwargs):
+    with pytest.raises(ConfigurationError):
+        fn(**kwargs)

@@ -119,6 +119,20 @@ class TestTwistedTorus:
         with pytest.raises(TopologyError):
             TwistedTorus3D((4, 4, 8), twists={0: (1, 0, 4)})
 
+    def test_skew_cannot_target_another_twisted_dim(self):
+        # Dim 2's wrap skews dim 0, which twists too: not a lattice quotient
+        # (all-pairs diameter 5, where node 0 alone sees 4).
+        with pytest.raises(TopologyError):
+            TwistedTorus3D((4, 4, 4), twists={0: (0, 2, 0), 2: (2, 0, 0)})
+
+    def test_twists_skewing_only_untwisted_dims_are_transitive(self):
+        twisted = TwistedTorus3D((4, 4, 8),
+                                 twists={0: (0, 0, 4), 1: (0, 0, 4)})
+        assert twisted.twists == {0: (0, 0, 4), 1: (0, 0, 4)}
+        profiles = {tuple(sorted(bfs_distances(twisted, node).values()))
+                    for node in twisted.nodes}
+        assert len(profiles) == 1
+
     def test_invalid_dim_rejected(self):
         with pytest.raises(TopologyError):
             TwistedTorus3D((4, 4, 8), twists={3: (0, 0, 4)})

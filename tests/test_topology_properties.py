@@ -3,15 +3,18 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.topology import (Mesh3D, Torus3D, TwistedTorus3D,
                             average_distance, bisection_bandwidth,
                             bisection_links, diameter,
                             theoretical_bisection_scaling)
+from repro.topology import routing
+from repro.topology.properties import _cut_crossings
 from repro.topology.routing import (RoutingTable, ecmp_edge_loads,
                                     max_edge_load, path_length, shortest_path)
+from repro.topology.twisted import _twist_candidates
 
 
 class TestBisection:
@@ -149,6 +152,81 @@ class TestRouting:
         src = torus.nodes[0]
         for dst in torus.nodes[1:]:
             assert len(table.path(src, dst)) - 1 <= worst
+
+
+def _shapes(sides):
+    side = st.sampled_from(sides)
+    return st.tuples(side, side, side)
+
+
+def _every_offset_bisection(topology):
+    return min(_cut_crossings(topology, dim, offset)
+               for dim in range(3) if topology.shape[dim] >= 2
+               for offset in range(topology.shape[dim]))
+
+
+def _assert_one_source_matches_scan(topology):
+    """Class-sum loads and the offset-0 cut equal the all-sources scans."""
+    loads = ecmp_edge_loads(topology)
+    oracle = ecmp_edge_loads(topology, sources=topology.nodes)
+    assert loads.keys() == oracle.keys()
+    for link, load in oracle.items():
+        assert loads[link] == pytest.approx(load, rel=1e-12), link
+    if max(topology.shape) > 1:
+        assert bisection_links(topology) == _every_offset_bisection(topology)
+
+
+class TestOneSourceOracle:
+    """Tori take loads and cuts from one source; the full scans agree."""
+
+    @given(_shapes((1, 3, 4, 5)))
+    @settings(max_examples=25, deadline=None)
+    def test_regular_tori(self, shape):
+        _assert_one_source_matches_scan(Torus3D(shape))
+
+    @given(_shapes((1, 3, 4, 5)), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_single_dimension_twists(self, shape, data):
+        candidates = _twist_candidates(shape)
+        assume(candidates)
+        spec = data.draw(st.sampled_from(candidates))
+        _assert_one_source_matches_scan(TwistedTorus3D(shape, twists=spec))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 8), (4, 8, 8)])
+    def test_canonical_twists(self, shape):
+        _assert_one_source_matches_scan(TwistedTorus3D(shape))
+
+    @given(_shapes((1, 2, 3, 4)), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_offset_zero_cut_with_size_two_dims(self, shape, data):
+        assume(2 in shape)
+        topologies = [Torus3D(shape)]
+        candidates = _twist_candidates(shape)
+        if candidates:
+            spec = data.draw(st.sampled_from(candidates))
+            topologies.append(TwistedTorus3D(shape, twists=spec))
+        for topology in topologies:
+            assert bisection_links(topology) == \
+                _every_offset_bisection(topology)
+
+    @pytest.mark.parametrize("topology, sources", [
+        (Torus3D((3, 4, 5)), 1),
+        (TwistedTorus3D((4, 4, 8)), 1),
+        (Mesh3D((3, 4, 5)), 60),
+        (Torus3D((2, 3, 4)), 24),
+        (TwistedTorus3D((2, 4, 4), twists={0: (0, 2, 0)}), 32),
+    ], ids=["torus", "twisted", "mesh", "torus-size2", "twisted-size2"])
+    def test_bfs_count(self, topology, sources, monkeypatch):
+        scanned = []
+        bfs = routing._shortest_path_dag
+
+        def counted(graph, source):
+            scanned.append(source)
+            return bfs(graph, source)
+
+        monkeypatch.setattr(routing, "_shortest_path_dag", counted)
+        ecmp_edge_loads(topology)
+        assert len(scanned) == sources
 
 
 class TestThroughputShape:
