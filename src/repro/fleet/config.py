@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.block import HOSTS_PER_BLOCK
 from repro.core.scheduler import PlacementStrategy
 from repro.errors import ConfigurationError
 from repro.ocs.switch import SWITCH_TIME_SECONDS
@@ -29,6 +30,12 @@ STREAM_SHAPES = 1
 STREAM_FAILURES = 2
 STREAM_REPAIRS = 3
 NUM_STREAMS = 4
+
+#: Most job arrivals, and most block outages, a config may expect.  A
+#: run draws both streams in full before it starts, so a rate far past
+#: every preset's (the busiest expects about 1,200 arrivals) would hang
+#: set-up while memory grows.  The cap turns such a config away at once.
+MAX_EXPECTED_EVENTS = 10**6
 
 #: What a field's value must be, keyed by its annotation (a string here:
 #: annotations are postponed), and how the error names it.  Bools are
@@ -266,6 +273,22 @@ class FleetConfig:
         if self.obs_sample_every_seconds <= 0:
             raise ConfigurationError(
                 "obs_sample_every_seconds must be > 0")
+        arrivals = self.arrival_window_seconds / \
+            self.mean_interarrival_seconds
+        if arrivals > MAX_EXPECTED_EVENTS:
+            raise ConfigurationError(
+                f"expected job arrivals (arrival_window_seconds / "
+                f"mean_interarrival_seconds) are {arrivals:.3g}, over "
+                f"the {MAX_EXPECTED_EVENTS:,} cap")
+        # Horizon over block MTBF, per block.  Written over the host
+        # MTBF: a subnormal one underflows block_mtbf_seconds to 0.0.
+        outages = self.total_blocks * HOSTS_PER_BLOCK * \
+            self.horizon_seconds / self.host_mtbf_seconds
+        if outages > MAX_EXPECTED_EVENTS:
+            raise ConfigurationError(
+                f"expected block outages (total_blocks * horizon_seconds "
+                f"/ block_mtbf_seconds) are {outages:.3g}, over the "
+                f"{MAX_EXPECTED_EVENTS:,} cap")
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain JSON-safe dict (strategy as its value).
@@ -338,5 +361,4 @@ class FleetConfig:
     @property
     def block_mtbf_seconds(self) -> float:
         """MTBF of one block: any of its 16 hosts down takes it out."""
-        from repro.core.block import HOSTS_PER_BLOCK
         return self.host_mtbf_seconds / HOSTS_PER_BLOCK

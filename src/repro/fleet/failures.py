@@ -220,16 +220,19 @@ def build_failure_trace(config: FleetConfig, rng: np.random.Generator,
     original repair completion), so enabling repairs never reshuffles
     when failures strike.
     """
+    mtbf = config.block_mtbf_seconds
+    mean_repair = config.mean_repair_seconds
+    horizon = config.horizon_seconds
     outages: list[BlockOutage] = []
     for pod_id in range(config.num_pods):
         for block_id in range(config.blocks_per_pod):
             clock = 0.0
             while True:
-                clock += float(rng.exponential(config.block_mtbf_seconds))
-                if clock >= config.horizon_seconds:
+                clock += float(rng.exponential(mtbf))
+                if clock >= horizon:
                     break
-                repair = float(rng.exponential(config.mean_repair_seconds))
-                end = min(clock + repair, config.horizon_seconds)
+                repair = float(rng.exponential(mean_repair))
+                end = min(clock + repair, horizon)
                 outages.append(BlockOutage(pod_id=pod_id, block_id=block_id,
                                            start=clock, end=end))
                 clock = end

@@ -11,6 +11,7 @@ workload never perturbs when jobs arrive.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,10 @@ from repro.models.workload import TABLE1_MIX, TABLE2_SLICES
 PRIORITY_BATCH = 0
 PRIORITY_PROD = 1
 PRIORITY_SERVING = 2
+
+#: How far a categorical mix may sum from 1, as ``Generator.choice``
+#: allows for float64 probabilities.
+_PROBABILITY_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 #: Sub-block shapes for serving deployments under one block (64 chips).
 _SUB_BLOCK_BY_CHIPS: dict[int, SliceShape] = {
@@ -110,6 +115,26 @@ def model_type_mix(snapshot: str = "TPU v4 (10/2022, training)"
     kinds = sorted(mix)
     probabilities = np.array([mix[kind] for kind in kinds])
     return kinds, probabilities / probabilities.sum()
+
+
+def _categorical_cdf(probabilities: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice(n, p=probabilities)`` searches, built once.
+
+    The mix is checked as ``choice`` checks it (finite, non-negative,
+    summing to 1 within sqrt(eps)) and normalized as ``choice``
+    normalizes it (``cumsum``, then divide by the last entry), so
+    ``bisect_right(cdf, rng.random())`` is the index ``choice`` returns
+    from the same generator state, and it consumes the same one draw.
+    """
+    p = np.asarray(probabilities, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0 or not np.isfinite(p).all() or \
+            (p < 0).any() or abs(float(p.sum()) - 1.0) > _PROBABILITY_ATOL:
+        raise ConfigurationError(
+            f"a categorical mix must be finite, non-negative and sum to "
+            f"1, got {p.tolist()}")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def shape_for_chips(chips: int) -> SliceShape:
@@ -225,7 +250,11 @@ def generate_jobs(config: FleetConfig, *,
 
     Arrivals are a Poisson process cut at the config's arrival window;
     everything else (shape, type, duration, priority, serving flag) is
-    drawn per-job from `shape_rng`.
+    drawn per-job from `shape_rng`.  A job's slice shape and model type
+    are each one ``shape_rng.random()`` looked up in its mix's CDF,
+    built once per call: index ``bisect_right(cdf, u)``, exactly the
+    index and the draw of ``shape_rng.choice(len(p), p=p)``, without
+    that call's per-draw check of `p` and rebuild of the CDF.
 
     A machine-wide config (`max_job_blocks` above one pod) samples the
     untruncated-geometry Table 2 mix: shapes larger than a pod exist in
@@ -239,6 +268,8 @@ def generate_jobs(config: FleetConfig, *,
         grid_side=None if config.machine_wide_jobs
         else config.pod_grid_side)
     kinds, kind_p = model_type_mix()
+    shape_cdf = _categorical_cdf(shape_p)
+    kind_cdf = _categorical_cdf(kind_p)
     serve_shape = serving_shape(config) if config.serving_fraction > 0 \
         else None
 
@@ -259,8 +290,8 @@ def generate_jobs(config: FleetConfig, *,
                     config.mean_serving_seconds)),
                 priority=PRIORITY_SERVING))
             continue
-        shape = shapes[int(shape_rng.choice(len(shapes), p=shape_p))]
-        model = kinds[int(shape_rng.choice(len(kinds), p=kind_p))]
+        shape = shapes[bisect_right(shape_cdf, shape_rng.random())]
+        model = kinds[bisect_right(kind_cdf, shape_rng.random())]
         priority = PRIORITY_PROD \
             if shape_rng.random() < config.prod_fraction \
             else PRIORITY_BATCH

@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.scheduler import PlacementStrategy
 from repro.errors import ConfigurationError
-from repro.fleet.config import FleetConfig
-from repro.fleet.presets import preset_config
+from repro.fleet.config import MAX_EXPECTED_EVENTS, FleetConfig
+from repro.fleet.presets import PRESETS, preset_config
+from repro.fleet.simulator import FleetSimulator
 
 FLOAT_FIELDS = [spec.name for spec in dataclasses.fields(FleetConfig)
                 if spec.type == "float"]
@@ -74,6 +75,49 @@ class TestValidation:
         assert not FleetConfig(max_job_blocks=64).machine_wide_jobs
         assert config.trunk_capacity == \
             config.num_pods * config.trunk_ports
+
+
+class TestExpectedEventCap:
+    """Both input streams are drawn in full at set-up, so a rate that
+    expects more than MAX_EXPECTED_EVENTS arrivals or outages is turned
+    away at construction instead of hanging set-up."""
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(dict(mean_interarrival_seconds=1e-3),
+                     id="interarrival=1e-3"),
+        pytest.param(dict(mean_interarrival_seconds=5e-324),
+                     id="interarrival=subnormal"),
+        pytest.param(dict(host_mtbf_seconds=1e-3, mean_repair_seconds=1e-3),
+                     id="mtbf=repair=1e-3"),
+        pytest.param(dict(host_mtbf_seconds=5e-324),
+                     id="mtbf=subnormal"),
+        pytest.param(dict(horizon_seconds=1e12, arrival_window_seconds=1e12),
+                     id="horizon=window=1e12"),
+        pytest.param(dict(num_pods=10**6), id="pods=1e6"),
+    ])
+    def test_extreme_rate_is_a_typed_error_at_once(self, overrides):
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="cap"):
+            FleetSimulator(preset_config("tiny").with_overrides(**overrides))
+        assert time.perf_counter() - start < 1.0
+
+    def test_at_the_cap_constructs_and_past_it_does_not(self):
+        at_cap = dict(horizon_seconds=float(MAX_EXPECTED_EVENTS),
+                      arrival_window_seconds=float(MAX_EXPECTED_EVENTS),
+                      mean_interarrival_seconds=1.0)
+        preset_config("tiny").with_overrides(**at_cap)
+        with pytest.raises(ConfigurationError, match="job arrivals"):
+            preset_config("tiny").with_overrides(
+                **{**at_cap, "mean_interarrival_seconds": 0.5})
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_sit_far_under_the_cap(self, name):
+        config = preset_config(name)
+        arrivals = config.arrival_window_seconds / \
+            config.mean_interarrival_seconds
+        outages = config.total_blocks * config.horizon_seconds / \
+            config.block_mtbf_seconds
+        assert max(arrivals, outages) * 500 < MAX_EXPECTED_EVENTS
 
 
 class TestDictRoundTrip:

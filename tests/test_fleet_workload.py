@@ -1,15 +1,24 @@
 """Tests for fleet job-stream generation."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
 from repro.core.slicing import blocks_needed, is_legal_shape
 from repro.errors import ConfigurationError
-from repro.fleet.config import FleetConfig
-from repro.fleet.workload import (PRIORITY_SERVING, generate_jobs,
+from repro.fleet.config import (NUM_STREAMS, STREAM_ARRIVALS, STREAM_SHAPES,
+                                FleetConfig)
+from repro.fleet.presets import preset_config, preset_names
+from repro.fleet.serve import scenario_for
+from repro.fleet.workload import (PRIORITY_BATCH, PRIORITY_PROD,
+                                  PRIORITY_SERVING, FleetJob,
+                                  _categorical_cdf, generate_jobs,
                                   model_type_mix, serving_shape,
                                   truncated_slice_mix)
-from repro.sim.rng import make_rng
+from repro.models.dlrm import DLRMConfig
+from repro.models.serving import serving_estimate
+from repro.sim.rng import make_rng, spawn_rngs
 
 
 def _config(**overrides) -> FleetConfig:
@@ -121,3 +130,153 @@ class TestGenerateJobs:
     def test_work_is_positive(self):
         jobs, _ = self._jobs()
         assert all(j.work_seconds > 0 for j in jobs)
+
+
+def _distinct_mixes() -> list:
+    """Every Table 2 mix a config can draw from, once each, the Table 1
+    model mix, and one mix with zero entries.
+
+    The 128 (cap, grid) pairs give only a few distinct mixes; each is
+    named after the first pair that gives it.
+    """
+    mixes = {}
+    for max_blocks in range(1, 65):
+        for grid_side in (None, 4):
+            _, p = truncated_slice_mix(max_blocks, grid_side=grid_side)
+            mixes.setdefault(tuple(p.tolist()), pytest.param(
+                p, id=f"table2-cap{max_blocks}-grid{grid_side}"))
+    params = list(mixes.values())
+    params.append(pytest.param(model_type_mix()[1], id="table1"))
+    params.append(pytest.param(np.array([0.0, 0.5, 0.0, 0.25, 0.25, 0.0]),
+                               id="zero-entries"))
+    return params
+
+
+class TestCategoricalDraw:
+    """One ``random()`` looked up in a CDF built once is exactly the
+    index and the draw of ``Generator.choice(n, p=p)``."""
+
+    @pytest.mark.parametrize("p", _distinct_mixes())
+    def test_draw_equals_generator_choice(self, p):
+        cdf = _categorical_cdf(p)
+        for seed in range(200):
+            a, b = make_rng(seed), make_rng(seed)
+            expected = [int(a.choice(len(p), p=p)) for _ in range(50)]
+            drawn = [bisect_right(cdf, b.random()) for _ in range(50)]
+            assert drawn == expected, seed
+            assert a.bit_generator.state == b.bit_generator.state, seed
+
+    def test_mix_off_one_within_tolerance_is_accepted_by_both(self):
+        p = np.array([0.5, 0.5 + 1e-9])
+        a, b = make_rng(0), make_rng(0)
+        assert bisect_right(_categorical_cdf(p), b.random()) == \
+            int(a.choice(len(p), p=p))
+
+    @pytest.mark.parametrize("p", [
+        pytest.param([0.6, -0.1, 0.5], id="negative"),
+        pytest.param([0.5, float("nan"), 0.5], id="nan"),
+        pytest.param([float("inf"), 0.0], id="inf"),
+        pytest.param([0.5, 0.6], id="sums-over-one"),
+        pytest.param([0.25, 0.25], id="sums-under-one"),
+        pytest.param([], id="empty"),
+        pytest.param([[0.5, 0.5]], id="two-dimensional"),
+    ])
+    def test_bad_mix_is_a_configuration_error(self, p):
+        p = np.array(p, dtype=np.float64)
+        with pytest.raises(ConfigurationError, match="categorical mix"):
+            _categorical_cdf(p)
+        # The same mixes numpy turns away on every choice call.
+        with pytest.raises(ValueError):
+            make_rng(0).choice(len(p), p=p)
+
+
+def _choice_generate_jobs(config: FleetConfig, *,
+                          arrival_rng: np.random.Generator,
+                          shape_rng: np.random.Generator) -> list[FleetJob]:
+    """The job stream drawn with ``Generator.choice``: the reference."""
+    shapes, shape_p = truncated_slice_mix(
+        config.max_job_blocks,
+        grid_side=None if config.machine_wide_jobs
+        else config.pod_grid_side)
+    kinds, kind_p = model_type_mix()
+    serve_shape = serving_shape(config) if config.serving_fraction > 0 \
+        else None
+    jobs: list[FleetJob] = []
+    clock = 0.0
+    while True:
+        clock += float(arrival_rng.exponential(
+            config.mean_interarrival_seconds))
+        if clock > config.arrival_window_seconds:
+            break
+        job_id = len(jobs)
+        if serve_shape is not None and \
+                shape_rng.random() < config.serving_fraction:
+            jobs.append(FleetJob(
+                job_id=job_id, kind="serve", model_type="MLP/DLRM",
+                shape=serve_shape, arrival=clock,
+                work_seconds=float(shape_rng.exponential(
+                    config.mean_serving_seconds)),
+                priority=PRIORITY_SERVING))
+            continue
+        shape = shapes[int(shape_rng.choice(len(shapes), p=shape_p))]
+        model = kinds[int(shape_rng.choice(len(kinds), p=kind_p))]
+        priority = PRIORITY_PROD \
+            if shape_rng.random() < config.prod_fraction \
+            else PRIORITY_BATCH
+        jobs.append(FleetJob(
+            job_id=job_id, kind="train", model_type=model, shape=shape,
+            arrival=clock,
+            work_seconds=float(shape_rng.exponential(
+                config.mean_job_seconds)),
+            priority=priority))
+    return jobs
+
+
+class TestJobStreamEqualsChoiceReference:
+    """Every preset covers the serving, machine-wide and grid-filtered
+    mixes; each seed's stream must equal the ``choice`` draw's."""
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_streams(self, name):
+        config = preset_config(name)
+        for seed in range(10):
+            rngs, twins = spawn_rngs(seed, NUM_STREAMS), \
+                spawn_rngs(seed, NUM_STREAMS)
+            jobs = generate_jobs(config, arrival_rng=rngs[STREAM_ARRIVALS],
+                                 shape_rng=rngs[STREAM_SHAPES])
+            expected = _choice_generate_jobs(
+                config, arrival_rng=twins[STREAM_ARRIVALS],
+                shape_rng=twins[STREAM_SHAPES])
+            assert jobs == expected, seed
+            assert rngs[STREAM_SHAPES].bit_generator.state == \
+                twins[STREAM_SHAPES].bit_generator.state, seed
+
+
+#: Serving slice of every preset that generates serving jobs, and the
+#: zero-load step of each replica size the `surge` scenario's pools
+#: stand up.  Job streams and replica pools size from these, so every
+#: summary digest rests on them: a change here is a model change.
+SERVING_SHAPES = {name: (4, 4, 4) for name in (
+    "deploy_week", "edge", "hyperscale", "large", "medium", "replay",
+    "serve_surge", "serving", "small", "tiny")}
+SURGE_REPLICA_STEP_SECONDS = {16: 0.00011594049586776859,
+                              32: 0.00011594049586776859}
+
+
+class TestServingSizesPinned:
+    def test_every_serving_preset_is_pinned(self):
+        assert set(SERVING_SHAPES) == {
+            name for name in preset_names()
+            if preset_config(name).serving_fraction > 0}
+
+    @pytest.mark.parametrize("name", sorted(SERVING_SHAPES))
+    def test_serving_shape(self, name):
+        assert serving_shape(preset_config(name)) == SERVING_SHAPES[name]
+
+    def test_surge_replica_steps(self):
+        scenario = scenario_for("surge", preset_config("serve_surge"))
+        assert {model.replica_chips for model in scenario.models} == \
+            set(SURGE_REPLICA_STEP_SECONDS)
+        for chips, step in SURGE_REPLICA_STEP_SECONDS.items():
+            assert serving_estimate(DLRMConfig(), chips).step_seconds == \
+                step, chips
