@@ -15,8 +15,8 @@ introduces and everything they stand on:
   (:mod:`repro.network`);
 * the **SparseCore** — a functional distributed embedding engine plus the
   hardware timing model, CISC sequencer ISA, and load-imbalance studies
-  (:mod:`repro.sparsecore`), and the TensorCore dense substrate
-  (:mod:`repro.tensorcore`);
+  (:mod:`repro.sparsecore`), and the TensorCore's VMEM/CMEM/HBM memory
+  model (:mod:`repro.tensorcore`);
 * the **graph-level simulator** — tensor/sharding IR, GSPMD propagation,
   and an event-driven per-chip scheduler with communication overlap
   (:mod:`repro.graph`), the same altitude as the paper's own internal

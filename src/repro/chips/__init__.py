@@ -4,15 +4,9 @@ from repro.chips.specs import (A100, ChipSpec, IPU_BOW, TPUV3, TPUV4,
                                TPUV4LITE, all_specs)
 from repro.chips.roofline import (MODEL_INTENSITIES, RooflinePoint,
                                   attainable_flops, ridge_point, roofline_curve)
-from repro.chips.power import (perf_per_watt, system_power,
-                               measured_power_ratio)
-from repro.chips.energy import (EnergyFactors, a100_energy_decomposition,
-                                explained_power_ratio)
 
 __all__ = [
     "ChipSpec", "TPUV3", "TPUV4", "TPUV4LITE", "A100", "IPU_BOW", "all_specs",
     "attainable_flops", "ridge_point", "roofline_curve", "RooflinePoint",
     "MODEL_INTENSITIES",
-    "perf_per_watt", "system_power", "measured_power_ratio",
-    "EnergyFactors", "a100_energy_decomposition", "explained_power_ratio",
 ]

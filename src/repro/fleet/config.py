@@ -18,7 +18,7 @@ from typing import Any
 from repro.core.block import HOSTS_PER_BLOCK
 from repro.core.scheduler import PlacementStrategy
 from repro.errors import ConfigurationError
-from repro.ocs.switch import SWITCH_TIME_SECONDS
+from repro.ocs.switch import PALOMAR_PORTS, SWITCH_TIME_SECONDS
 from repro.units import DAY, HOUR, MINUTE
 
 #: RNG stream indices carved out of the config seed (see spawn_rngs).
@@ -130,9 +130,9 @@ class FleetConfig:
             pays when it programs trunk circuits (light checked end to
             end across two pod fabrics and the machine bank).
         spare_ports: spare OCS ports per pod kept "for link testing and
-            repairs" (Section 2.2); an optical-port failure with a spare
-            free is repaired by one mirror move instead of waiting out a
-            full block repair.
+            repairs" (Section 2.2), at most one Palomar switch's 136; an
+            optical-port failure with a spare free is repaired by one
+            mirror move instead of waiting out a full block repair.
         optical_failure_fraction: share of block outages that are
             optical-port failures (fiber/transceiver) rather than host
             hardware, and thus spare-port repairable.  Zero keeps the
@@ -257,8 +257,10 @@ class FleetConfig:
             raise ConfigurationError("trunk_bandwidth_tax must be >= 0")
         if self.trunk_reconfig_seconds < 0:
             raise ConfigurationError("trunk_reconfig_seconds must be >= 0")
-        if self.spare_ports < 0:
-            raise ConfigurationError("spare_ports must be >= 0")
+        if not 0 <= self.spare_ports <= PALOMAR_PORTS:
+            raise ConfigurationError(
+                f"spare_ports must be in [0, {PALOMAR_PORTS}] (one Palomar "
+                f"switch), got {self.spare_ports}")
         if not 0.0 <= self.optical_failure_fraction <= 1.0:
             raise ConfigurationError(
                 "optical_failure_fraction must be in [0, 1]")

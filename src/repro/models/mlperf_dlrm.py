@@ -29,6 +29,7 @@ from repro.sparsecore.isa import (EmbeddingStepShape, SequencerModel,
                                   TPUV4_SEQUENCER, generate_step_program)
 from repro.sparsecore.sparsecore import SparseCore
 from repro.sparsecore.timing import SCTimingParams, TPUV4_SC
+from repro.topology.builder import supports_wraparound
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,11 @@ PRODUCTION_DLRM = RecommenderBenchmark(
 
 
 def cube_shape(num_chips: int) -> tuple[int, int, int]:
-    """The most cubical 4i x 4j x 4k slice shape for a chip count."""
+    """The most cubical factorization x <= y <= z of a chip count.
+
+    Chip counts below a 4x4x4 block give sub-block shapes (16 chips ->
+    2x2x4, 32 -> 2x4x4), which the machine wires as meshes.
+    """
     if num_chips < 1:
         raise ConfigurationError("num_chips must be >= 1")
     best: tuple[int, int, int] | None = None
@@ -151,7 +156,7 @@ class RecommenderCostModel:
 
     def step_time(self, bench: RecommenderBenchmark,
                   num_chips: int) -> ScalingPoint:
-        """Step time of `bench` on `num_chips` chips (best-cube torus)."""
+        """Step time of `bench` on `num_chips` chips (most cubical slice)."""
         batch = bench.global_batch(num_chips)
         per_chip = batch / num_chips
         scs = self.sc_params.sparsecores_per_chip
@@ -174,7 +179,7 @@ class RecommenderCostModel:
         shape = cube_shape(num_chips)
         geometry = AxisGeometry(ring_sizes=shape,
                                 link_bandwidth=self.link_bandwidth,
-                                wrap=min(shape) >= 1)
+                                wrap=supports_wraparound(shape))
         exchange = 2 * geometry.alltoall(vector_bytes)  # fwd + bwd
 
         # Dense towers, data-parallel.

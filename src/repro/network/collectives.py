@@ -1,30 +1,22 @@
-"""Collective-communication models on torus slices.
+"""Collective-communication time models on torus slices.
 
-Two layers:
+Closed-form step times for bandwidth-dominated all-reduce on a torus
+with per-direction link bandwidth C:
 
-* **Time models** — closed-form step times for bandwidth-dominated
-  all-reduce on a torus with per-direction link bandwidth C:
+* ring all-reduce along one dimension of length n moves
+  2*(n-1)/n * bytes through each node, split across the ring's two
+  directions;
+* the dimension-ordered torus all-reduce reduce-scatters dimension by
+  dimension (shrinking the shard each time) and all-gathers back;
+* the bandwidth-optimal bound uses all 2*d directed ports concurrently.
 
-  - ring all-reduce along one dimension of length n moves
-    2*(n-1)/n * bytes through each node, split across the ring's two
-    directions;
-  - the dimension-ordered torus all-reduce reduce-scatters dimension by
-    dimension (shrinking the shard each time) and all-gathers back;
-  - the bandwidth-optimal bound uses all 2*d directed ports concurrently.
-
-  All-to-all throughput on a torus comes from exact ECMP link loads in
-  :mod:`repro.network.analytic`.
-
-* **Functional executions** — the same schedules executed over numpy
-  arrays, proving the schedule logic is real (tests compare against a
-  direct sum / concatenation).
+All-to-all throughput on a torus comes from exact ECMP link loads in
+:mod:`repro.network.analytic`.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -94,53 +86,3 @@ def allreduce_lower_bound(shape: tuple[int, int, int], num_bytes: float,
     if ports == 0 or n < 2:
         return 0.0
     return 2 * (n - 1) / n * num_bytes / (ports * link_bandwidth)
-
-
-# --------------------------------------------------------------------------
-# Functional executions (numpy) — prove the schedules compute the right thing.
-# --------------------------------------------------------------------------
-
-def functional_ring_allreduce(buffers: list[np.ndarray]) -> list[np.ndarray]:
-    """Execute a literal ring all-reduce (reduce-scatter + all-gather).
-
-    Returns the per-node results; every node ends with the elementwise sum.
-    """
-    n = len(buffers)
-    if n == 0:
-        raise ConfigurationError("need at least one participant")
-    if n == 1:
-        return [buffers[0].copy()]
-    length = buffers[0].shape[0]
-    chunks = [np.array_split(b.astype(np.float64, copy=True), n)
-              for b in buffers]
-    # Reduce-scatter: step s, node i sends chunk (i - s) to node i+1.
-    for step in range(n - 1):
-        sends = [(i, (i - step) % n) for i in range(n)]
-        for src, chunk_id in sends:
-            dst = (src + 1) % n
-            chunks[dst][chunk_id] = chunks[dst][chunk_id] + chunks[src][chunk_id]
-    # Now node i owns the fully-reduced chunk (i + 1) % n.
-    # All-gather: circulate owned chunks around the ring.
-    for step in range(n - 1):
-        sends = [(i, (i + 1 - step) % n) for i in range(n)]
-        for src, chunk_id in sends:
-            dst = (src + 1) % n
-            chunks[dst][chunk_id] = chunks[src][chunk_id].copy()
-    results = [np.concatenate(c) for c in chunks]
-    for r in results:
-        if r.shape[0] != length:
-            raise ConfigurationError("all-reduce result shape mismatch")
-    return results
-
-
-def functional_alltoall(buffers: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
-    """Execute an all-to-all: buffers[i][j] travels from node i to node j.
-
-    Returns received[j][i] == buffers[i][j] (the standard transpose).
-    """
-    n = len(buffers)
-    for i, row in enumerate(buffers):
-        if len(row) != n:
-            raise ConfigurationError(
-                f"node {i} provides {len(row)} chunks for {n} nodes")
-    return [[buffers[i][j].copy() for i in range(n)] for j in range(n)]

@@ -16,13 +16,10 @@ fall out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
 QM8790_RADIX = 40
-QM8790_PRICE_LOW = 15_000.0
-QM8790_PRICE_HIGH = 18_000.0
 # DGX SuperPOD RA provisions extra switches beyond the pure Clos math
 # (storage/management rails, spares).  The paper's two anchors — 164
 # switches per 1120-GPU superpod and 568 for 4096 endpoints — imply
@@ -55,42 +52,6 @@ def ib_switch_count(num_hosts: int, radix: int = QM8790_RADIX) -> int:
     """Reference-architecture switch count (Clos + RA overhead)."""
     return math.ceil(clos_switch_count(num_hosts, radix)
                      * REFERENCE_ARCHITECTURE_OVERHEAD)
-
-
-@dataclass(frozen=True)
-class FatTreeNetwork:
-    """A full-bisection 3-level fat tree, summarized.
-
-    Attributes:
-        num_hosts: endpoints with one NIC each.
-        nic_bandwidth: per-NIC bytes/second (HDR IB: 200 Gbit/s = 25 GB/s).
-        radix: switch port count.
-    """
-
-    num_hosts: int
-    nic_bandwidth: float = 25e9
-    radix: int = QM8790_RADIX
-
-    @property
-    def num_switches(self) -> int:
-        """Reference-architecture switch count."""
-        return ib_switch_count(self.num_hosts, self.radix)
-
-    @property
-    def bisection_bandwidth(self) -> float:
-        """Full bisection: half the hosts' NIC bandwidth each way."""
-        return self.num_hosts / 2 * self.nic_bandwidth
-
-    @property
-    def hops(self) -> int:
-        """Worst-case switch hops (up and down a 3-level tree)."""
-        return 5
-
-    def switch_cost(self, price_per_switch: float | None = None) -> float:
-        """Total switch capital cost."""
-        if price_per_switch is None:
-            price_per_switch = (QM8790_PRICE_LOW + QM8790_PRICE_HIGH) / 2
-        return self.num_switches * price_per_switch
 
 
 def superpod_anchor_check() -> dict[str, int]:

@@ -8,7 +8,6 @@ realization/reconfiguration, and the optics cost/power accounting
 """
 
 from repro.ocs.switch import OpticalCircuitSwitch, PALOMAR_PORTS, PALOMAR_SPARE_PORTS
-from repro.ocs.circulator import ports_required, fibers_required
 from repro.ocs.fabric import OCSFabric, FACE_LINKS, NUM_OCS
 from repro.ocs.reconfigure import SliceWiring, realize_slice, release_slice
 from repro.ocs.optics_cost import (OpticsBill, OpticsCostModel,
@@ -23,8 +22,6 @@ __all__ = [
     "OpticalCircuitSwitch",
     "PALOMAR_PORTS",
     "PALOMAR_SPARE_PORTS",
-    "ports_required",
-    "fibers_required",
     "OCSFabric",
     "FACE_LINKS",
     "NUM_OCS",

@@ -1,7 +1,7 @@
 """SparseCore: the embedding substrate (paper Section 3).
 
 A functional distributed embedding engine (numpy lookups, sharding,
-deduplication, all-to-all exchange, optimizer updates) plus a timing model
+deduplication, all-to-all exchange, Adagrad updates) plus a timing model
 of the SC hardware: 16 tiles (Fetch / 8-wide scVPU / Flush, 2.5 MiB Spmem
 each) and five cross-channel units executing data-dependent CISC
 instructions (Figure 7).
@@ -19,7 +19,6 @@ from repro.sparsecore.sparsecore import SparseCore
 from repro.sparsecore.timing import SCTimingParams
 from repro.sparsecore.executor import (DistributedEmbedding, EmbeddingStepTime,
                                        embedding_step_time)
-from repro.sparsecore.optimizers import SGD, Adagrad, FTRL
 from repro.sparsecore.isa import (EmbeddingStepShape, Instruction, Opcode,
                                   SequencerModel, generate_step_program,
                                   step_overhead_seconds)
@@ -34,7 +33,6 @@ __all__ = [
     "dedup_ids", "dedup_savings",
     "SCTile", "CrossChannelUnits", "SparseCore", "SCTimingParams",
     "DistributedEmbedding", "EmbeddingStepTime", "embedding_step_time",
-    "SGD", "Adagrad", "FTRL",
     "Instruction", "Opcode", "EmbeddingStepShape", "SequencerModel",
     "generate_step_program", "step_overhead_seconds",
     "LoadStats", "ImbalanceStudy", "zipf_ids", "shard_loads",

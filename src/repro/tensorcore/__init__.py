@@ -1,18 +1,11 @@
-"""Dense-compute substrate: TensorCore timing (MXU, VPU, memory system).
+"""Dense-core memory model: one chip's VMEM, CMEM and HBM.
 
-A TPU v4 TensorCore has four 128x128 MXUs and a VPU of 128 lanes x 16 ALUs
-with 16 MiB VMEM; the two TensorCores share the 128 MiB CMEM scratchpad
-(paper Section 2.2, Table 4).
+A TPU v4 chip has 32 MiB of VMEM (16 MiB per TensorCore) and a 128 MiB
+CMEM scratchpad that its two TensorCores share in front of HBM (paper
+Section 2.2, Table 4).  The Figure 13 CMEM study
+(:mod:`repro.models.perfmodel`) prices dense memory traffic with it.
 """
 
-from repro.tensorcore.mxu import MXU, matmul_cycles
-from repro.tensorcore.vpu import VPU
 from repro.tensorcore.memory import MemorySystem, TransferTime
-from repro.tensorcore.tensorcore import TensorCore, TensorCoreTiming
 
-__all__ = [
-    "MXU", "matmul_cycles",
-    "VPU",
-    "MemorySystem", "TransferTime",
-    "TensorCore", "TensorCoreTiming",
-]
+__all__ = ["MemorySystem", "TransferTime"]

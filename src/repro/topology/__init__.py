@@ -17,7 +17,7 @@ from repro.topology.properties import (
 )
 from repro.topology.routing import RoutingTable, ecmp_edge_loads, shortest_path
 from repro.topology.torus import Torus3D
-from repro.topology.twisted import TwistedTorus3D, is_twistable, best_twist
+from repro.topology.twisted import TwistedTorus3D, is_twistable
 
 __all__ = [
     "Coord",
@@ -27,7 +27,6 @@ __all__ = [
     "Mesh3D",
     "build_topology",
     "is_twistable",
-    "best_twist",
     "bisection_links",
     "bisection_bandwidth",
     "diameter",

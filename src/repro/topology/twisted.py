@@ -149,32 +149,6 @@ def canonical_twist(shape: Shape) -> dict[int, Skew]:
     return {short_dims[0]: (skew[0], skew[1], skew[2])}
 
 
-def best_twist(shape: Shape) -> tuple[dict[int, Skew], "TwistedTorus3D"]:
-    """Search candidate twists, returning the one minimizing mean distance.
-
-    Ties break toward smaller diameter, then candidate order (deterministic).
-    Used by tests to confirm the canonical twist is (one of) the best.
-    """
-    from repro.topology.properties import average_distance, diameter
-
-    dims = validate_shape(shape)
-    best: tuple[float, int] | None = None
-    best_spec: dict[int, Skew] = {}
-    best_topo: TwistedTorus3D | None = None
-    for spec in _twist_candidates(dims):
-        topo = TwistedTorus3D(dims, twists=spec)
-        if not topo.twists:
-            continue
-        score = (average_distance(topo), diameter(topo))
-        if best is None or score < best:
-            best = score
-            best_spec = spec
-            best_topo = topo
-    if best_topo is None:
-        raise TopologyError(f"no twist candidates for shape {shape}")
-    return best_spec, best_topo
-
-
 def figure5_example() -> dict[str, list[tuple[Coord, Coord]]]:
     """Regenerate the wiring lists behind paper Figure 5 (4x2 slice).
 

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.chips import (A100, IPU_BOW, TPUV3, TPUV4, all_specs,
-                         measured_power_ratio, perf_per_watt, system_power)
-from repro.errors import ConfigurationError
+from repro.chips import A100, IPU_BOW, TPUV3, TPUV4, all_specs
 from repro.units import GB, GIB, MIB, TFLOP
 
 
@@ -85,24 +83,14 @@ class TestTable5:
 
 class TestPowerHelpers:
     def test_perf_per_watt_ratio(self):
-        v4 = perf_per_watt(TPUV4.peak_bf16_flops, TPUV4.mean_watts)
-        v3 = perf_per_watt(TPUV3.peak_bf16_flops, TPUV3.mean_watts)
         # Peak-based ratio ~2.9x; measured-performance ratio is 2.7x.
-        assert v4 / v3 == pytest.approx(2.9, abs=0.15)
+        assert TPUV4.flops_per_watt / TPUV3.flops_per_watt == pytest.approx(
+            2.9, abs=0.15)
 
-    def test_system_power(self):
-        assert system_power(TPUV4, 64, utilization="mean") == 64 * 170
-
-    def test_power_ratio(self):
-        assert measured_power_ratio(TPUV3, TPUV4) == pytest.approx(220 / 170)
-
-    def test_missing_power_raises(self):
-        with pytest.raises(ConfigurationError):
-            system_power(A100, 1, utilization="mean")
-        with pytest.raises(ConfigurationError):
-            system_power(TPUV4, 1, utilization="bogus")
-        with pytest.raises(ConfigurationError):
-            perf_per_watt(1.0, 0.0)
+    def test_missing_power_is_none(self):
+        # Table 4 publishes no mean power for the A100.
+        assert A100.mean_watts is None
+        assert A100.flops_per_watt is None
 
     def test_all_specs_keys(self):
         specs = all_specs()

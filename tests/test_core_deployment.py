@@ -50,29 +50,3 @@ class TestDeployment:
     def test_invalid_block_count(self):
         with pytest.raises(ConfigurationError):
             sample_delivery_days(num_blocks=0)
-
-
-class TestEnergyDecomposition:
-    def test_explained_ratio_in_measured_band(self):
-        from repro.chips.energy import explained_power_ratio
-        # Paper measured the A100 at 1.3x-1.9x TPU v4 power.
-        assert 1.2 <= explained_power_ratio() <= 2.0
-
-    def test_factors_all_penalize_a100(self):
-        from repro.chips.energy import a100_energy_decomposition
-        factors = a100_energy_decomposition()
-        assert factors.register_file > 1.0   # 100x register file
-        assert factors.operand_reuse > 1.0   # 4x4 vs 128x128 tiles
-        assert factors.wire_length > 1.0     # ~40% larger die
-
-    def test_horowitz_sqrt_law(self):
-        from repro.chips.energy import register_file_energy_factor
-        from repro.chips.specs import A100, TPUV4
-        factor = register_file_energy_factor(A100, TPUV4)
-        assert factor == pytest.approx((27 / 0.25) ** 0.5, rel=1e-6)
-
-    def test_validation(self):
-        from repro.chips.energy import operand_reuse_factor
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            operand_reuse_factor(128, 0)

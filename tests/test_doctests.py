@@ -4,12 +4,10 @@ import doctest
 
 import pytest
 
-import repro.chips.energy
 import repro.chips.roofline
 import repro.core.slicing
 import repro.fleet.presets
 import repro.network.fairshare
-import repro.ocs.circulator
 import repro.reporting.tables
 import repro.sim.rng
 import repro.sparsecore.dedup
@@ -26,13 +24,11 @@ DOCTESTED_MODULES = [
     repro.topology.twisted,
     repro.topology.builder,
     repro.topology.dor,
-    repro.ocs.circulator,
     repro.core.slicing,
     repro.fleet.presets,
     repro.network.fairshare,
     repro.sparsecore.dedup,
     repro.chips.roofline,
-    repro.chips.energy,
     repro.reporting.tables,
 ]
 

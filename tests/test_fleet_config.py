@@ -43,6 +43,8 @@ class TestValidation:
         dict(spare_ports=-1),
         dict(optical_failure_fraction=1.5),
         dict(port_repair_seconds=-1.0),
+        dict(spare_ports=137),             # more than a whole Palomar switch
+        dict(spare_ports=10**9),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ConfigurationError):

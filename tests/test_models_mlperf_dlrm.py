@@ -9,6 +9,7 @@ from repro.models.mlperf_dlrm import (MLPERF_DLRM, PRODUCTION_DLRM,
                                       RecommenderCostModel, cube_shape,
                                       scaling_curve, section79_comparison,
                                       useful_scaling_limit)
+from repro.topology.builder import supports_wraparound
 
 
 class TestBenchmarkConfigs:
@@ -108,6 +109,38 @@ class TestScalingStudy:
     def test_custom_chip_counts(self):
         curve = scaling_curve(MLPERF_DLRM, [64, 128])
         assert [p.num_chips for p in curve] == [64, 128]
+
+
+class TestSliceWiring:
+    """Slices smaller than one 4x4x4 block have no OCS wraparound, so the
+    16- and 32-chip all-to-all is priced on a mesh, at half a torus's
+    bandwidth."""
+
+    CHIPS = (16, 32, 64, 128, 256, 512, 1024)
+    # Step seconds over CHIPS.  Priced as tori, the 16- and 32-chip
+    # slices read 1.205e-3 and 6.058e-4 s (MLPerf) and 0.1357 and 0.1345 s.
+    GOLDEN = {
+        MLPERF_DLRM.name: (0.00201908228588052, 0.0009998272588431782,
+                           0.00031634208618759016, 0.00027013191398493364,
+                           0.00015124119379638398, 9.207924535183538e-05,
+                           8.644706199469348e-05),
+        PRODUCTION_DLRM.name: (0.1732997728748052, 0.17087519456254713,
+                               0.13392923932813852, 0.16915698945937213,
+                               0.16887848301127578, 0.1687400473208326,
+                               0.2392042197261835),
+    }
+
+    def test_only_sub_block_shapes_lack_wraparound(self):
+        wraps = [supports_wraparound(cube_shape(chips))
+                 for chips in self.CHIPS]
+        assert wraps == [False, False, True, True, True, True, True]
+
+    @pytest.mark.parametrize("bench", [MLPERF_DLRM, PRODUCTION_DLRM],
+                             ids=lambda bench: bench.name)
+    def test_pinned_step_times(self, bench):
+        steps = [point.step_seconds
+                 for point in scaling_curve(bench, list(self.CHIPS))]
+        assert steps == pytest.approx(self.GOLDEN[bench.name], rel=1e-12)
 
 
 @given(st.integers(1, 4096))

@@ -74,23 +74,3 @@ class TestFigure6Golden:
         assert analysis.per_node_throughput == pytest.approx(per_node,
                                                              rel=1e-12)
         assert analysis.ideal_peak == pytest.approx(ideal_peak, rel=1e-12)
-
-
-class TestTrafficPatterns:
-    def test_alltoall_pairs_count(self):
-        from repro.network import alltoall_pairs
-        pairs = alltoall_pairs(range(5))
-        assert len(pairs) == 20
-        assert all(s != d for s, d in pairs)
-
-    def test_permutation_no_self(self):
-        from repro.network import permutation_pairs
-        pairs = permutation_pairs(list(range(10)), seed=3)
-        assert all(s != d for s, d in pairs)
-        assert len({d for _, d in pairs}) == len(pairs)
-
-    def test_hotspot(self):
-        from repro.network.traffic import hotspot_pairs
-        pairs = hotspot_pairs(list(range(6)), hotspot_index=2)
-        assert all(d == 2 for _, d in pairs)
-        assert len(pairs) == 5

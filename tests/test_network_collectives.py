@@ -1,11 +1,9 @@
-"""Tests for collective time models and functional executions."""
+"""Tests for collective time models."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network import (allreduce_time_torus, functional_alltoall,
-                           functional_ring_allreduce)
+from repro.network import allreduce_time_torus
 from repro.network.collectives import (allreduce_lower_bound,
                                        ring_allreduce_time)
 
@@ -74,57 +72,3 @@ class TestTorusAllReduce:
         # A mesh ring behaves like a ring with half bandwidth per phase.
         mesh_equiv = allreduce_time_torus((8, 8, 8), 1e6, 25e9)
         assert mesh_equiv == pytest.approx(2 * torus_time)
-
-
-class TestFunctionalAllReduce:
-    def test_matches_direct_sum(self):
-        rng = np.random.default_rng(0)
-        buffers = [rng.normal(size=24) for _ in range(6)]
-        expected = np.sum(buffers, axis=0)
-        results = functional_ring_allreduce(buffers)
-        for result in results:
-            np.testing.assert_allclose(result, expected, rtol=1e-12)
-
-    def test_two_nodes(self):
-        a, b = np.arange(4.0), np.ones(4)
-        results = functional_ring_allreduce([a, b])
-        np.testing.assert_allclose(results[0], a + b)
-        np.testing.assert_allclose(results[1], a + b)
-
-    def test_single_node_identity(self):
-        a = np.arange(5.0)
-        (result,) = functional_ring_allreduce([a])
-        np.testing.assert_allclose(result, a)
-
-    def test_uneven_chunks(self):
-        # Buffer length not divisible by node count.
-        buffers = [np.full(7, float(i)) for i in range(3)]
-        results = functional_ring_allreduce(buffers)
-        for result in results:
-            np.testing.assert_allclose(result, np.full(7, 3.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            functional_ring_allreduce([])
-
-    def test_inputs_not_mutated(self):
-        buffers = [np.ones(8), np.ones(8) * 2]
-        snapshots = [b.copy() for b in buffers]
-        functional_ring_allreduce(buffers)
-        for before, after in zip(snapshots, buffers):
-            np.testing.assert_array_equal(before, after)
-
-
-class TestFunctionalAllToAll:
-    def test_transpose_semantics(self):
-        n = 4
-        buffers = [[np.array([i * 10 + j]) for j in range(n)]
-                   for i in range(n)]
-        received = functional_alltoall(buffers)
-        for j in range(n):
-            for i in range(n):
-                assert received[j][i][0] == i * 10 + j
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ConfigurationError):
-            functional_alltoall([[np.zeros(1)], [np.zeros(1), np.zeros(1)]])

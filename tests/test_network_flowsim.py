@@ -104,12 +104,13 @@ class TestTopologyIntegration:
                                      ((1, 0, 0), (2, 0, 0))]
 
     def test_neighbor_exchange_on_ring(self):
-        from repro.network.traffic import neighbor_exchange_pairs
         from repro.topology.routing import shortest_path
         torus = Torus3D((4, 1, 1))
         caps = topology_capacities(torus, 10.0)
         sim = FlowSim(caps)
-        for src, dst in neighbor_exchange_pairs(torus):
+        pairs = [(node, neighbor) for node in torus.nodes
+                 for neighbor in torus.unique_neighbors(node)]
+        for src, dst in pairs:
             sim.add_flow(route_links(shortest_path(torus, src, dst)), 100.0)
         # Each direction of each link carries exactly one flow: 10 s.
         assert sim.run() == pytest.approx(10.0)

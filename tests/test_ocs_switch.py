@@ -1,11 +1,11 @@
-"""Tests for the Palomar OCS model and circulator accounting."""
+"""Tests for the Palomar OCS model."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import OCSError
 from repro.ocs import (OpticalCircuitSwitch, PALOMAR_PORTS,
-                       PALOMAR_SPARE_PORTS, fibers_required, ports_required)
+                       PALOMAR_SPARE_PORTS)
 
 
 class TestPalomarDefaults:
@@ -90,19 +90,3 @@ class TestConnections:
             OpticalCircuitSwitch(num_ports=1)
         with pytest.raises(OCSError):
             OpticalCircuitSwitch(num_ports=8, spare_ports=8)
-
-
-class TestCirculators:
-    def test_halving(self):
-        assert fibers_required(96) == 96
-        assert fibers_required(96, with_circulators=False) == 192
-        assert ports_required(64) == 128
-        assert ports_required(64, with_circulators=False) == 256
-
-    def test_palomar_sizing_story(self):
-        # 64 blocks, each pairing its +/- fibers on one switch: 128 ports.
-        assert ports_required(64) == OpticalCircuitSwitch().usable_ports
-
-    def test_negative_rejected(self):
-        with pytest.raises(OCSError):
-            fibers_required(-1)

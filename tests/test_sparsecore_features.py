@@ -119,6 +119,18 @@ class TestEmbeddingTable:
         # Duplicate ids accumulate: row 1 moved further than row 2.
         assert table.weights[1][0] < table.weights[2][0]
 
+    def test_adaptive_rate_decays(self):
+        table = EmbeddingTable("t", vocab_size=10, dim=4,
+                               weights=np.ones((10, 4)))
+        table.apply_gradients(np.array([1]), np.ones((1, 4)),
+                              learning_rate=0.5)
+        first_step = 1.0 - table.weights[1][0]
+        before = table.weights[1][0]
+        table.apply_gradients(np.array([1]), np.ones((1, 4)),
+                              learning_rate=0.5)
+        second_step = before - table.weights[1][0]
+        assert 0 < second_step < first_step
+
     def test_bytes_accounting(self):
         table = EmbeddingTable("t", vocab_size=1000, dim=100)
         assert table.num_parameters == 100_000

@@ -1,62 +1,11 @@
-"""Tests for MXU/VPU/memory-system timing."""
+"""Tests for the VMEM/CMEM/HBM memory-system model."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.tensorcore import MXU, MemorySystem, TensorCore, VPU
+from repro.tensorcore import MemorySystem
 from repro.tensorcore.memory import TPUV3_MEMORY
-from repro.tensorcore.mxu import matmul_cycles
-from repro.units import GB, KIB, MIB
-
-
-class TestMXU:
-    def test_peak_flops(self):
-        mxu = MXU(clock_hz=1050e6)
-        # 2 * 128^2 MACs/cycle * 1.05 GHz = 34.4 TFLOPS; x4 MXUs x2 cores
-        # gives the chip's 275 TFLOPS.
-        assert 8 * mxu.peak_flops == pytest.approx(275e12, rel=0.01)
-
-    def test_cycles_tile_quantization(self):
-        aligned = matmul_cycles(128, 128, 128)
-        ragged = matmul_cycles(129, 128, 128)
-        assert ragged == pytest.approx(2 * aligned - 256, abs=1)
-
-    def test_efficiency_full_tiles(self):
-        mxu = MXU()
-        assert mxu.matmul_efficiency(1024, 1024, 1024) > 0.9
-
-    def test_efficiency_small_matrices_poor(self):
-        mxu = MXU()
-        assert mxu.matmul_efficiency(8, 8, 8) < 0.01
-
-    def test_input_reuse_128(self):
-        # Section 7.5: each 128-entry input is reused 128 times.
-        assert MXU().input_reuse() == 128
-
-    def test_invalid_dims(self):
-        with pytest.raises(ConfigurationError):
-            matmul_cycles(0, 128, 128)
-
-
-class TestVPU:
-    def test_ops_per_cycle(self):
-        vpu = VPU()
-        assert vpu.ops_per_cycle == 128 * 16
-
-    def test_elementwise_time_scales(self):
-        vpu = VPU()
-        t1 = vpu.elementwise_time(1 << 20)
-        t2 = vpu.elementwise_time(1 << 21)
-        assert t2 == pytest.approx(2 * t1, rel=0.01)
-
-    def test_reduction_adds_log_tail(self):
-        vpu = VPU()
-        assert vpu.reduction_time(1 << 20) > vpu.elementwise_time(1 << 20)
-        assert vpu.reduction_time(1) == 0.0
-
-    def test_negative_elements(self):
-        with pytest.raises(ConfigurationError):
-            VPU().elementwise_time(-1)
+from repro.units import GB, MIB
 
 
 class TestMemorySystem:
@@ -100,34 +49,3 @@ class TestMemorySystem:
     def test_invalid_fraction(self):
         with pytest.raises(ConfigurationError):
             MemorySystem().effective_bandwidth(1.5)
-
-
-class TestTensorCore:
-    def test_peak_flops_half_chip(self):
-        core = TensorCore()
-        assert core.peak_flops == pytest.approx(275e12 / 2, rel=0.01)
-
-    def test_large_matmul_compute_bound(self):
-        timing = TensorCore().matmul(4096, 4096, 4096)
-        assert not timing.memory_bound
-
-    def test_fp32_gemv_memory_bound(self):
-        # A large fp32 matrix-vector product streams the weight matrix
-        # once from HBM and cannot keep the MXU busy.
-        timing = TensorCore().matmul(1, 10_000, 10_000, bytes_per_element=4)
-        assert timing.served_by == "hbm"
-        assert timing.memory_bound
-
-    def test_seconds_is_max(self):
-        timing = TensorCore().matmul(512, 512, 512)
-        assert timing.seconds == max(timing.compute_seconds,
-                                     timing.memory_seconds)
-
-    def test_elementwise_memory_bound(self):
-        # Streaming elementwise ops are bandwidth-limited on any real chip.
-        timing = TensorCore().elementwise(1 << 26)
-        assert timing.memory_bound
-
-    def test_mxu_count_guard(self):
-        with pytest.raises(ConfigurationError):
-            TensorCore(num_mxus=0)
