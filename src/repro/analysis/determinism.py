@@ -19,9 +19,10 @@ replay"):
   global stream and numpy's global-state ``np.random.*`` calls.  The
   repo convention is an explicitly passed ``np.random.Generator``
   (see ``fleet/failures.py`` and ``fleet/workload.py``).
-* **D004** — ``json.dumps``/``json.dump`` without ``sort_keys=True``.
-  Every export, trace, and summary path is byte-diffed in CI; dict
-  key order must come from the sort, not from insertion history.
+* **D004** — ``json.dumps``/``json.dump``, or a ``json.JSONEncoder``
+  built, without ``sort_keys=True``.  Every export, trace, and summary
+  path is byte-diffed in CI; dict key order must come from the sort,
+  not from insertion history.
 * **D005** — float accumulation (``sum``/``math.fsum``/``+=`` loops)
   over dict views or set expressions without ``sorted()``.  Float
   addition is not associative, so the iteration order of the source
@@ -212,15 +213,16 @@ def check_unseeded_randomness(source: SourceFile) -> Iterator[Finding]:
 
 
 @rule("D004", "unsorted-json",
-      "json.dumps/json.dump without sort_keys=True; byte-diffed "
-      "outputs need key order from the sort, not insertion history")
+      "json.dumps/json.dump/json.JSONEncoder without sort_keys=True; "
+      "byte-diffed outputs need key order from the sort, not insertion "
+      "history")
 def check_unsorted_json(source: SourceFile) -> Iterator[Finding]:
     imports = astutil.collect_imports(source.tree)
     for node in ast.walk(source.tree):
         if not isinstance(node, ast.Call):
             continue
         resolved = astutil.resolve_call(node, imports)
-        if resolved not in ("json.dumps", "json.dump"):
+        if resolved not in ("json.dumps", "json.dump", "json.JSONEncoder"):
             continue
         sorts = [keyword for keyword in node.keywords
                  if keyword.arg == "sort_keys"]

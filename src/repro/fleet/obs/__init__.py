@@ -8,8 +8,7 @@ docstrings under this package and the README's Observability section.
 from repro.fleet.obs.export import (OBS_SCHEMA, OBS_VERSION,
                                     dumps_chrome_trace, dumps_obs,
                                     load_obs, loads_obs, render_report,
-                                    save_obs, to_chrome_trace,
-                                    validate_chrome_trace)
+                                    save_obs, validate_chrome_trace)
 from repro.fleet.obs.metrics import MetricsSampler
 from repro.fleet.obs.profiler import DispatchProfiler
 from repro.fleet.obs.tracer import (Decision, Instant, NULL_RECORDER,
@@ -38,6 +37,5 @@ __all__ = [
     "loads_obs",
     "render_report",
     "save_obs",
-    "to_chrome_trace",
     "validate_chrome_trace",
 ]

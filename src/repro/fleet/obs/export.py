@@ -10,18 +10,21 @@ log, chosen by file extension at the CLI:
   ports, free blocks per pod); the ``jobs`` process holds one thread
   per *job class* (kind + block count) carrying every job's lifecycle
   spans, job instants, and decision-log instants.  Each event's
-  ``args`` embeds the full source record, so the export is lossless
-  for spans/instants/decisions and ``fleet report`` can read either
-  format.
-* **versioned JSONL** (``.jsonl``) — one validated record per line
-  under the same header-first discipline as workload traces
-  (:mod:`repro.fleet.trace`): schema tag, exact-version match, typed
-  per-line validation, loud :class:`~repro.errors.TraceError` on any
-  violation.
+  ``args`` embeds the full source record, so ``fleet report`` can read
+  either format.  Reloading a Chrome export rebuilds every span,
+  instant and decision exactly except their times: those pass through
+  microseconds (``ts``, ``dur``) and can come back one ulp off.
+* **versioned JSONL** (``.jsonl``) — the bit-exact format: one
+  validated record per line under the same header-first discipline as
+  workload traces (:mod:`repro.fleet.trace`): schema tag, exact-version
+  match, typed per-line validation, loud
+  :class:`~repro.errors.TraceError` on any violation.
 
 Determinism contract: both serializers emit records in recording order
 with sorted keys and no wall-clock anywhere, so double runs of the same
-scenario export byte-identical files — CI diffs them.
+scenario export byte-identical files — CI diffs them.  Every record's
+text equals ``json.dumps(record, sort_keys=True)`` byte for byte
+(``tests/test_fleet_obs.py`` keeps those writers as the reference).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import TraceError
 from repro.fleet.obs.tracer import (Decision, Instant, ObsRecorder,
@@ -77,87 +80,130 @@ def _job_classes(recorder: ObsRecorder) -> dict[str, int]:
             for tid, (kind, blocks) in enumerate(ordered)}
 
 
+# -- record templates ------------------------------------------------------------
+#
+# One format string per record type, its keys in the order
+# ``sort_keys=True`` emits them and with the format's separators.  An
+# exact str, int or finite float is written as json's C encoder writes
+# it; every other value, and the free-form dicts (args, meta,
+# otherData), goes through the format's encoder.  So the bytes equal
+# ``json.dumps(record, sort_keys=True)`` for every input, and an
+# unencodable value raises the same TypeError.
+
+_JSONL = json.JSONEncoder(sort_keys=True)
+_CHROME = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+_SPAN_LINE = ('{"args": %s, "end": %s, "job_id": %s, "name": %s, '
+              '"start": %s, "type": "span"}')
+_INSTANT_LINE = '{"args": %s, "name": %s, "time": %s, "type": "instant"}'
+_DECISION_LINE = ('{"blocks": %s, "cause": %s, "job_id": %s, "kind": %s, '
+                  '"outcome": %s, "priority": %s, "time": %s, '
+                  '"type": "decision"}')
+_SAMPLE_LINE = ('{"free_blocks": [%s], "queue_depth": %s, '
+                '"running_jobs": %s, "time": %s, "trunk_ports_in_use": %s, '
+                '"type": "sample"}')
+
+_METADATA_EVENT = ('{"args":{"name":%s},"name":%s,"ph":"M","pid":%d,'
+                   '"tid":%d}')
+_SPAN_EVENT = ('{"args":%s,"dur":%s,"name":%s,"ph":"X","pid":%d,"tid":%d,'
+               '"ts":%s}')
+_INSTANT_EVENT = ('{"args":%s,"name":%s,"ph":"i","pid":%d,"s":"t","tid":%d,'
+                  '"ts":%s}')
+_DECISION_EVENT = ('{"args":{"blocks":%s,"cause":%s,"job_id":%s,"kind":%s,'
+                   '"outcome":%s,"priority":%s},"name":%s,"ph":"i","pid":%d,'
+                   '"s":"t","tid":%d,"ts":%s}')
+_COUNTER_EVENT = ('{"args":{"value":%s},"name":%s,"ph":"C","pid":%d,"tid":0,'
+                  '"ts":%s}')
+_CHROME_DOCUMENT = ('{"displayTimeUnit":"ms","otherData":%s,'
+                    '"traceEvents":[%s]}\n')
+
+_escape = json.encoder.encode_basestring_ascii  # the ensure_ascii escaper
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _scalar_writer(encoder: json.JSONEncoder) -> Callable[[Any], str]:
+    """A function writing one value as `encoder` would, by exact type."""
+    fallback = encoder.encode
+
+    def scalar(value: Any) -> str:
+        kind = type(value)
+        if kind is str:
+            return _escape(value)
+        if kind is float and -math.inf < value < math.inf:
+            return _float_repr(value)
+        if kind is int:
+            return _int_repr(value)
+        return fallback(value)
+
+    return scalar
+
+
+_jsonl_scalar = _scalar_writer(_JSONL)
+_chrome_scalar = _scalar_writer(_CHROME)
+
+
 # -- Chrome trace-event export ---------------------------------------------------
 
 
-def to_chrome_trace(recorder: ObsRecorder) -> dict[str, Any]:
-    """The log as a Chrome trace-event object (Perfetto-loadable)."""
-    meta = recorder.meta
-    num_pods = int(meta.get("num_pods", 0))
-    classes = _job_classes(recorder)
-    events: list[dict[str, Any]] = []
-
-    def metadata(pid: int, tid: int, name: str, label: str) -> None:
-        events.append({"ph": "M", "pid": pid, "tid": tid, "name": name,
-                       "args": {"name": label}})
-
-    metadata(PID_FLEET, 0, "process_name", "fleet")
-    for pod_id in range(num_pods):
-        metadata(PID_FLEET, pod_id, "thread_name", f"pod {pod_id}")
-    metadata(PID_JOBS, 0, "process_name", "jobs")
-    for label, tid in classes.items():
-        metadata(PID_JOBS, tid, "thread_name", label)
-
-    def class_tid(args: dict[str, Any]) -> int:
-        return classes.get(_job_class(args.get("kind", "job"),
-                                      args.get("blocks", 0)), 0)
-
-    for span in recorder.spans:
-        events.append({
-            "ph": "X", "pid": PID_JOBS, "tid": class_tid(span.args),
-            "ts": span.start * _MICROS, "dur": span.duration * _MICROS,
-            "name": span.name,
-            "args": {"job_id": span.job_id, **span.args}})
-    for instant in recorder.instants:
-        if "job_id" in instant.args:
-            pid, tid = PID_JOBS, class_tid(instant.args)
-        else:
-            pid, tid = PID_FLEET, int(instant.args.get("pod_id", 0))
-        events.append({
-            "ph": "i", "s": "t", "pid": pid, "tid": tid,
-            "ts": instant.time * _MICROS, "name": instant.name,
-            "args": dict(instant.args)})
-    for decision in recorder.decisions:
-        events.append({
-            "ph": "i", "s": "t", "pid": PID_JOBS,
-            "tid": classes.get(_job_class(decision.kind, decision.blocks),
-                               0),
-            "ts": decision.time * _MICROS,
-            "name": f"decision:{decision.cause}",
-            "args": {"job_id": decision.job_id, "kind": decision.kind,
-                     "blocks": decision.blocks,
-                     "priority": decision.priority,
-                     "outcome": decision.outcome,
-                     "cause": decision.cause}})
-    samples = recorder.samples
-    for index, time in enumerate(samples.times):
-        ts = time * _MICROS
-        events.append({"ph": "C", "pid": PID_FLEET, "tid": 0, "ts": ts,
-                       "name": "queue_depth",
-                       "args": {"value": samples.queue_depth[index]}})
-        events.append({"ph": "C", "pid": PID_FLEET, "tid": 0, "ts": ts,
-                       "name": "running_jobs",
-                       "args": {"value": samples.running_jobs[index]}})
-        events.append({"ph": "C", "pid": PID_FLEET, "tid": 0, "ts": ts,
-                       "name": "trunk_ports_in_use",
-                       "args": {"value":
-                                samples.trunk_ports_in_use[index]}})
-        for pod_id, column in enumerate(samples.free_blocks):
-            events.append({"ph": "C", "pid": PID_FLEET, "tid": 0,
-                           "ts": ts, "name": f"free_blocks_pod{pod_id}",
-                           "args": {"value": column[index]}})
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"schema": OBS_SCHEMA, "version": OBS_VERSION,
-                      **meta},
-    }
-
-
 def dumps_chrome_trace(recorder: ObsRecorder) -> str:
-    """Chrome trace-event JSON text (deterministic key order)."""
-    return json.dumps(to_chrome_trace(recorder), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    """The log as Chrome trace-event JSON text (Perfetto-loadable).
+
+    The text equals ``json.dumps(trace, sort_keys=True,
+    separators=(",", ":")) + "\\n"`` of the trace-event object.
+    """
+    scalar = _chrome_scalar
+    encode = _CHROME.encode
+    meta = recorder.meta
+    classes = _job_classes(recorder)
+    events = [_METADATA_EVENT % (scalar("fleet"), scalar("process_name"),
+                                 PID_FLEET, 0)]
+    events += [_METADATA_EVENT % (scalar(f"pod {pod_id}"),
+                                  scalar("thread_name"), PID_FLEET, pod_id)
+               for pod_id in range(int(meta.get("num_pods", 0)))]
+    events.append(_METADATA_EVENT % (scalar("jobs"), scalar("process_name"),
+                                     PID_JOBS, 0))
+    events += [_METADATA_EVENT % (scalar(label), scalar("thread_name"),
+                                  PID_JOBS, tid)
+               for label, tid in classes.items()]
+    for name, job_id, start, end, args in recorder.spans:
+        tid = classes.get(_job_class(args.get("kind", "job"),
+                                     args.get("blocks", 0)), 0)
+        events.append(_SPAN_EVENT % (
+            encode({"job_id": job_id, **args}),
+            scalar((end - start) * _MICROS), scalar(name), PID_JOBS, tid,
+            scalar(start * _MICROS)))
+    for name, time, args in recorder.instants:
+        if "job_id" in args:
+            pid = PID_JOBS
+            tid = classes.get(_job_class(args.get("kind", "job"),
+                                         args.get("blocks", 0)), 0)
+        else:
+            pid, tid = PID_FLEET, int(args.get("pod_id", 0))
+        events.append(_INSTANT_EVENT % (encode(args), scalar(name), pid, tid,
+                                        scalar(time * _MICROS)))
+    for time, job_id, kind, blocks, priority, outcome, cause in \
+            recorder.decisions:
+        events.append(_DECISION_EVENT % (
+            scalar(blocks), scalar(cause), scalar(job_id), scalar(kind),
+            scalar(outcome), scalar(priority), scalar(f"decision:{cause}"),
+            PID_JOBS, classes.get(_job_class(kind, blocks), 0),
+            scalar(time * _MICROS)))
+    samples = recorder.samples
+    names = ["queue_depth", "running_jobs", "trunk_ports_in_use"]
+    names += [f"free_blocks_pod{pod_id}"
+              for pod_id in range(len(samples.free_blocks))]
+    counters = list(zip(
+        [scalar(name) for name in names],
+        [samples.queue_depth, samples.running_jobs,
+         samples.trunk_ports_in_use, *samples.free_blocks]))
+    for index, time in enumerate(samples.times):
+        ts = scalar(time * _MICROS)
+        events += [_COUNTER_EVENT % (scalar(column[index]), name, PID_FLEET,
+                                     ts)
+                   for name, column in counters]
+    other = encode({"schema": OBS_SCHEMA, "version": OBS_VERSION, **meta})
+    return _CHROME_DOCUMENT % (other, ",".join(events))
 
 
 def validate_chrome_trace(payload: Any) -> None:
@@ -206,37 +252,33 @@ def validate_chrome_trace(payload: Any) -> None:
 
 
 def dumps_obs(recorder: ObsRecorder) -> str:
-    """The log as versioned JSONL text (trailing newline included)."""
-    lines = [json.dumps({"type": "header", "schema": OBS_SCHEMA,
-                         "version": OBS_VERSION, "meta": recorder.meta},
-                        sort_keys=True)]
-    for span in recorder.spans:
-        lines.append(json.dumps({
-            "type": "span", "name": span.name, "job_id": span.job_id,
-            "start": span.start, "end": span.end, "args": span.args,
-        }, sort_keys=True))
-    for instant in recorder.instants:
-        lines.append(json.dumps({
-            "type": "instant", "name": instant.name,
-            "time": instant.time, "args": instant.args,
-        }, sort_keys=True))
-    for decision in recorder.decisions:
-        lines.append(json.dumps({
-            "type": "decision", "time": decision.time,
-            "job_id": decision.job_id, "kind": decision.kind,
-            "blocks": decision.blocks, "priority": decision.priority,
-            "outcome": decision.outcome, "cause": decision.cause,
-        }, sort_keys=True))
+    """The log as versioned JSONL text (trailing newline included).
+
+    Each line equals ``json.dumps(record, sort_keys=True)``.
+    """
+    scalar = _jsonl_scalar
+    encode = _JSONL.encode
+    lines = [encode({"type": "header", "schema": OBS_SCHEMA,
+                     "version": OBS_VERSION, "meta": recorder.meta})]
+    lines += [_SPAN_LINE % (encode(args), scalar(end), scalar(job_id),
+                            scalar(name), scalar(start))
+              for name, job_id, start, end, args in recorder.spans]
+    lines += [_INSTANT_LINE % (encode(args), scalar(name), scalar(time))
+              for name, time, args in recorder.instants]
+    lines += [_DECISION_LINE % (scalar(blocks), scalar(cause),
+                                scalar(job_id), scalar(kind),
+                                scalar(outcome), scalar(priority),
+                                scalar(time))
+              for time, job_id, kind, blocks, priority, outcome, cause
+              in recorder.decisions]
     samples = recorder.samples
     for index, time in enumerate(samples.times):
-        lines.append(json.dumps({
-            "type": "sample", "time": time,
-            "queue_depth": samples.queue_depth[index],
-            "running_jobs": samples.running_jobs[index],
-            "trunk_ports_in_use": samples.trunk_ports_in_use[index],
-            "free_blocks": [column[index]
-                            for column in samples.free_blocks],
-        }, sort_keys=True))
+        lines.append(_SAMPLE_LINE % (
+            ", ".join([scalar(column[index])
+                       for column in samples.free_blocks]),
+            scalar(samples.queue_depth[index]),
+            scalar(samples.running_jobs[index]), scalar(time),
+            scalar(samples.trunk_ports_in_use[index])))
     return "\n".join(lines) + "\n"
 
 
@@ -305,14 +347,14 @@ def _parse_record(recorder: ObsRecorder, record: dict, where: str) -> None:
             raise _fail(where, f"span ends at {end} before its start "
                                f"{start}")
         recorder.spans.append(Span(
-            name=_string(record, "name", where),
-            job_id=_integer(record, "job_id", where),
-            start=start, end=end, args=_args(record, where)))
+            _string(record, "name", where),
+            _integer(record, "job_id", where),
+            start, end, _args(record, where)))
     elif kind == "instant":
         recorder.instants.append(Instant(
-            name=_string(record, "name", where),
-            time=_number(record, "time", where),
-            args=_args(record, where)))
+            _string(record, "name", where),
+            _number(record, "time", where),
+            _args(record, where)))
     elif kind == "decision":
         outcome = _string(record, "outcome", where)
         if outcome not in _OUTCOMES:
@@ -323,12 +365,12 @@ def _parse_record(recorder: ObsRecorder, record: dict, where: str) -> None:
             raise _fail(where, f"unknown decision cause {cause!r}; have "
                                f"{sorted(_CAUSES)}")
         recorder.decisions.append(Decision(
-            time=_number(record, "time", where),
-            job_id=_integer(record, "job_id", where),
-            kind=_string(record, "kind", where),
-            blocks=_integer(record, "blocks", where),
-            priority=_integer(record, "priority", where),
-            outcome=outcome, cause=cause))
+            _number(record, "time", where),
+            _integer(record, "job_id", where),
+            _string(record, "kind", where),
+            _integer(record, "blocks", where),
+            _integer(record, "priority", where),
+            outcome, cause))
     elif kind == "sample":
         free = record.get("free_blocks")
         if not (isinstance(free, list) and
@@ -336,6 +378,12 @@ def _parse_record(recorder: ObsRecorder, record: dict, where: str) -> None:
                     for f in free)):
             raise _fail(where, f"free_blocks must be a list of integers, "
                                f"got {free!r}")
+        columns = recorder.samples.free_blocks
+        if len(recorder.samples) and len(free) != len(columns):
+            # One column per pod: a row of another length would leave
+            # the columns ragged (or drop its extra entries).
+            raise _fail(where, f"free_blocks has {len(free)} entries, but "
+                               f"the first sample row has {len(columns)}")
         recorder.sample(
             time=_number(record, "time", where),
             queue_depth=_integer(record, "queue_depth", where),
@@ -398,9 +446,11 @@ def save_obs(recorder: ObsRecorder, path: str | Path) -> Path:
 def _from_chrome_trace(payload: dict) -> ObsRecorder:
     """Rebuild a recorder from an exported Chrome trace object.
 
-    Lossless for spans, instants, and decisions (their args embed the
-    source records): each one is turned back into its JSONL record and
-    validated by the same parser as the JSONL reader.  Counter samples
+    Spans, instants, and decisions come back from their args, which
+    embed the source records: each one is turned back into its JSONL
+    record and validated by the same parser as the JSONL reader.  Their
+    times pass through microseconds and can come back one ulp off; the
+    JSONL export is the bit-exact one.  Counter samples
     stay in counter form and are not rebuilt — the report only
     summarizes them.
     """

@@ -31,7 +31,7 @@ keeping the disabled overhead to attribute checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Span phase names, in lifecycle order.  ``queued`` covers submission
 #: (or requeue) to placement; the other three partition every placed
@@ -44,15 +44,14 @@ REJECTED_CAUSES = ("insufficient_blocks", "insufficient_trunk_ports",
                    "preemption_declined")
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One per-job lifecycle interval, in simulation seconds."""
 
     name: str
     job_id: int
     start: float
     end: float
-    args: dict[str, Any] = field(default_factory=dict)
+    args: dict[str, Any]
 
     @property
     def duration(self) -> float:
@@ -60,17 +59,15 @@ class Span:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class Instant:
+class Instant(NamedTuple):
     """One point event, in simulation seconds."""
 
     name: str
     time: float
-    args: dict[str, Any] = field(default_factory=dict)
+    args: dict[str, Any]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One scheduler placement attempt and its audited outcome."""
 
     time: float
@@ -180,19 +177,17 @@ class ObsRecorder:
     def span(self, name: str, job_id: int, start: float, end: float,
              **args: Any) -> None:
         """Record one closed per-job interval."""
-        self.spans.append(Span(name=name, job_id=job_id, start=start,
-                               end=end, args=args))
+        self.spans.append(Span(name, job_id, start, end, args))
 
     def instant(self, name: str, time: float, **args: Any) -> None:
         """Record one point event."""
-        self.instants.append(Instant(name=name, time=time, args=args))
+        self.instants.append(Instant(name, time, args))
 
     def decision(self, time: float, job_id: int, kind: str, blocks: int,
                  priority: int, outcome: str, cause: str) -> None:
         """Record one placement attempt's outcome and cause."""
-        self.decisions.append(Decision(
-            time=time, job_id=job_id, kind=kind, blocks=blocks,
-            priority=priority, outcome=outcome, cause=cause))
+        self.decisions.append(Decision(time, job_id, kind, blocks,
+                                       priority, outcome, cause))
 
     def sample(self, time: float, queue_depth: int, running_jobs: int,
                trunk_ports_in_use: int,

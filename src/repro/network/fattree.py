@@ -40,11 +40,9 @@ def clos_switch_count(num_hosts: int, radix: int = QM8790_RADIX,
         return 1 if num_hosts <= radix else math.ceil(num_hosts / radix)
     leaves = math.ceil(num_hosts / half)
     total = leaves
-    width = leaves
     for _ in range(levels - 2):
-        width = math.ceil(width * half / half)  # same width per middle tier
-        total += width
-    total += math.ceil(width / 2)  # top tier needs half as many
+        total += leaves  # every middle tier is as wide as the leaf tier
+    total += math.ceil(leaves / 2)  # top tier needs half as many
     return total
 
 

@@ -192,6 +192,20 @@ class TestD004UnsortedJson:
                            rules=["D004"])
         assert rules_of(result) == ["D004"]
 
+    def test_encoder_without_sort_keys_flagged(self, tmp_path):
+        result = lint_text(tmp_path,
+                           "import json\n"
+                           "ENCODER = json.JSONEncoder(indent=2)\n",
+                           rules=["D004"])
+        assert rules_of(result) == ["D004"]
+
+    def test_encoder_with_sort_keys_is_clean(self, tmp_path):
+        result = lint_text(tmp_path,
+                           "import json\n"
+                           "ENCODER = json.JSONEncoder(sort_keys=True)\n",
+                           rules=["D004"])
+        assert result.clean
+
 
 class TestD005UnorderedAccumulation:
     def test_sum_over_dict_values_flagged(self, tmp_path):

@@ -23,28 +23,42 @@ class TestValidation:
             pytest.approx(config.host_mtbf_seconds / 16)
 
     @pytest.mark.parametrize("overrides", [
-        dict(blocks_per_pod=60),           # not a cube
-        dict(num_pods=0),
-        dict(horizon_seconds=0.0),
-        dict(arrival_window_seconds=3 * 86400.0),  # outlives horizon
-        dict(mean_interarrival_seconds=0.0),
-        dict(serving_fraction=1.5),
-        dict(max_job_blocks=0),
-        dict(max_job_blocks=129),          # over the machine, not a pod
-        dict(host_mtbf_seconds=0.0),
-        dict(mean_repair_seconds=-1.0),
-        dict(checkpoint_seconds=0.0),
-        dict(restore_seconds=-100.0),
-        dict(serving_qps=0.0),
-        dict(mean_serving_seconds=0.0),
-        dict(trunk_ports=-1),
-        dict(trunk_bandwidth_tax=-0.1),
-        dict(trunk_reconfig_seconds=-1.0),
-        dict(spare_ports=-1),
-        dict(optical_failure_fraction=1.5),
-        dict(port_repair_seconds=-1.0),
-        dict(spare_ports=137),             # more than a whole Palomar switch
-        dict(spare_ports=10**9),
+        pytest.param(dict(blocks_per_pod=60),   # not a cube
+                     id="blocks_per_pod=60"),
+        pytest.param(dict(num_pods=0), id="num_pods=0"),
+        pytest.param(dict(horizon_seconds=0.0), id="horizon_seconds=0.0"),
+        pytest.param(dict(arrival_window_seconds=3 * 86400.0),
+                     id="arrival_window_seconds=3*86400.0"),  # > horizon
+        pytest.param(dict(mean_interarrival_seconds=0.0),
+                     id="mean_interarrival_seconds=0.0"),
+        pytest.param(dict(serving_fraction=1.5), id="serving_fraction=1.5"),
+        pytest.param(dict(max_job_blocks=0), id="max_job_blocks=0"),
+        pytest.param(dict(max_job_blocks=129),  # over the machine, not a pod
+                     id="max_job_blocks=129"),
+        pytest.param(dict(host_mtbf_seconds=0.0),
+                     id="host_mtbf_seconds=0.0"),
+        pytest.param(dict(mean_repair_seconds=-1.0),
+                     id="mean_repair_seconds=-1.0"),
+        pytest.param(dict(checkpoint_seconds=0.0),
+                     id="checkpoint_seconds=0.0"),
+        pytest.param(dict(restore_seconds=-100.0),
+                     id="restore_seconds=-100.0"),
+        pytest.param(dict(serving_qps=0.0), id="serving_qps=0.0"),
+        pytest.param(dict(mean_serving_seconds=0.0),
+                     id="mean_serving_seconds=0.0"),
+        pytest.param(dict(trunk_ports=-1), id="trunk_ports=-1"),
+        pytest.param(dict(trunk_bandwidth_tax=-0.1),
+                     id="trunk_bandwidth_tax=-0.1"),
+        pytest.param(dict(trunk_reconfig_seconds=-1.0),
+                     id="trunk_reconfig_seconds=-1.0"),
+        pytest.param(dict(spare_ports=-1), id="spare_ports=-1"),
+        pytest.param(dict(optical_failure_fraction=1.5),
+                     id="optical_failure_fraction=1.5"),
+        pytest.param(dict(port_repair_seconds=-1.0),
+                     id="port_repair_seconds=-1.0"),
+        pytest.param(dict(spare_ports=137),  # more than a whole Palomar switch
+                     id="spare_ports=137"),
+        pytest.param(dict(spare_ports=10**9), id="spare_ports=10**9"),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ConfigurationError):

@@ -6,10 +6,14 @@ reconcile exactly with the telemetry identity's buckets, and both
 export formats validate strictly and round-trip.
 """
 
+import functools
+import hashlib
 import json
+import math
 import re
 import time
 
+import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -19,17 +23,202 @@ from repro.fleet import FleetSimulator, preset_config
 from repro.fleet.scheduler import ActiveJob
 from repro.sim.events import Simulator
 from repro.fleet.obs import (DispatchProfiler, MetricsSampler,
-                             NULL_RECORDER, OBS_VERSION, ObsRecorder,
-                             PLACED_CAUSES, REJECTED_CAUSES,
-                             dumps_chrome_trace, dumps_obs, load_obs,
+                             NULL_RECORDER, OBS_SCHEMA, OBS_VERSION,
+                             ObsRecorder, PLACED_CAUSES, REJECTED_CAUSES,
+                             Span, dumps_chrome_trace, dumps_obs, load_obs,
                              loads_obs, render_report, save_obs,
                              validate_chrome_trace)
+from repro.fleet.obs.export import PID_FLEET, PID_JOBS
 
 
 def _run_with_obs(preset: str, seed: int = 0, **overrides):
     config = preset_config(preset).with_overrides(**overrides)
     return FleetSimulator(config, seed=seed).run(PlacementPolicy.OCS,
                                                  recorder=ObsRecorder())
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded(preset: str, seed: int) -> ObsRecorder:
+    """One observed OCS run's log, shared by tests that only read it."""
+    return _run_with_obs(preset, seed=seed).obs
+
+
+# -- the reference writers: one dict per record, then json.dumps ------------
+
+
+def _reference_job_classes(recorder):
+    classes = set()
+    for span in recorder.spans:
+        classes.add((span.args.get("kind", "job"),
+                     span.args.get("blocks", 0)))
+    for instant in recorder.instants:
+        if "job_id" in instant.args:
+            classes.add((instant.args.get("kind", "job"),
+                         instant.args.get("blocks", 0)))
+    for decision in recorder.decisions:
+        classes.add((decision.kind, decision.blocks))
+    ordered = sorted(classes, key=lambda c: (c[0], c[1]))
+    return {f"{kind}-{blocks}b": tid
+            for tid, (kind, blocks) in enumerate(ordered)}
+
+
+def _reference_chrome_trace(recorder):
+    meta = recorder.meta
+    num_pods = int(meta.get("num_pods", 0))
+    classes = _reference_job_classes(recorder)
+    events = []
+
+    def metadata(pid, tid, name, label):
+        events.append({"ph": "M", "pid": pid, "tid": tid, "name": name,
+                       "args": {"name": label}})
+
+    metadata(PID_FLEET, 0, "process_name", "fleet")
+    for pod_id in range(num_pods):
+        metadata(PID_FLEET, pod_id, "thread_name", f"pod {pod_id}")
+    metadata(PID_JOBS, 0, "process_name", "jobs")
+    for label, tid in classes.items():
+        metadata(PID_JOBS, tid, "thread_name", label)
+
+    def class_tid(args):
+        return classes.get(f"{args.get('kind', 'job')}-"
+                           f"{args.get('blocks', 0)}b", 0)
+
+    for span in recorder.spans:
+        events.append({
+            "ph": "X", "pid": PID_JOBS, "tid": class_tid(span.args),
+            "ts": span.start * 1e6, "dur": span.duration * 1e6,
+            "name": span.name,
+            "args": {"job_id": span.job_id, **span.args}})
+    for instant in recorder.instants:
+        if "job_id" in instant.args:
+            pid, tid = PID_JOBS, class_tid(instant.args)
+        else:
+            pid, tid = PID_FLEET, int(instant.args.get("pod_id", 0))
+        events.append({
+            "ph": "i", "s": "t", "pid": pid, "tid": tid,
+            "ts": instant.time * 1e6, "name": instant.name,
+            "args": dict(instant.args)})
+    for decision in recorder.decisions:
+        events.append({
+            "ph": "i", "s": "t", "pid": PID_JOBS,
+            "tid": classes.get(f"{decision.kind}-{decision.blocks}b", 0),
+            "ts": decision.time * 1e6,
+            "name": f"decision:{decision.cause}",
+            "args": {"job_id": decision.job_id, "kind": decision.kind,
+                     "blocks": decision.blocks,
+                     "priority": decision.priority,
+                     "outcome": decision.outcome,
+                     "cause": decision.cause}})
+    samples = recorder.samples
+    for index, time_ in enumerate(samples.times):
+        ts = time_ * 1e6
+        events.append({"ph": "C", "pid": PID_FLEET, "tid": 0, "ts": ts,
+                       "name": "queue_depth",
+                       "args": {"value": samples.queue_depth[index]}})
+        events.append({"ph": "C", "pid": PID_FLEET, "tid": 0, "ts": ts,
+                       "name": "running_jobs",
+                       "args": {"value": samples.running_jobs[index]}})
+        events.append({"ph": "C", "pid": PID_FLEET, "tid": 0, "ts": ts,
+                       "name": "trunk_ports_in_use",
+                       "args": {"value":
+                                samples.trunk_ports_in_use[index]}})
+        for pod_id, column in enumerate(samples.free_blocks):
+            events.append({"ph": "C", "pid": PID_FLEET, "tid": 0,
+                           "ts": ts, "name": f"free_blocks_pod{pod_id}",
+                           "args": {"value": column[index]}})
+    trace = {"traceEvents": events, "displayTimeUnit": "ms",
+             "otherData": {"schema": OBS_SCHEMA, "version": OBS_VERSION,
+                           **meta}}
+    return json.dumps(trace, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _reference_dumps_obs(recorder):
+    lines = [json.dumps({"type": "header", "schema": OBS_SCHEMA,
+                         "version": OBS_VERSION, "meta": recorder.meta},
+                        sort_keys=True)]
+    for span in recorder.spans:
+        lines.append(json.dumps({
+            "type": "span", "name": span.name, "job_id": span.job_id,
+            "start": span.start, "end": span.end, "args": span.args,
+        }, sort_keys=True))
+    for instant in recorder.instants:
+        lines.append(json.dumps({
+            "type": "instant", "name": instant.name,
+            "time": instant.time, "args": instant.args,
+        }, sort_keys=True))
+    for decision in recorder.decisions:
+        lines.append(json.dumps({
+            "type": "decision", "time": decision.time,
+            "job_id": decision.job_id, "kind": decision.kind,
+            "blocks": decision.blocks, "priority": decision.priority,
+            "outcome": decision.outcome, "cause": decision.cause,
+        }, sort_keys=True))
+    samples = recorder.samples
+    for index, time_ in enumerate(samples.times):
+        lines.append(json.dumps({
+            "type": "sample", "time": time_,
+            "queue_depth": samples.queue_depth[index],
+            "running_jobs": samples.running_jobs[index],
+            "trunk_ports_in_use": samples.trunk_ports_in_use[index],
+            "free_blocks": [column[index]
+                            for column in samples.free_blocks],
+        }, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+#: Every string kind the escaper meets: quotes, backslashes, non-ASCII,
+#: a line separator, control characters, an astral-plane character and
+#: a lone surrogate.
+_HOSTILE = 'q"uo\\te caf\u00e9 \u2028 \x00\x1f\x7f \U0001f600 \ud800'
+
+
+def _hostile_recorder() -> ObsRecorder:
+    """A log of every value type the writers format or hand on."""
+    recorder = ObsRecorder(meta={"num_pods": 2, "note": _HOSTILE,
+                                 "nested": [True, None, [1.5, "x"]]})
+    recorder.span(_HOSTILE, 1, 0.0, 1.5, kind=_HOSTILE, blocks=3,
+                  nested=[[1, 2], {"a": None, "b": [False]}])
+    recorder.span("running", 2, np.float64(2.5), 3.0, kind="train",
+                  blocks=1, ok=True, none=None)
+    # True equals 1 as a class key but labels as "train-Trueb".
+    recorder.span("running", 3, -math.inf, math.inf, kind="train",
+                  blocks=True)
+    recorder.spans.append(Span("queued", 4, math.nan, 7, {
+        "kind": "serve", "blocks": 2.0, "job_id": "shadows the field"}))
+    recorder.instant(_HOSTILE, math.nan, job_id=1, kind=_HOSTILE,
+                     blocks=3)
+    recorder.instant("block_down", 5.0, pod_id=True, block_id=None)
+    recorder.instant("drain", -0.0, pod_id=1.9, reason=_HOSTILE)
+    recorder.instant("odd", np.float64(1e300), job_id=None)
+    recorder.decision(math.inf, 1, _HOSTILE, 3, -1, "rejected", _HOSTILE)
+    recorder.decision(np.float64(0.1), True, "train", 1, None, "placed",
+                      "pod_local")
+    recorder.decision(-math.inf, 5, "serve", 2, 1, "placed", "defrag")
+    recorder.sample(0.0, 1, 2, 3, [4, 5])
+    recorder.sample(math.nan, True, None, 1.5, [np.float64(6.0), -0.0])
+    recorder.sample(np.float64(7.25), 0, 0, 0, [[1], "x"])
+    return recorder
+
+
+#: sha256 of (JSONL, Chrome) for each preset's OCS run at seed 0, as
+#: the json.dumps writers above produce them.
+_PINNED = {
+    "tiny": (
+        "eb56a094c92c96863c47564742cc66383d649c0beb2b79703fb8875ce122908b",
+        "8fa7ad483238018123e8151e4c417f32e8c7b272799394e78e52b1614934dae2"),
+    "small": (
+        "f5c6ce76f7c45de732173b8f18c8be75070fd176e0f899b87e79b8b84631c2d3",
+        "826ce9534ff3cb7fdab581f9470cce77ad2416d728baa9f20489da0968aac22f"),
+    "edge": (
+        "e0554838a8a3b75d6aa4741408f9eb9e5b48b866dca8d46e74c97a0a1cb4b1c8",
+        "700411600abcc491c9af5b3afef52d433ee638da9d332473b3b43ee94acb8ef2"),
+    "serving": (
+        "ab97f950db8dc7d63842bed086e6a9dd729c285d8d4f9ad990efacb2e5bb8c25",
+        "946acee7aa3aed3e8e0b0c17c5ec254e4a95d90bee453167cfd6749e3a3085d3"),
+    "replay": (
+        "9734c9dfd3ad1c14ec9e736d6070684c6d73266c2ffda8c9ed5e977338d46d3b",
+        "901ac6bd190ffa91b2e576e2426d8c03e464e87723f206bb1256c9f98bcc3a9e"),
+}
 
 
 class TestRecorderBasics:
@@ -309,14 +498,16 @@ class TestMetricsSampler:
 
 class TestJsonlExport:
     def test_round_trip(self):
-        obs = _run_with_obs("tiny").obs
-        text = dumps_obs(obs)
-        loaded = loads_obs(text)
-        assert dumps_obs(loaded) == text
-        assert loaded.meta == obs.meta
-        assert loaded.spans == obs.spans
-        assert loaded.decisions == obs.decisions
-        assert len(loaded.samples) == len(obs.samples)
+        for preset in ("tiny", "edge"):
+            obs = _recorded(preset, 0)
+            text = dumps_obs(obs)
+            loaded = loads_obs(text)
+            assert dumps_obs(loaded) == text
+            assert loaded.meta == obs.meta
+            assert loaded.spans == obs.spans
+            assert loaded.instants == obs.instants
+            assert loaded.decisions == obs.decisions
+            assert len(loaded.samples) == len(obs.samples)
 
     def test_header_first_line(self):
         header = json.loads(dumps_obs(ObsRecorder()).splitlines()[0])
@@ -351,6 +542,12 @@ class TestJsonlExport:
                                 '"queue_depth": 1, "running_jobs": 0, '
                                 '"trunk_ports_in_use": 0, '
                                 '"free_blocks": [1.5]}'], "free_blocks"),
+        (lambda lines: lines + [
+            '{"type": "sample", "time": 0.0, "queue_depth": 1, '
+            '"running_jobs": 0, "trunk_ports_in_use": 0, '
+            f'"free_blocks": {free}}}' for free in ([1, 2], [3], [4, 5, 6])],
+         "line 3: free_blocks has 1 entries, but the first sample row "
+         "has 2"),
     ])
     def test_validation_fails_loudly(self, mutate, needle):
         lines = dumps_obs(_run_with_obs("tiny").obs).splitlines()[:1]
@@ -408,6 +605,43 @@ class TestChromeExport:
     def test_validator_rejects_corruption(self, corrupt, needle):
         with pytest.raises(TraceError, match=needle):
             validate_chrome_trace(corrupt)
+
+
+class TestExportBytes:
+    """Both writers emit exactly the bytes json.dumps(sort_keys=True)
+    emits for the record dicts, pinned and against the reference."""
+
+    @pytest.mark.parametrize("preset", sorted(_PINNED))
+    def test_pinned_digests(self, preset):
+        obs = _recorded(preset, 0)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                        for text in (dumps_obs(obs), dumps_chrome_trace(obs)))
+        assert digests == _PINNED[preset]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_on_edge(self, seed):
+        obs = _recorded("edge", seed)
+        assert dumps_obs(obs) == _reference_dumps_obs(obs)
+        assert dumps_chrome_trace(obs) == _reference_chrome_trace(obs)
+
+    def test_matches_reference_on_hostile_records(self):
+        recorder = _hostile_recorder()
+        assert dumps_obs(recorder) == _reference_dumps_obs(recorder)
+        assert dumps_chrome_trace(recorder) == \
+            _reference_chrome_trace(recorder)
+
+    def test_unencodable_arg_is_the_same_type_error(self):
+        recorder = ObsRecorder()
+        recorder.span("running", 1, 0.0, 1.0, kind="train", blocks=1,
+                      tags={"a"})
+        for writer, reference in ((dumps_obs, _reference_dumps_obs),
+                                  (dumps_chrome_trace,
+                                   _reference_chrome_trace)):
+            with pytest.raises(TypeError) as expected:
+                reference(recorder)
+            with pytest.raises(TypeError) as got:
+                writer(recorder)
+            assert str(got.value) == str(expected.value)
 
 
 class TestFileRoundTrip:
