@@ -34,7 +34,7 @@ def main() -> None:
     program = partition(graph, mesh, annotations)
     print(f"partitioned:   {program.describe()}")
 
-    collectives = Counter((op.collective_kind, op.mesh_axis)
+    collectives = Counter((op.kind, op.mesh_axis)
                           for op in program.graph.collectives())
     print("\ncollectives materialized by sharding propagation:")
     for (kind, axis), count in sorted(collectives.items()):

@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
+from repro.errors import TraceError
+
 #: Span phase names, in lifecycle order.  ``queued`` covers submission
 #: (or requeue) to placement; the other three partition every placed
 #: segment: the fabric rewires, the checkpoint restores, the job runs.
@@ -112,9 +114,18 @@ class SampleColumns:
     def append(self, time: float, queue_depth: int, running_jobs: int,
                trunk_ports_in_use: int,
                free_by_pod: list[int]) -> None:
-        """Append one sample across every column."""
-        if not self.free_blocks:
+        """Append one sample across every column.
+
+        Raises:
+            TraceError: `free_by_pod` holds another number of pods than
+                the first row; no column changes.
+        """
+        if not self.times:
             self.free_blocks = [[] for _ in free_by_pod]
+        elif len(free_by_pod) != len(self.free_blocks):
+            raise TraceError(
+                f"sample row has {len(free_by_pod)} pod counts, but the "
+                f"first row has {len(self.free_blocks)}")
         self.times.append(time)
         self.queue_depth.append(queue_depth)
         self.running_jobs.append(running_jobs)

@@ -24,11 +24,10 @@ from repro.graph.builders import (DLRMGraphConfig, TransformerShardingPlan,
                                   dlrm_step_graph, mlp_step_graph,
                                   transformer_step_graph)
 from repro.graph.graph import ComputationGraph
-from repro.graph.mesh import DeviceMesh, MeshAxis, mesh_from_partition_spec
+from repro.graph.mesh import DeviceMesh, MeshAxis
 from repro.graph.ops import (AllGatherOp, AllReduceOp, AllToAllOp,
                              CollectiveOp, ElementwiseOp, EmbeddingLookupOp,
-                             FusionOp, InputOp, MatMulOp, Op, ParameterOp,
-                             PermuteOp, ReduceScatterOp)
+                             FusionOp, InputOp, MatMulOp, Op, ParameterOp)
 from repro.graph.overlap import (decompose_all, decompose_pair,
                                  overlap_speedup, overlappable_pairs)
 from repro.graph.pipeline import (PipelineConfig, PipelineOutcome,
@@ -47,10 +46,9 @@ from repro.graph.trace import ExecutionTrace, OpRecord
 __all__ = [
     "ComputationGraph", "Op", "InputOp", "ParameterOp", "MatMulOp",
     "ElementwiseOp", "EmbeddingLookupOp", "FusionOp", "CollectiveOp",
-    "AllReduceOp", "AllGatherOp", "ReduceScatterOp", "AllToAllOp",
-    "PermuteOp",
+    "AllReduceOp", "AllGatherOp", "AllToAllOp",
     "TensorSpec", "ShardingSpec", "replicated", "local_shape",
-    "DeviceMesh", "MeshAxis", "mesh_from_partition_spec",
+    "DeviceMesh", "MeshAxis",
     "partition", "ShardedGraph",
     "ChipTimingModel", "TPUV4_TIMING", "TPUV3_TIMING", "GraphScheduler",
     "simulate",

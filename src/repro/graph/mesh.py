@@ -2,10 +2,11 @@
 
 Named parallelism axes (data / model1 / model2 / pipeline, matching the
 PartitionSpec of Table 3) are laid out over whole torus dimensions of a
-slice — the paper's Section 2.7 usage model.  The mesh owns the
-translation from axis names to :class:`~repro.network.alphabeta.AxisGeometry`
-so the graph scheduler can price collectives per axis and recognise that
-axes on disjoint torus dimensions use disjoint links.
+slice — the paper's Section 2.7 usage model.  The mesh builds one
+:class:`~repro.network.collectives.AxisGeometry` per axis and prices the
+collectives graph ops emit on it, so the graph scheduler charges each
+collective by the dimensions its axis spans and can treat axes on
+disjoint torus dimensions as disjoint links.
 """
 
 from __future__ import annotations
@@ -14,13 +15,17 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.network.alphabeta import (AxisGeometry, CollectiveCostModel,
-                                     DEFAULT_ALPHA)
-from repro.parallelism.mapping import map_axes_to_torus
-from repro.parallelism.spec import PartitionSpec
+from repro.network.collectives import AxisGeometry, DEFAULT_ALPHA
 
 # Table 4: TPU v4 has 6 ICI links at 50 GB/s each (per direction per dim).
 TPUV4_LINK_BANDWIDTH = 50e9
+
+# The collective kinds graph ops emit, priced on an axis geometry.
+_PRICES = {
+    "all_reduce": AxisGeometry.allreduce,
+    "all_gather": AxisGeometry.allgather,
+    "all_to_all": AxisGeometry.alltoall,
+}
 
 
 @dataclass(frozen=True)
@@ -57,9 +62,6 @@ class DeviceMesh:
         self.shape = tuple(shape)
         if len(self.shape) != 3:
             raise ConfigurationError(f"shape must be 3D, got {shape}")
-        self.link_bandwidth = link_bandwidth
-        self.wrap = wrap
-        self.alpha = alpha
         self._axes: dict[str, MeshAxis] = {}
         claimed: set[int] = set()
         for axis in axes:
@@ -84,6 +86,13 @@ class DeviceMesh:
             raise ConfigurationError(
                 f"axis sizes multiply to {total}, slice has "
                 f"{math.prod(self.shape)} chips")
+        # Size-1 axes claim no dimensions and get a degenerate ring.
+        self._geometries = {
+            name: AxisGeometry(
+                ring_sizes=tuple(self.shape[d] for d in axis.torus_dims)
+                or (1,),
+                link_bandwidth=link_bandwidth, wrap=wrap, alpha=alpha)
+            for name, axis in self._axes.items()}
 
     # -- axis queries -----------------------------------------------------------
 
@@ -116,17 +125,18 @@ class DeviceMesh:
     # -- geometry / pricing ------------------------------------------------------
 
     def axis_geometry(self, name: str) -> AxisGeometry:
-        """Ring geometry of one axis (size-1 axes get a degenerate ring)."""
-        axis = self.axis(name)
-        rings = tuple(self.shape[d] for d in axis.torus_dims) or (1,)
-        return AxisGeometry(ring_sizes=rings,
-                            link_bandwidth=self.link_bandwidth,
-                            wrap=self.wrap, alpha=self.alpha)
+        """Ring geometry of one axis; raises for unknown names."""
+        self.axis(name)
+        return self._geometries[name]
 
-    def cost_model(self) -> CollectiveCostModel:
-        """Collective pricing for every axis of this mesh."""
-        return CollectiveCostModel(
-            {name: self.axis_geometry(name) for name in self._axes})
+    def collective_time(self, kind: str, axis: str,
+                        num_bytes: float) -> float:
+        """Time of one collective `kind` on `axis` moving `num_bytes`."""
+        price = _PRICES.get(kind)
+        if price is None:
+            raise ConfigurationError(
+                f"unknown collective kind {kind!r}; have {sorted(_PRICES)}")
+        return price(self.axis_geometry(axis), num_bytes)
 
     def describe(self) -> str:
         """One-line summary, e.g. ``mesh 8x8x8: data=8(d0) model1=64(d1,d2)``."""
@@ -137,22 +147,3 @@ class DeviceMesh:
         a, b, c = self.shape
         return f"mesh {a}x{b}x{c}: " + " ".join(parts)
 
-
-def mesh_from_partition_spec(shape: tuple[int, int, int],
-                             spec: PartitionSpec, *,
-                             link_bandwidth: float = TPUV4_LINK_BANDWIDTH,
-                             alpha: float = DEFAULT_ALPHA) -> DeviceMesh:
-    """Build the mesh a Table 3 PartitionSpec induces on a slice.
-
-    Uses the same axis-to-dimension assignment search as the parallelism
-    cost model; raises when the spec does not fit the topology (the
-    situation OCS topology reconfiguration exists to avoid).
-    """
-    mapping = map_axes_to_torus(shape, spec)
-    if mapping is None:
-        raise ConfigurationError(
-            f"partition spec {spec} does not map onto topology {shape}")
-    names = ("pipeline", "data", "model1", "model2")
-    axes = [MeshAxis(name=name, size=size, torus_dims=mapping.dims_of(name))
-            for name, size in zip(names, spec.axes)]
-    return DeviceMesh(shape, axes, link_bandwidth=link_bandwidth, alpha=alpha)

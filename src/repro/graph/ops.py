@@ -169,14 +169,13 @@ class CollectiveOp(Op):
 
     Attributes:
         mesh_axis: the parallelism axis the collective spans.
-        comm_bytes: bytes each chip contributes (the alpha-beta models'
-            `num_bytes` argument).
+        comm_bytes: bytes each chip contributes (the `num_bytes` of
+            :class:`~repro.network.collectives.AxisGeometry`'s prices).
     """
 
     mesh_axis: str = ""
     comm_bytes: float = 0.0
     kind: ClassVar[str] = "collective"
-    collective_kind: ClassVar[str] = "none"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -197,16 +196,6 @@ class AllReduceOp(CollectiveOp):
     """Sum partial results over a mesh axis."""
 
     kind: ClassVar[str] = "all_reduce"
-    collective_kind: ClassVar[str] = "all_reduce"
-
-
-@dataclass(frozen=True)
-class ReduceScatterOp(CollectiveOp):
-    """Sum + shard over a mesh axis (scatter along `scatter_dim`)."""
-
-    scatter_dim: int = 0
-    kind: ClassVar[str] = "reduce_scatter"
-    collective_kind: ClassVar[str] = "reduce_scatter"
 
 
 @dataclass(frozen=True)
@@ -215,7 +204,6 @@ class AllGatherOp(CollectiveOp):
 
     gather_dim: int = 0
     kind: ClassVar[str] = "all_gather"
-    collective_kind: ClassVar[str] = "all_gather"
 
 
 @dataclass(frozen=True)
@@ -223,15 +211,6 @@ class AllToAllOp(CollectiveOp):
     """Variable-length all-to-all exchange (embedding vectors, resharding)."""
 
     kind: ClassVar[str] = "all_to_all"
-    collective_kind: ClassVar[str] = "all_to_all"
-
-
-@dataclass(frozen=True)
-class PermuteOp(CollectiveOp):
-    """Neighbor send/recv along an axis (pipeline-stage boundary)."""
-
-    kind: ClassVar[str] = "permute"
-    collective_kind: ClassVar[str] = "permute"
 
 
 @dataclass(frozen=True)

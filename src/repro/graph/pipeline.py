@@ -45,8 +45,9 @@ class PipelineConfig:
         num_microbatches: microbatches per global batch.
         forward_seconds: per-stage forward time of one microbatch.
         backward_seconds: per-stage backward time (typically ~2x forward).
-        permute_seconds: stage-boundary activation transfer time (the
-            PermuteOp cost on the pipeline mesh axis).
+        permute_seconds: stage-boundary activation transfer time (one
+            neighbour send on the pipeline mesh axis, given by the
+            caller).
         schedule: GPipe or 1F1B.
     """
 

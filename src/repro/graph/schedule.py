@@ -95,7 +95,6 @@ class GraphScheduler:
         self.mesh: DeviceMesh = sharded.mesh
         self.chip = chip
         self.overlap_comm = overlap_comm
-        self._cost_model = self.mesh.cost_model()
 
     # -- engine assignment ---------------------------------------------------------
 
@@ -112,8 +111,8 @@ class GraphScheduler:
     def duration_of(self, op: Op) -> float:
         """Execution time of one op."""
         if isinstance(op, CollectiveOp):
-            return self._cost_model.time(op.collective_kind, op.mesh_axis,
-                                         op.comm_bytes)
+            return self.mesh.collective_time(op.kind, op.mesh_axis,
+                                             op.comm_bytes)
         return self.chip.compute_seconds(
             op, self.sharded.local_flops[op.name],
             self.sharded.local_bytes[op.name])

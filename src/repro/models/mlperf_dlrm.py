@@ -14,7 +14,8 @@ The paper's answer is no, for three measurable reasons:
 
 This module builds both models from the same cost pieces — the
 sequencer program of :mod:`repro.sparsecore.isa`, the SparseCore gather
-model, and the bisection-limited all-to-all — and shows MLPerf DLRM's
+model, and the exact ECMP all-to-all on the slice's torus or mesh
+(:class:`~repro.network.collectives.AxisGeometry`) — and shows MLPerf DLRM's
 useful scaling stop at ~128 chips while the production shape keeps
 scaling to 1024 (Figure 11's DLRM0/DLRM1 curves).
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.network.alphabeta import AxisGeometry
+from repro.network.collectives import AxisGeometry
 from repro.sparsecore.isa import (EmbeddingStepShape, SequencerModel,
                                   TPUV4_SEQUENCER, generate_step_program)
 from repro.sparsecore.sparsecore import SparseCore
@@ -143,8 +144,8 @@ class RecommenderCostModel:
     """Prices one benchmark step on a TPU v4 slice.
 
     Combines four terms, echoing Section 3.4's performance attributes:
-    HBM gather bandwidth, dense compute, the bisection-limited
-    all-to-all, and the fixed sequencer/latency overhead.
+    HBM gather bandwidth, dense compute, the all-to-all exchange, and
+    the fixed sequencer/latency overhead.
     """
 
     sc_params: SCTimingParams = TPUV4_SC
@@ -234,10 +235,3 @@ def useful_scaling_limit(curve: list[ScalingPoint], *,
         limit = cur.num_chips
     return limit
 
-
-def section79_comparison(*, chip_counts: list[int] | None = None
-                         ) -> dict[str, list[ScalingPoint]]:
-    """Both curves of the Section 7.9 argument, ready for reporting."""
-    counts = chip_counts or [16, 32, 64, 128, 256, 512, 1024]
-    return {bench.name: scaling_curve(bench, counts)
-            for bench in (MLPERF_DLRM, PRODUCTION_DLRM)}

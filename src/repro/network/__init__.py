@@ -6,17 +6,18 @@ simulator that operates at the TensorFlow graph operation level"
 
 * :mod:`repro.network.fairshare` / :mod:`repro.network.flowsim` — a
   max-min-fair fluid flow simulator driven by the event kernel;
-* :mod:`repro.network.analytic` — closed-form all-to-all throughput from
-  ECMP edge loads (used for Figure 6);
-* :mod:`repro.network.collectives` — torus all-reduce time models;
+* :mod:`repro.network.analytic` — exact all-to-all throughput from
+  ECMP edge loads (Figure 6, and every all-to-all price);
+* :mod:`repro.network.collectives` — the one price of a collective on
+  a slice axis (:class:`AxisGeometry`): split-schedule all-reduce and
+  all-gather, and the exact ECMP all-to-all;
 * :mod:`repro.network.fattree` + :mod:`repro.network.hybrid` — the
   Infiniband fat-tree switch count and hybrid ICI/IB collectives
   (Section 7.3's what-if).
 """
 
-from repro.network.alphabeta import AxisGeometry, CollectiveCostModel
 from repro.network.analytic import AllToAllAnalysis, alltoall_analysis
-from repro.network.collectives import allreduce_time_torus
+from repro.network.collectives import AxisGeometry
 from repro.network.fairshare import max_min_fair_rates
 from repro.network.fattree import ib_switch_count
 from repro.network.flowsim import Flow, FlowSim
@@ -28,9 +29,8 @@ from repro.network.simcollectives import (SimulatedCollective,
                                           simulate_ring_allreduce)
 
 __all__ = [
-    "AxisGeometry", "CollectiveCostModel",
+    "AxisGeometry",
     "AllToAllAnalysis", "alltoall_analysis",
-    "allreduce_time_torus",
     "max_min_fair_rates",
     "ib_switch_count",
     "Flow", "FlowSim",

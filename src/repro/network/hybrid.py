@@ -8,8 +8,8 @@ the OCS torus, depending on slice size.
 
 Model:
 
-* torus all-reduce: the dimension-rotated schedule of
-  :func:`repro.network.collectives.allreduce_time_torus`;
+* torus all-reduce: the bandwidth term of the split schedule of
+  :class:`repro.network.collectives.AxisGeometry` on the balanced torus;
 * hybrid all-reduce: hierarchical reduce-scatter (island) / all-reduce
   (IB rings per rail) / all-gather (island), with the local and global
   phases pipelined chunk-wise, so wall time is max(local, global);
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from repro.core.availability import balanced_block_shape
 from repro.errors import ConfigurationError
 from repro.network.analytic import alltoall_analysis
-from repro.network.collectives import allreduce_time_torus
+from repro.network.collectives import AxisGeometry
 from repro.topology.torus import Torus3D
 
 
@@ -134,7 +134,8 @@ def allreduce_time_ocs(num_chips: int, num_bytes: float,
     """Torus all-reduce on the balanced OCS slice for `num_chips`."""
     params = params or HybridNetworkParams()
     shape = balanced_block_shape(num_chips)
-    return allreduce_time_torus(shape, num_bytes, params.ici.link_bandwidth)
+    return AxisGeometry(shape, params.ici.link_bandwidth,
+                        alpha=0.0).allreduce(num_bytes)
 
 
 def alltoall_time_ocs(num_chips: int, per_node_bytes: float,

@@ -10,17 +10,20 @@ data-rate agnostic, so a bandwidth upgrade touches only the endpoint
 optics (transceivers on each tray), while an electrical fabric
 (Infiniband or NVSwitch) must also replace every switch ASIC it
 traverses.  This module quantifies both sides of that asymmetry — the
-collective speedups a lambda-count upgrade buys, and the device count a
-matching electrical upgrade would churn.
+collective speedups a lambda-count upgrade buys, priced by
+:class:`~repro.network.collectives.AxisGeometry` (split-schedule
+all-reduce, exact ECMP all-to-all), and the device count a matching
+electrical upgrade would churn.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.network.alphabeta import AxisGeometry
+from repro.network.collectives import AxisGeometry
 from repro.network.fattree import ib_switch_count
 
 # TPU v4 baseline: 50 GB/s per ICI link direction (Table 4).
@@ -44,10 +47,16 @@ class WDMConfig:
     gigabytes_per_wavelength: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.wavelengths < 1:
-            raise ConfigurationError("need at least one wavelength")
-        if self.gigabytes_per_wavelength <= 0:
-            raise ConfigurationError("per-lambda bandwidth must be > 0")
+        if not (isinstance(self.wavelengths, numbers.Integral)
+                and self.wavelengths >= 1):
+            raise ConfigurationError(
+                f"wavelengths must be an integer >= 1, "
+                f"got {self.wavelengths!r}")
+        if not (math.isfinite(self.gigabytes_per_wavelength)
+                and self.gigabytes_per_wavelength > 0):
+            raise ConfigurationError(
+                f"per-lambda bandwidth must be finite and > 0, "
+                f"got {self.gigabytes_per_wavelength}")
 
     @property
     def link_bandwidth(self) -> float:
@@ -134,7 +143,9 @@ def upgrade_study(wavelength_counts: list[int] | None = None, *,
 def lambdas_for_target(target_terabits: float, *,
                        gigabytes_per_wavelength: float = 50.0) -> int:
     """Smallest lambda count reaching a per-link Tbit/s target."""
-    if target_terabits <= 0:
-        raise ConfigurationError("target must be > 0")
-    per_lambda_tbits = gigabytes_per_wavelength * 1e9 * 8 / 1e12
+    if not (math.isfinite(target_terabits) and target_terabits > 0):
+        raise ConfigurationError(
+            f"target must be finite and > 0, got {target_terabits}")
+    per_lambda_tbits = WDMConfig(
+        gigabytes_per_wavelength=gigabytes_per_wavelength).terabits_per_link
     return max(1, math.ceil(target_terabits / per_lambda_tbits))

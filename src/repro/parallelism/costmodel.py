@@ -12,8 +12,12 @@ Tensor-parallel communication follows the GSPMD accounting (Xu et al.
 [63], the paper's reference for the 1D/2D options): per layer, each mesh
 axis carries activation-sized collectives; 2D weight sharding shrinks the
 per-chip volume by the other axis, 2D activation sharding adds resharding
-collectives (more, smaller steps with per-step latency).  Coefficients
-are calibrated against Table 3's four published throughputs.
+collectives (more, smaller steps with per-step latency).  Each all-reduce
+takes the bandwidth term of the split schedule on the torus dimensions
+its axis spans (:class:`~repro.network.collectives.AxisGeometry` with
+``alpha=0.0``); the per-step latency is this model's own
+`collective_step_latency`.  Coefficients are calibrated against Table
+3's four published throughputs.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.models.transformer import TransformerConfig
-from repro.network.collectives import allreduce_time_torus
+from repro.network.collectives import AxisGeometry
 from repro.parallelism.mapping import AxisMapping, map_axes_to_torus
 from repro.parallelism.spec import PartitionSpec
 
@@ -153,11 +157,9 @@ def llm_step_cost(model: TransformerConfig,
             volume = act_bytes / other
         else:
             volume = act_bytes
-        dims = mapping.sub_shape(axis)
-        sub_shape = tuple(list(dims) + [1] * (3 - len(dims)))
-        per_collective = allreduce_time_torus(sub_shape,
-                                              volume * reshard,
-                                              params.link_bandwidth)
+        per_collective = AxisGeometry(
+            mapping.sub_shape(axis), params.link_bandwidth,
+            alpha=0.0).allreduce(volume * reshard)
         steps = 2.0 * (size - 1)
         tensor_comm += layers_per_stage * params.collectives_per_layer * (
             per_collective + steps * params.collective_step_latency)
@@ -177,10 +179,9 @@ def llm_step_cost(model: TransformerConfig,
         grad_bytes = (model.num_params
                       / (spec.model1 * spec.model2 * spec.pipeline)
                       * bytes_e)
-        dims = mapping.sub_shape("data")
-        sub_shape = tuple(list(dims) + [1] * (3 - len(dims)))
-        dp_time = allreduce_time_torus(sub_shape, grad_bytes,
-                                       params.link_bandwidth)
+        dp_time = AxisGeometry(mapping.sub_shape("data"),
+                               params.link_bandwidth,
+                               alpha=0.0).allreduce(grad_bytes)
         data_comm = dp_time * (1.0 - params.dp_overlap)
     else:
         data_comm = 0.0

@@ -258,6 +258,22 @@ class TestRecorderBasics:
                 json.dumps(on.summary, sort_keys=True)
             assert on.events_fired > off.events_fired
 
+    @pytest.mark.parametrize("first, later", [([1, 2], [3]),
+                                              ([1, 2], [3, 4, 5]),
+                                              ([], [1])])
+    def test_ragged_sample_row_rejected(self, first, later):
+        # One column per pod: a row of another length would leave the
+        # columns ragged, and the export could not be written.
+        recorder = ObsRecorder()
+        recorder.sample(0.0, 0, 0, 0, first)
+        with pytest.raises(TraceError, match=f"{len(later)} pod counts.*"
+                                             f"first row has {len(first)}"):
+            recorder.sample(1.0, 0, 0, 0, later)
+        samples = recorder.samples
+        assert (samples.times, samples.free_blocks) == (
+            [0.0], [[count] for count in first])
+        assert dumps_obs(recorder)
+
     def test_spans_of_and_rejection_counts(self):
         obs = _run_with_obs("tiny").obs
         job_id = obs.spans[0].job_id

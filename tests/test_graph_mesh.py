@@ -1,13 +1,11 @@
-"""Tests for repro.graph.mesh and repro.network.alphabeta."""
+"""Tests for repro.graph.mesh and the per-axis collective prices."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.graph.mesh import DeviceMesh, MeshAxis, mesh_from_partition_spec
-from repro.network.alphabeta import AxisGeometry, CollectiveCostModel
-from repro.network.collectives import ring_allreduce_time
-from repro.parallelism.spec import PartitionSpec
+from repro.graph.mesh import DeviceMesh, MeshAxis
+from repro.network.collectives import AxisGeometry, ring_allreduce_time
 
 
 def mesh_8x8x8():
@@ -59,30 +57,39 @@ class TestDeviceMesh:
             mesh_8x8x8().axis("bogus")
 
     def test_cost_model_covers_all_axes(self):
-        model = mesh_8x8x8().cost_model()
-        assert model.time("all_reduce", "data", 1e6) > 0
-        assert model.time("all_to_all", "model1", 1e6) > 0
+        mesh = mesh_8x8x8()
+        for kind in ("all_reduce", "all_gather", "all_to_all"):
+            for axis in mesh.axis_names:
+                assert mesh.collective_time(kind, axis, 1e6) > 0
+
+    def test_collective_time_is_the_axis_price(self):
+        mesh = mesh_8x8x8()
+        geometry = mesh.axis_geometry("model1")
+        assert mesh.collective_time("all_reduce", "model1", 1e6) == \
+            geometry.allreduce(1e6)
+        assert mesh.collective_time("all_gather", "model1", 1e6) == \
+            geometry.allgather(1e6)
+        assert mesh.collective_time("all_to_all", "model1", 1e6) == \
+            geometry.alltoall(1e6)
+
+    def test_unknown_axis_and_kind_rejected(self):
+        mesh = mesh_8x8x8()
+        with pytest.raises(ConfigurationError):
+            mesh.collective_time("all_reduce", "bogus", 1)
+        with pytest.raises(ConfigurationError):
+            mesh.collective_time("permute", "data", 1)
+
+    def test_bad_link_parameters_rejected_at_construction(self):
+        axes = [MeshAxis("data", 64, (0, 1, 2))]
+        with pytest.raises(ConfigurationError):
+            DeviceMesh((4, 4, 4), axes, link_bandwidth=float("nan"))
+        with pytest.raises(ConfigurationError):
+            DeviceMesh((4, 4, 4), axes, alpha=-1e-6)
 
     def test_describe(self):
         text = mesh_8x8x8().describe()
         assert "data=8(d0)" in text
         assert "model1=64(d1,d2)" in text
-
-
-class TestMeshFromPartitionSpec:
-    def test_table3_best_llm_config(self):
-        # 8x8x8 with [1, 1, 64, 8]: model1 spans two dims, model2 one.
-        mesh = mesh_from_partition_spec(
-            (8, 8, 8), PartitionSpec(pipeline=1, data=1, model1=64, model2=8))
-        assert mesh.axis_size("model1") == 64
-        assert mesh.axis_size("model2") == 8
-        assert mesh.axis_size("data") == 1
-
-    def test_infeasible_spec_rejected(self):
-        with pytest.raises(ConfigurationError):
-            mesh_from_partition_spec(
-                (4, 4, 4), PartitionSpec(pipeline=1, data=1, model1=7,
-                                         model2=1))
 
 
 class TestAxisGeometry:
@@ -97,7 +104,15 @@ class TestAxisGeometry:
                                 alpha=0.0)
         assert geometry.allgather(1e9) == pytest.approx(
             geometry.allreduce(1e9) / 2)
-        assert geometry.reduce_scatter(1e9) == geometry.allgather(1e9)
+
+    def test_allgather_uses_the_split(self):
+        # Three chunks of a third each gather in parallel, so the time is
+        # a third of one pass gathering the whole buffer: sweeps ending at
+        # 1/64, 1/8 and all of it, 7/8 of each over both directions.
+        geometry = AxisGeometry(ring_sizes=(8, 8, 8), link_bandwidth=50e9,
+                                alpha=0.0)
+        one_pass = sum(7 / 8 * 1e9 / 8 ** k / 100e9 for k in range(3))
+        assert geometry.allgather(1e9) == pytest.approx(one_pass / 3)
 
     def test_alpha_adds_latency(self):
         fast = AxisGeometry(ring_sizes=(8,), link_bandwidth=50e9, alpha=0.0)
@@ -125,11 +140,6 @@ class TestAxisGeometry:
         geometry = AxisGeometry(ring_sizes=(1,), link_bandwidth=50e9)
         assert geometry.alltoall(1e9) == 0.0
 
-    def test_permute_is_bytes_over_bandwidth(self):
-        geometry = AxisGeometry(ring_sizes=(4,), link_bandwidth=50e9,
-                                alpha=0.0)
-        assert geometry.permute(50e9) == pytest.approx(1.0)
-
     def test_negative_bytes_rejected(self):
         geometry = AxisGeometry(ring_sizes=(4,), link_bandwidth=50e9)
         with pytest.raises(ConfigurationError):
@@ -142,20 +152,6 @@ class TestAxisGeometry:
             AxisGeometry(ring_sizes=(0,), link_bandwidth=50e9)
         with pytest.raises(ConfigurationError):
             AxisGeometry(ring_sizes=(4,), link_bandwidth=-1)
-
-
-class TestCollectiveCostModel:
-    def test_unknown_axis_and_kind_rejected(self):
-        model = CollectiveCostModel(
-            {"data": AxisGeometry(ring_sizes=(4,), link_bandwidth=50e9)})
-        with pytest.raises(ConfigurationError):
-            model.time("all_reduce", "bogus", 1)
-        with pytest.raises(ConfigurationError):
-            model.time("bogus", "data", 1)
-
-    def test_empty_model_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CollectiveCostModel({})
 
 
 @given(st.integers(2, 16), st.floats(1e3, 1e10))

@@ -64,8 +64,7 @@ class TestScheduler:
     def test_engines_partition_op_kinds(self):
         trace = simulate(sharded_mlp())
         for record in trace.records:
-            if record.kind in ("all_reduce", "all_gather", "all_to_all",
-                               "reduce_scatter", "permute"):
+            if record.kind in ("all_reduce", "all_gather", "all_to_all"):
                 assert record.engine.startswith("ici:")
             elif record.kind == "embedding_lookup":
                 assert record.engine == "sparsecore"

@@ -75,6 +75,20 @@ class TestLambdasForTarget:
             lambdas_for_target(0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: WDMConfig(gigabytes_per_wavelength=float("nan")),
+    lambda: WDMConfig(gigabytes_per_wavelength=float("inf")),
+    lambda: WDMConfig(wavelengths=2.5),
+    lambda: lambdas_for_target(float("nan")),
+    lambda: lambdas_for_target(float("inf")),
+    lambda: lambdas_for_target(1.0, gigabytes_per_wavelength=0.0),
+], ids=["gbps-nan", "gbps-inf", "fractional-lambdas", "target-nan",
+        "target-inf", "target-zero-gbps"])
+def test_bad_inputs_raise_configuration_error(call):
+    with pytest.raises(ConfigurationError):
+        call()
+
+
 @given(st.integers(1, 64))
 def test_link_bandwidth_linear_in_lambdas(lambdas):
     config = WDMConfig(wavelengths=lambdas)

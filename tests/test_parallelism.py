@@ -8,6 +8,7 @@ from repro.parallelism import (PartitionSpec, Sharding, TABLE3_GPT3,
                                llm_step_cost, map_axes_to_torus,
                                original_dlrm0_balance,
                                search_best_configuration)
+from repro.models.transformer import LLM_CONFIG
 from repro.parallelism.mapping import feasible_specs
 from repro.parallelism.panas import panas_gain, quality_neutral_point
 
@@ -95,6 +96,55 @@ class TestLLMCostModel:
         with pytest.raises(ConfigurationError):
             llm_step_cost(TABLE3_LLM.model, (4, 4, 4),
                           PartitionSpec(1, 1, 64, 8), 256)
+
+
+class TestTable3Golden:
+    """Table 3 and the LLM cost model to the last bit.  Every all-reduce
+    is the split schedule's bandwidth term on the axis's torus
+    dimensions; these values predate its move onto AxisGeometry."""
+
+    ROWS = {
+        ("LLM", "baseline"): (18.730580407174003, 0.3837345350538969),
+        ("LLM", "best"): (41.420316087822954, 0.8485805239467361),
+        ("GPT-3 pre-training", "baseline"): (18.22000031027036,
+                                             0.5046825169356429),
+        ("GPT-3 pre-training", "best"): (31.229379019186325,
+                                         0.8650341019399379),
+    }
+
+    def test_table3_rows(self):
+        rows = {}
+        for case in (TABLE3_LLM, TABLE3_GPT3):
+            baseline = llm_step_cost(case.model, case.baseline_shape,
+                                     case.baseline_spec, case.global_batch)
+            best = search_best_configuration(case).best
+            for label, cost in (("baseline", baseline), ("best", best)):
+                rows[case.name, label] = (cost.throughput_seqs,
+                                          cost.model_flops_utilization)
+        assert rows == self.ROWS
+
+    @pytest.mark.parametrize("model, shape, spec, seconds, tensor_comm", [
+        # data, model1 and model2 on one dimension each.
+        (LLM_CONFIG, (8, 8, 8), PartitionSpec(1, 8, 8, 8,
+                                              Sharding("1D", "2D")),
+         1.447270856761547, 0.38805648179200003),
+        # model1 over two dimensions (Section 7.10's pairing).
+        (LLM_CONFIG, (8, 8, 8), PartitionSpec(1, 8, 64, 1,
+                                              Sharding("1D", "1D")),
+         2.6701770732095467, 1.61096269824),
+        # model1 on one dimension, model2 over two.
+        (LLM_CONFIG, (4, 8, 16), PartitionSpec(1, 1, 16, 32,
+                                               Sharding("2D", "2D")),
+         4.515460667449547, 3.4633285632),
+        # model1 over all three dimensions.
+        (TABLE3_LLM.model, (8, 8, 8), PartitionSpec(1, 1, 512, 1,
+                                                    Sharding("1D", "1D")),
+         41.884472411646584, 20.905722402133332),
+    ], ids=["one-dim", "two-dim", "one-and-two-dim", "three-dim"])
+    def test_step_cost(self, model, shape, spec, seconds, tensor_comm):
+        cost = llm_step_cost(model, shape, spec, 256)
+        assert (cost.seconds, cost.tensor_comm_seconds) == (seconds,
+                                                            tensor_comm)
 
 
 class TestTable3Search:
