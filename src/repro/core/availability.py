@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.block import HOSTS_PER_BLOCK
 from repro.core.scheduler import PlacementPolicy, SliceScheduler
@@ -58,6 +57,20 @@ def balanced_block_shape(slice_chips: int) -> SliceShape:
     return (4 * i, 4 * j, 4 * k)
 
 
+def _check_goodput_inputs(slice_chips: int, num_blocks: int,
+                          availability: float = 1.0) -> None:
+    """Reject the inputs the Figure 4 goodput models cannot price."""
+    if slice_chips < CHIPS_PER_BLOCK or slice_chips % CHIPS_PER_BLOCK:
+        raise SchedulingError(
+            f"slice chips must be a positive multiple of {CHIPS_PER_BLOCK}, "
+            f"got {slice_chips}")
+    if num_blocks < 1:
+        raise SchedulingError(f"num_blocks must be >= 1, got {num_blocks}")
+    if not 0.0 < availability <= 1.0:
+        raise SchedulingError(
+            f"availability must be in (0, 1], got {availability}")
+
+
 @dataclass
 class GoodputResult:
     """Monte Carlo goodput estimate for one (slice size, availability)."""
@@ -83,9 +96,9 @@ def simulate_goodput(slice_chips: int, availability: float, *,
                      num_blocks: int = MACHINE_BLOCKS_DEFAULT,
                      seed: int = 0) -> GoodputResult:
     """Monte Carlo of Figure 4: pack slices after random host failures."""
-    if not 0.0 < availability <= 1.0:
-        raise SchedulingError(
-            f"availability must be in (0, 1], got {availability}")
+    _check_goodput_inputs(slice_chips, num_blocks, availability)
+    if trials < 1:
+        raise SchedulingError(f"trials must be >= 1, got {trials}")
     policy = PlacementPolicy.OCS if use_ocs else PlacementPolicy.STATIC
     shape = balanced_block_shape(slice_chips)
     rng = make_rng(seed)
@@ -111,8 +124,11 @@ def analytic_ocs_goodput(slice_chips: int, availability: float, *,
     H is the number of healthy blocks; with OCS any healthy block is
     usable, so the packed slice count is floor(H / blocks_per_slice).
     """
-    if slice_chips % CHIPS_PER_BLOCK:
-        raise SchedulingError("slice chips must be a multiple of 64")
+    _check_goodput_inputs(slice_chips, num_blocks, availability)
+    # Imported here, not at module level: this is scipy's only use, and it
+    # is by far the heaviest import, so importing repro does not load it.
+    from scipy import stats
+
     blocks_per_slice = slice_chips // CHIPS_PER_BLOCK
     p_block = availability**HOSTS_PER_BLOCK
     h = np.arange(num_blocks + 1)
@@ -130,6 +146,7 @@ def spares_staircase(slice_chips: int,
     slices from a 4K machine (75%), one 2K slice (50%), one 3K slice (75%),
     and no 4K slice at all.
     """
+    _check_goodput_inputs(slice_chips, num_blocks)
     blocks_per_slice = slice_chips // CHIPS_PER_BLOCK
     usable = num_blocks - 1
     return (usable // blocks_per_slice) * blocks_per_slice / num_blocks

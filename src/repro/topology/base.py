@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.coords import (
     Coord,
@@ -28,7 +26,7 @@ class Topology:
 
     Subclasses implement :meth:`_edges`, yielding undirected node pairs
     (possibly repeated, for parallel links).  Everything else — adjacency,
-    degrees, networkx export, linear indexing — is provided here.
+    degrees, linear indexing — is provided here.
 
     Attributes:
         shape: grid extent per dimension.
@@ -137,15 +135,7 @@ class Topology:
         # detlint: ignore[D005] integer multiplicities; order-free sum
         return sum(self._multiplicity.values())
 
-    # -- exports ---------------------------------------------------------------
-
-    def to_networkx(self) -> nx.Graph:
-        """Simple graph with a 'capacity' attribute carrying multiplicity."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._nodes)
-        for u, v, mult in self.edges():
-            graph.add_edge(u, v, capacity=mult)
-        return graph
+    # -- summary --------------------------------------------------------------
 
     def describe(self) -> str:
         """One-line human-readable summary."""

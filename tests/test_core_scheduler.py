@@ -277,3 +277,36 @@ class TestGoodput:
     def test_invalid_availability(self):
         with pytest.raises(SchedulingError):
             simulate_goodput(64, 0.0)
+
+    @pytest.mark.parametrize("model, args, kwargs", [
+        pytest.param(analytic_ocs_goodput, (64, 1.5), {},
+                     id="analytic-availability-above-one"),
+        pytest.param(analytic_ocs_goodput, (64, float("nan")), {},
+                     id="analytic-availability-nan"),
+        pytest.param(analytic_ocs_goodput, (64, -0.1), {},
+                     id="analytic-availability-negative"),
+        pytest.param(analytic_ocs_goodput, (-64, 0.99), {},
+                     id="analytic-negative-chips"),
+        pytest.param(analytic_ocs_goodput, (0, 0.99), {},
+                     id="analytic-zero-chips"),
+        pytest.param(analytic_ocs_goodput, (64, 0.99), {"num_blocks": 0},
+                     id="analytic-zero-blocks"),
+        pytest.param(analytic_ocs_goodput, (64, 0.99), {"num_blocks": -4},
+                     id="analytic-negative-blocks"),
+        pytest.param(spares_staircase, (0,), {}, id="spares-zero-chips"),
+        pytest.param(spares_staircase, (32,), {}, id="spares-sub-block-chips"),
+        pytest.param(spares_staircase, (-64,), {},
+                     id="spares-negative-chips"),
+        pytest.param(spares_staircase, (64, 0), {}, id="spares-zero-blocks"),
+        pytest.param(simulate_goodput, (64, 0.99), {"trials": 0},
+                     id="simulate-zero-trials"),
+        pytest.param(simulate_goodput, (64, 0.99), {"trials": -1},
+                     id="simulate-negative-trials"),
+        pytest.param(simulate_goodput, (64, 0.99), {"num_blocks": 0},
+                     id="simulate-zero-blocks"),
+        pytest.param(simulate_goodput, (64, 0.99), {"num_blocks": -3},
+                     id="simulate-negative-blocks"),
+    ])
+    def test_rejects_malformed_inputs(self, model, args, kwargs):
+        with pytest.raises(SchedulingError):
+            model(*args, **kwargs)
