@@ -16,14 +16,16 @@ can see:
   those mappings are built from — the ``SUMMARY_SCHEMA`` dict in
   ``fleet/telemetry.py`` and the ``SERVE_SCHEMA`` dicts in
   ``fleet/serve/tier.py`` — and the trace records ``dumps_trace``
-  writes must stay inside the reader's ``_*_KEYS`` allowlists in the
-  same module.  A key rename that touches only one side fails here
-  instead of at replay time.
+  writes, as dict literals or as module-level JSON line templates,
+  must stay inside the reader's ``_*_KEYS`` allowlists in the same
+  module.  A key rename that touches only one side fails here instead
+  of at replay time.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator
 
 from repro.analysis.astutil import attach_parents, dotted_name
@@ -43,6 +45,9 @@ SCHEMA_ANCHORS = (
 
 #: The trace writer/reader pair checked for record-key drift.
 TRACE_ANCHOR = "repro/fleet/trace.py"
+
+#: A key in a JSON line template such as ``'{"job_id": %s, ...}'``.
+_TEMPLATE_KEY = re.compile(r'"(\w+)": ')
 
 
 def _module_name(source: SourceFile) -> str | None:
@@ -220,24 +225,37 @@ def _trace_drift(source: SourceFile) -> Iterator[Finding]:
                     allowed.add(element.value)
     if not allowed:
         return
+    templates: dict[str, ast.Assign] = {}
+    for node in source.tree.body:
+        if isinstance(node, ast.Assign) and \
+                isinstance(node.value, ast.Constant) and \
+                isinstance(node.value.value, str):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    templates[target.id] = node
     for node in ast.walk(source.tree):
         if not (isinstance(node, (ast.FunctionDef,
                                   ast.AsyncFunctionDef)) and
                 node.name == "dumps_trace"):
             continue
         for inner in ast.walk(node):
-            if not isinstance(inner, ast.Dict):
+            if isinstance(inner, ast.Dict):
+                site: ast.AST = inner
+                keys = [key.value for key in inner.keys
+                        if isinstance(key, ast.Constant) and
+                        isinstance(key.value, str)]
+            elif isinstance(inner, ast.Name) and inner.id in templates:
+                site = templates[inner.id]
+                keys = _TEMPLATE_KEY.findall(site.value.value)
+            else:
                 continue
-            keys = [key.value for key in inner.keys
-                    if isinstance(key, ast.Constant) and
-                    isinstance(key.value, str)]
             if "type" not in keys:
                 continue
             for key in keys:
                 if key not in allowed:
                     yield Finding(
                         rule="C102", path=source.display_path,
-                        line=inner.lineno, col=inner.col_offset,
+                        line=site.lineno, col=site.col_offset,
                         message=f"trace writer emits key {key!r} that "
                                 f"no _*_KEYS reader allowlist "
                                 f"accepts; replay would reject the "

@@ -57,9 +57,17 @@ def balanced_block_shape(slice_chips: int) -> SliceShape:
     return (4 * i, 4 * j, 4 * k)
 
 
+def _check_count(name: str, value: object) -> None:
+    """Reject a count that is not a Python or numpy integer (or is a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SchedulingError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_goodput_inputs(slice_chips: int, num_blocks: int,
                           availability: float = 1.0) -> None:
     """Reject the inputs the Figure 4 goodput models cannot price."""
+    _check_count("slice_chips", slice_chips)
+    _check_count("num_blocks", num_blocks)
     if slice_chips < CHIPS_PER_BLOCK or slice_chips % CHIPS_PER_BLOCK:
         raise SchedulingError(
             f"slice chips must be a positive multiple of {CHIPS_PER_BLOCK}, "
@@ -97,6 +105,7 @@ def simulate_goodput(slice_chips: int, availability: float, *,
                      seed: int = 0) -> GoodputResult:
     """Monte Carlo of Figure 4: pack slices after random host failures."""
     _check_goodput_inputs(slice_chips, num_blocks, availability)
+    _check_count("trials", trials)
     if trials < 1:
         raise SchedulingError(f"trials must be >= 1, got {trials}")
     policy = PlacementPolicy.OCS if use_ocs else PlacementPolicy.STATIC

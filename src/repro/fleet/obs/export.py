@@ -57,6 +57,15 @@ _MICROS = 1e6  # trace-event timestamps are microseconds
 _OUTCOMES = ("placed", "rejected")
 _CAUSES = set(PLACED_CAUSES) | set(REJECTED_CAUSES)
 
+#: A record's location in an error, formatted with its line number (the
+#: JSONL reader) or its event index (the Chrome reader) only on failure.
+_LINE = "observability line %d"
+_EVENT = "traceEvents[%d]"
+
+
+def _fail(where: str, message: str) -> TraceError:
+    return TraceError(f"{where}: {message}")
+
 
 def _job_class(kind: str, blocks: int) -> str:
     """The display class one job belongs to (one track per class)."""
@@ -220,32 +229,32 @@ def validate_chrome_trace(payload: Any) -> None:
     if not isinstance(events, list):
         raise TraceError("chrome trace needs a traceEvents array")
     for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
         if not isinstance(event, dict):
-            raise TraceError(f"{where}: events must be objects")
+            raise _fail(_EVENT % index, "events must be objects")
         phase = event.get("ph")
         if phase not in ("M", "X", "i", "C"):
-            raise TraceError(f"{where}: unknown phase {phase!r}")
+            raise _fail(_EVENT % index, f"unknown phase {phase!r}")
         for key in ("pid", "tid"):
             value = event.get(key)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise TraceError(f"{where}: {key} must be an integer, "
-                                 f"got {value!r}")
+                raise _fail(_EVENT % index, f"{key} must be an integer, "
+                                            f"got {value!r}")
         if not isinstance(event.get("name"), str):
-            raise TraceError(f"{where}: name must be a string")
+            raise _fail(_EVENT % index, "name must be a string")
         if phase != "M":
             ts = event.get("ts")
             if not isinstance(ts, (int, float)) or \
                     isinstance(ts, bool) or not math.isfinite(ts):
-                raise TraceError(f"{where}: ts must be a finite number, "
-                                 f"got {ts!r}")
+                raise _fail(_EVENT % index, f"ts must be a finite number, "
+                                            f"got {ts!r}")
         if phase == "X":
             dur = event.get("dur")
             if not isinstance(dur, (int, float)) or \
                     isinstance(dur, bool) or not math.isfinite(dur) or \
                     dur < 0:
-                raise TraceError(f"{where}: dur must be a finite "
-                                 f"non-negative number, got {dur!r}")
+                raise _fail(_EVENT % index, f"dur must be a finite "
+                                            f"non-negative number, "
+                                            f"got {dur!r}")
 
 
 # -- JSONL export ----------------------------------------------------------------
@@ -282,8 +291,17 @@ def dumps_obs(recorder: ObsRecorder) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fail(where: str, message: str) -> TraceError:
-    return TraceError(f"{where}: {message}")
+# -- JSONL import ----------------------------------------------------------------
+#
+# One parser per record type.  Each first tests the values for the
+# types its writer emits: an exact int, a finite float, a non-empty str
+# or a known outcome or cause, and args whose typed keys are exact.  A
+# record that passes is appended as it stands.  Any other value falls
+# through to the checks below, in their order, which coerce (an int
+# time becomes a float) or raise.  So an accepted record is built as
+# the checks alone would build it, a rejected one raises the same
+# TraceError, and nothing is appended before a record passes every
+# check.
 
 
 def _number(record: dict, key: str, where: str) -> float:
@@ -327,104 +345,177 @@ def _args(record: dict, where: str) -> dict:
     return value
 
 
+def _plain_args(value: Any) -> bool:
+    """True when `value` is args that `_args` accepts, of exact types."""
+    return (type(value) is dict and type(value.get("job_id", 0)) is int
+            and type(value.get("blocks", 0)) is int
+            and type(value.get("pod_id", 0)) is int
+            and type(value.get("kind", "")) is str)
+
+
 def _check_version(version: Any, where: str) -> None:
     if version != OBS_VERSION:
         raise _fail(where, f"unsupported version {version!r} (this "
                            f"library reads version {OBS_VERSION})")
 
 
-def _parse_record(recorder: ObsRecorder, record: dict, where: str) -> None:
+def _parse_span(recorder: ObsRecorder, record: dict, place: str,
+                at: int) -> None:
+    name, job_id = record.get("name"), record.get("job_id")
+    start, end = record.get("start"), record.get("end")
+    args = record.get("args")
+    if type(start) is float and type(end) is float and \
+            -math.inf < start <= end < math.inf and \
+            type(name) is str and name and type(job_id) is int and \
+            _plain_args(args):
+        recorder.spans.append(Span(name, job_id, start, end, args))
+        return
+    where = place % at
+    start = _number(record, "start", where)
+    end = _number(record, "end", where)
+    if end < start:
+        raise _fail(where, f"span ends at {end} before its start "
+                           f"{start}")
+    recorder.spans.append(Span(
+        _string(record, "name", where),
+        _integer(record, "job_id", where),
+        start, end, _args(record, where)))
+
+
+def _parse_instant(recorder: ObsRecorder, record: dict, place: str,
+                   at: int) -> None:
+    name, time = record.get("name"), record.get("time")
+    args = record.get("args")
+    if type(name) is str and name and type(time) is float and \
+            -math.inf < time < math.inf and _plain_args(args):
+        recorder.instants.append(Instant(name, time, args))
+        return
+    where = place % at
+    recorder.instants.append(Instant(
+        _string(record, "name", where),
+        _number(record, "time", where),
+        _args(record, where)))
+
+
+def _parse_decision(recorder: ObsRecorder, record: dict, place: str,
+                    at: int) -> None:
+    outcome, cause = record.get("outcome"), record.get("cause")
+    time, job_id = record.get("time"), record.get("job_id")
+    kind, blocks = record.get("kind"), record.get("blocks")
+    priority = record.get("priority")
+    if type(outcome) is str and outcome in _OUTCOMES and \
+            type(cause) is str and cause in _CAUSES and \
+            type(time) is float and -math.inf < time < math.inf and \
+            type(job_id) is int and type(kind) is str and kind and \
+            type(blocks) is int and type(priority) is int:
+        recorder.decisions.append(Decision(time, job_id, kind, blocks,
+                                           priority, outcome, cause))
+        return
+    where = place % at
+    outcome = _string(record, "outcome", where)
+    if outcome not in _OUTCOMES:
+        raise _fail(where, f"outcome must be one of {_OUTCOMES}, "
+                           f"got {outcome!r}")
+    cause = _string(record, "cause", where)
+    if cause not in _CAUSES:
+        raise _fail(where, f"unknown decision cause {cause!r}; have "
+                           f"{sorted(_CAUSES)}")
+    recorder.decisions.append(Decision(
+        _number(record, "time", where),
+        _integer(record, "job_id", where),
+        _string(record, "kind", where),
+        _integer(record, "blocks", where),
+        _integer(record, "priority", where),
+        outcome, cause))
+
+
+def _parse_sample(recorder: ObsRecorder, record: dict, place: str,
+                  at: int) -> None:
+    free, time = record.get("free_blocks"), record.get("time")
+    queue, running = record.get("queue_depth"), record.get("running_jobs")
+    trunk = record.get("trunk_ports_in_use")
+    columns = recorder.samples.free_blocks
+    if type(free) is list and all(type(count) is int for count in free) \
+            and (not recorder.samples.times or len(free) == len(columns)) \
+            and type(time) is float and -math.inf < time < math.inf and \
+            type(queue) is int and type(running) is int and \
+            type(trunk) is int:
+        recorder.sample(time, queue, running, trunk, free)
+        return
+    where = place % at
+    if not (isinstance(free, list) and
+            all(isinstance(f, int) and not isinstance(f, bool)
+                for f in free)):
+        raise _fail(where, f"free_blocks must be a list of integers, "
+                           f"got {free!r}")
+    if len(recorder.samples) and len(free) != len(columns):
+        # One column per pod: a row of another length would leave
+        # the columns ragged (or drop its extra entries).
+        raise _fail(where, f"free_blocks has {len(free)} entries, but "
+                           f"the first sample row has {len(columns)}")
+    recorder.sample(
+        time=_number(record, "time", where),
+        queue_depth=_integer(record, "queue_depth", where),
+        running_jobs=_integer(record, "running_jobs", where),
+        trunk_ports_in_use=_integer(record, "trunk_ports_in_use", where),
+        free_by_pod=list(free))
+
+
+_PARSERS = {"span": _parse_span, "instant": _parse_instant,
+            "decision": _parse_decision, "sample": _parse_sample}
+
+
+def _parse_record(recorder: ObsRecorder, record: dict, place: str,
+                  at: int) -> None:
     """Validate one body record (JSONL shape) and append it to the log.
 
     The one record parser: the JSONL reader feeds it each line after
-    the header, and the Chrome reader each event it rebuilds.
+    the header, and the Chrome reader each event it rebuilds.  An error
+    names the record as ``place % at``.
     """
     kind = record.get("type")
-    if kind == "span":
-        start = _number(record, "start", where)
-        end = _number(record, "end", where)
-        if end < start:
-            raise _fail(where, f"span ends at {end} before its start "
-                               f"{start}")
-        recorder.spans.append(Span(
-            _string(record, "name", where),
-            _integer(record, "job_id", where),
-            start, end, _args(record, where)))
-    elif kind == "instant":
-        recorder.instants.append(Instant(
-            _string(record, "name", where),
-            _number(record, "time", where),
-            _args(record, where)))
-    elif kind == "decision":
-        outcome = _string(record, "outcome", where)
-        if outcome not in _OUTCOMES:
-            raise _fail(where, f"outcome must be one of {_OUTCOMES}, "
-                               f"got {outcome!r}")
-        cause = _string(record, "cause", where)
-        if cause not in _CAUSES:
-            raise _fail(where, f"unknown decision cause {cause!r}; have "
-                               f"{sorted(_CAUSES)}")
-        recorder.decisions.append(Decision(
-            _number(record, "time", where),
-            _integer(record, "job_id", where),
-            _string(record, "kind", where),
-            _integer(record, "blocks", where),
-            _integer(record, "priority", where),
-            outcome, cause))
-    elif kind == "sample":
-        free = record.get("free_blocks")
-        if not (isinstance(free, list) and
-                all(isinstance(f, int) and not isinstance(f, bool)
-                    for f in free)):
-            raise _fail(where, f"free_blocks must be a list of integers, "
-                               f"got {free!r}")
-        columns = recorder.samples.free_blocks
-        if len(recorder.samples) and len(free) != len(columns):
-            # One column per pod: a row of another length would leave
-            # the columns ragged (or drop its extra entries).
-            raise _fail(where, f"free_blocks has {len(free)} entries, but "
-                               f"the first sample row has {len(columns)}")
-        recorder.sample(
-            time=_number(record, "time", where),
-            queue_depth=_integer(record, "queue_depth", where),
-            running_jobs=_integer(record, "running_jobs", where),
-            trunk_ports_in_use=_integer(record, "trunk_ports_in_use",
-                                        where),
-            free_by_pod=list(free))
-    else:
-        raise _fail(where, f"unknown record type {kind!r}")
+    parser = _PARSERS.get(kind) if isinstance(kind, str) else None
+    if parser is None:
+        raise _fail(place % at, f"unknown record type {kind!r}")
+    parser(recorder, record, place, at)
+
+
+def _parse_header(record: dict, line_no: int) -> ObsRecorder:
+    """The empty log a JSONL header record opens."""
+    meta = record.get("meta", {})
+    if record.get("type") == "header" and \
+            record.get("schema") == OBS_SCHEMA and \
+            record.get("version") == OBS_VERSION and isinstance(meta, dict):
+        return ObsRecorder(meta=meta)
+    where = _LINE % line_no
+    if record.get("type") != "header":
+        raise _fail(where, "first record must be the header")
+    if record.get("schema") != OBS_SCHEMA:
+        raise _fail(where, f"not an observability log (schema "
+                           f"{record.get('schema')!r}, expected "
+                           f"{OBS_SCHEMA!r})")
+    _check_version(record.get("version"), where)
+    raise _fail(where, "meta must be an object")  # the one test left
 
 
 def loads_obs(text: str) -> ObsRecorder:
     """Parse and validate JSONL observability text into a recorder."""
     recorder: ObsRecorder | None = None
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"observability line {line_no}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise _fail(where, f"not valid JSON: {exc}") from exc
+            if not line.strip():
+                continue  # blank lines tolerated
+            raise _fail(_LINE % line_no, f"not valid JSON: {exc}") from exc
         if not isinstance(record, dict):
-            raise _fail(where, "expected an object")
+            raise _fail(_LINE % line_no, "expected an object")
         if recorder is None:
-            if record.get("type") != "header":
-                raise _fail(where, "first record must be the header")
-            if record.get("schema") != OBS_SCHEMA:
-                raise _fail(where,
-                            f"not an observability log (schema "
-                            f"{record.get('schema')!r}, expected "
-                            f"{OBS_SCHEMA!r})")
-            _check_version(record.get("version"), where)
-            meta = record.get("meta", {})
-            if not isinstance(meta, dict):
-                raise _fail(where, "meta must be an object")
-            recorder = ObsRecorder(meta=meta)
+            recorder = _parse_header(record, line_no)
         elif record.get("type") == "header":
-            raise _fail(where, "duplicate header")
+            raise _fail(_LINE % line_no, "duplicate header")
         else:
-            _parse_record(recorder, record, where)
+            _parse_record(recorder, record, _LINE, line_no)
     if recorder is None:
         raise TraceError("empty observability log: no header record")
     return recorder
@@ -467,8 +558,9 @@ def _from_chrome_trace(payload: dict) -> ObsRecorder:
     for index, event in enumerate(payload["traceEvents"]):
         if event["ph"] not in ("X", "i"):
             continue  # track metadata and counter samples
-        where = f"traceEvents[{index}]"
-        args = _args(event, where)
+        args = event.get("args", {})
+        if not _plain_args(args):
+            args = _args(event, _EVENT % index)
         time = event["ts"] / _MICROS
         if event["ph"] == "X":
             record = {"type": "span", "name": event["name"],
@@ -481,7 +573,7 @@ def _from_chrome_trace(payload: dict) -> ObsRecorder:
         else:
             record = {"type": "instant", "name": event["name"],
                       "time": time, "args": dict(args)}
-        _parse_record(recorder, record, where)
+        _parse_record(recorder, record, _EVENT, index)
     return recorder
 
 

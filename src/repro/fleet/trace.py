@@ -35,6 +35,7 @@ recorded run's.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from repro.core.slicing import blocks_needed
 from repro.errors import ConfigurationError, SchedulingError, TraceError
 from repro.fleet.config import FleetConfig
 from repro.fleet.failures import BlockOutage, DrainWindow
+from repro.fleet.obs.export import _jsonl_scalar
 from repro.fleet.serve.scenarios import scenario_for
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.workload import FleetJob
@@ -63,6 +65,9 @@ _JOB_KEYS = {"type", "job_id", "kind", "model_type", "shape", "arrival",
 _OUTAGE_KEYS = {"type", "pod_id", "block_id", "start", "end", "via_spare"}
 _DRAIN_KEYS = {"type", "pod_id", "block_id", "start", "end"}
 _HEADER_KEYS = {"type", "schema", "version", "seed", "config"}
+
+#: The config fields a header must embed, in declaration order.
+_CONFIG_FIELDS = tuple(spec.name for spec in dataclasses.fields(FleetConfig))
 
 
 @dataclass(frozen=True)
@@ -108,31 +113,43 @@ def _config_payload(config: FleetConfig) -> dict[str, Any]:
     return config.to_dict()
 
 
+# One template per body record type, its keys in the order
+# ``sort_keys=True`` emits them, filled by the observability JSONL
+# writer's exact-type scalar writer: so every line equals
+# ``json.dumps(record, sort_keys=True)`` byte for byte
+# (``tests/test_fleet_trace.py`` keeps that writer as the reference).
+_JOB_LINE = ('{"arrival": %s, "job_id": %s, "kind": %s, "model_type": %s, '
+             '"priority": %s, "shape": [%s], "type": "job", '
+             '"work_seconds": %s}')
+_OUTAGE_LINE = ('{"block_id": %s, "end": %s, "pod_id": %s, "start": %s, '
+                '"type": "outage", "via_spare": %s}')
+_DRAIN_LINE = ('{"block_id": %s, "end": %s, "pod_id": %s, "start": %s, '
+               '"type": "drain"}')
+
+
 def dumps_trace(trace: FleetTrace) -> str:
-    """The trace as JSONL text (trailing newline included)."""
+    """The trace as JSONL text (trailing newline included).
+
+    Each line equals ``json.dumps(record, sort_keys=True)``.
+    """
+    scalar = _jsonl_scalar
     lines = [json.dumps({
         "type": "header", "schema": TRACE_SCHEMA, "version": trace.version,
         "seed": trace.seed, "config": _config_payload(trace.config),
     }, sort_keys=True)]
-    for job in trace.jobs:
-        lines.append(json.dumps({
-            "type": "job", "job_id": job.job_id, "kind": job.kind,
-            "model_type": job.model_type, "shape": list(job.shape),
-            "arrival": job.arrival, "work_seconds": job.work_seconds,
-            "priority": job.priority,
-        }, sort_keys=True))
-    for outage in trace.outages:
-        lines.append(json.dumps({
-            "type": "outage", "pod_id": outage.pod_id,
-            "block_id": outage.block_id, "start": outage.start,
-            "end": outage.end, "via_spare": outage.via_spare,
-        }, sort_keys=True))
-    for window in trace.windows:
-        lines.append(json.dumps({
-            "type": "drain", "pod_id": window.pod_id,
-            "block_id": window.block_id, "start": window.start,
-            "end": window.end,
-        }, sort_keys=True))
+    lines += [_JOB_LINE % (scalar(job.arrival), scalar(job.job_id),
+                           scalar(job.kind), scalar(job.model_type),
+                           scalar(job.priority),
+                           ", ".join([scalar(d) for d in job.shape]),
+                           scalar(job.work_seconds))
+              for job in trace.jobs]
+    lines += [_OUTAGE_LINE % (scalar(outage.block_id), scalar(outage.end),
+                              scalar(outage.pod_id), scalar(outage.start),
+                              scalar(outage.via_spare))
+              for outage in trace.outages]
+    lines += [_DRAIN_LINE % (scalar(window.block_id), scalar(window.end),
+                             scalar(window.pod_id), scalar(window.start))
+              for window in trace.windows]
     return "\n".join(lines) + "\n"
 
 
@@ -144,6 +161,12 @@ def save_trace(trace: FleetTrace, path: str | Path) -> Path:
 
 
 # -- parsing + validation --------------------------------------------------------
+#
+# One parser per record type.  Each body parser first tests a record for
+# the keys and exact types its writer emits, every value in range, and
+# builds it from them.  Any other record falls through to the
+# field-by-field checks, in their order, so it is built, or rejected
+# with its message, exactly as those checks alone would.
 
 
 def _fail(line_no: int, message: str) -> TraceError:
@@ -202,19 +225,54 @@ def _parse_header(record: dict, line_no: int) -> tuple[int, FleetConfig]:
     payload = _field(record, "config", line_no)
     if not isinstance(payload, dict):
         raise _fail(line_no, "config must be an object")
+    missing = [name for name in _CONFIG_FIELDS if name not in payload]
+    if missing:  # FleetConfig.from_dict would fill them with defaults
+        raise _fail(line_no, f"config is missing FleetConfig field(s) "
+                             f"{missing}")
     try:
         config = FleetConfig.from_dict(payload)
         if config.serve_scenario:  # resolved by name when replayed
             scenario_for(config.serve_scenario, config)
-    except TypeError as exc:  # missing config fields
+    except TypeError as exc:  # a negative blocks_per_pod's complex cube root
         raise _fail(line_no, f"bad config: {exc}") from exc
     except ConfigurationError as exc:
         raise _fail(line_no, f"invalid config: {exc}") from exc
     return seed, config
 
 
+def _check_blocks(shape: tuple[int, ...], config: FleetConfig,
+                  line_no: int) -> None:
+    try:
+        blocks = blocks_needed(shape)
+    except SchedulingError as exc:
+        raise _fail(line_no, f"illegal slice shape {shape}: {exc}") from exc
+    if blocks > config.total_blocks:
+        raise _fail(line_no, f"shape {shape} needs {blocks} blocks but "
+                             f"the fleet has {config.total_blocks}")
+
+
 def _parse_job(record: dict, config: FleetConfig,
                line_no: int) -> FleetJob:
+    kind, model = record.get("kind"), record.get("model_type")
+    shape, arrival = record.get("shape"), record.get("arrival")
+    work, job_id = record.get("work_seconds"), record.get("job_id")
+    priority = record.get("priority")
+    if record.keys() == _JOB_KEYS and kind in ("train", "serve") and \
+            type(model) is str and type(shape) is list and \
+            len(shape) == 3 and all(type(d) is int and d >= 1
+                                    for d in shape) and \
+            type(arrival) is float and \
+            0.0 <= arrival <= config.horizon_seconds and \
+            type(work) is float and 0.0 < work < math.inf and \
+            type(job_id) is int and job_id >= 0 and \
+            type(priority) is int and priority >= 0:
+        # Every check but the shape's legality has passed, so it is the
+        # one left to fail, with the message it fails with below.
+        shape = tuple(shape)
+        _check_blocks(shape, config, line_no)
+        return FleetJob(job_id=job_id, kind=kind, model_type=model,
+                        shape=shape, arrival=arrival, work_seconds=work,
+                        priority=priority)
     _check_keys(record, _JOB_KEYS, line_no)
     kind = _field(record, "kind", line_no)
     if kind not in ("train", "serve"):
@@ -230,13 +288,7 @@ def _parse_job(record: dict, config: FleetConfig,
         raise _fail(line_no, f"shape must be three positive integers, "
                              f"got {raw_shape!r}")
     shape = tuple(raw_shape)
-    try:
-        blocks = blocks_needed(shape)
-    except SchedulingError as exc:
-        raise _fail(line_no, f"illegal slice shape {shape}: {exc}") from exc
-    if blocks > config.total_blocks:
-        raise _fail(line_no, f"shape {shape} needs {blocks} blocks but "
-                             f"the fleet has {config.total_blocks}")
+    _check_blocks(shape, config, line_no)
     arrival = _float_field(record, "arrival", line_no, minimum=0.0)
     if arrival > config.horizon_seconds:
         raise _fail(line_no, f"arrival {arrival} is past the horizon "
@@ -249,6 +301,16 @@ def _parse_job(record: dict, config: FleetConfig,
         kind=kind, model_type=model, shape=shape, arrival=arrival,
         work_seconds=work,
         priority=_int_field(record, "priority", line_no, minimum=0))
+
+
+def _plain_interval(record: dict, config: FleetConfig) -> bool:
+    """True when `_parse_block_interval` accepts `record` as it stands."""
+    pod_id, block_id = record.get("pod_id"), record.get("block_id")
+    start, end = record.get("start"), record.get("end")
+    return type(pod_id) is int and 0 <= pod_id < config.num_pods and \
+        type(block_id) is int and 0 <= block_id < config.blocks_per_pod and \
+        type(start) is float and type(end) is float and \
+        0.0 <= start < end <= config.horizon_seconds
 
 
 def _parse_block_interval(record: dict, config: FleetConfig,
@@ -273,6 +335,13 @@ def _parse_block_interval(record: dict, config: FleetConfig,
 
 def _parse_outage(record: dict, config: FleetConfig,
                   line_no: int) -> BlockOutage:
+    if record.keys() == _OUTAGE_KEYS and \
+            type(record["via_spare"]) is bool and \
+            _plain_interval(record, config):
+        return BlockOutage(pod_id=record["pod_id"],
+                           block_id=record["block_id"],
+                           start=record["start"], end=record["end"],
+                           via_spare=record["via_spare"])
     _check_keys(record, _OUTAGE_KEYS, line_no)
     pod_id, block_id, start, end = _parse_block_interval(record, config,
                                                          line_no)
@@ -286,6 +355,10 @@ def _parse_outage(record: dict, config: FleetConfig,
 
 def _parse_drain(record: dict, config: FleetConfig,
                  line_no: int) -> DrainWindow:
+    if record.keys() == _DRAIN_KEYS and _plain_interval(record, config):
+        return DrainWindow(pod_id=record["pod_id"],
+                           block_id=record["block_id"],
+                           start=record["start"], end=record["end"])
     _check_keys(record, _DRAIN_KEYS, line_no)
     pod_id, block_id, start, end = _parse_block_interval(record, config,
                                                          line_no)
@@ -301,11 +374,11 @@ def loads_trace(text: str) -> FleetTrace:
     seed: int | None = None
     config: FleetConfig | None = None
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue  # blank lines tolerated (trailing newline, hand edits)
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
+            if not line.strip():
+                continue  # blank lines tolerated (trailing newline, edits)
             raise _fail(line_no, f"not valid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise _fail(line_no, f"expected an object, got "

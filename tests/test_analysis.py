@@ -409,6 +409,20 @@ class TestC102SchemaDrift:
         assert rules_of(result) == ["C102"]
         assert "jid" in result.findings[0].message
 
+    def test_trace_template_drift_flagged(self, tmp_path):
+        fleet = tmp_path / "repro" / "fleet"
+        fleet.mkdir(parents=True)
+        (fleet / "trace.py").write_text(
+            "_JOB_KEYS = {'type', 'job_id'}\n"
+            "_JOB_LINE = '{\"jid\": %s, \"type\": \"job\"}'\n"
+            "def dumps_trace(trace):\n"
+            "    return [_JOB_LINE % 1]\n")
+        result = run_lint([tmp_path / "repro"], rule_filter=["C102"],
+                          root=tmp_path)
+        assert rules_of(result) == ["C102"]
+        assert "jid" in result.findings[0].message
+        assert result.findings[0].line == 2
+
 
 class TestEngineAndResult:
     def test_unknown_rule_raises_analysis_error(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for slice packing and the Figure 4 goodput models."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -310,3 +311,43 @@ class TestGoodput:
     def test_rejects_malformed_inputs(self, model, args, kwargs):
         with pytest.raises(SchedulingError):
             model(*args, **kwargs)
+
+    @pytest.mark.parametrize("model, args, kwargs, name", [
+        pytest.param(analytic_ocs_goodput, (64, 0.99), {"num_blocks": 2.5},
+                     "num_blocks", id="analytic-fractional-blocks"),
+        pytest.param(analytic_ocs_goodput, (64.0, 0.99), {}, "slice_chips",
+                     id="analytic-float-chips"),
+        pytest.param(analytic_ocs_goodput, (True, 0.99), {}, "slice_chips",
+                     id="analytic-bool-chips"),
+        pytest.param(analytic_ocs_goodput, (64, 0.99), {"num_blocks": True},
+                     "num_blocks", id="analytic-bool-blocks"),
+        pytest.param(simulate_goodput, (64, 0.99), {"trials": 2.5}, "trials",
+                     id="simulate-fractional-trials"),
+        pytest.param(simulate_goodput, (64.0, 0.99), {}, "slice_chips",
+                     id="simulate-float-chips"),
+        pytest.param(simulate_goodput, (np.float64(64), 0.99), {},
+                     "slice_chips", id="simulate-numpy-float-chips"),
+        pytest.param(simulate_goodput, (64, 0.99), {"trials": True},
+                     "trials", id="simulate-bool-trials"),
+        pytest.param(simulate_goodput, (64, 0.99),
+                     {"num_blocks": np.bool_(True)}, "num_blocks",
+                     id="simulate-numpy-bool-blocks"),
+        pytest.param(simulate_goodput, (64, 0.99), {"trials": "3"},
+                     "trials", id="simulate-string-trials"),
+        pytest.param(spares_staircase, ("64",), {}, "slice_chips",
+                     id="spares-string-chips"),
+        pytest.param(spares_staircase, (64, None), {}, "num_blocks",
+                     id="spares-none-blocks"),
+    ])
+    def test_rejects_non_integer_counts(self, model, args, kwargs, name):
+        with pytest.raises(SchedulingError,
+                           match=f"^{name} must be an integer, got "):
+            model(*args, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert analytic_ocs_goodput(np.int64(1024), 0.995,
+                                    num_blocks=np.int32(64)) == \
+            analytic_ocs_goodput(1024, 0.995)
+        assert simulate_goodput(np.int64(64), 0.99, trials=np.int16(3),
+                                num_blocks=np.uint8(8), seed=1) == \
+            simulate_goodput(64, 0.99, trials=3, num_blocks=8, seed=1)

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main
 from repro.core.scheduler import PlacementPolicy
@@ -22,12 +23,12 @@ from repro.errors import ConfigurationError, TraceError
 from repro.fleet import FleetSimulator, preset_config
 from repro.fleet.scheduler import ActiveJob
 from repro.sim.events import Simulator
-from repro.fleet.obs import (DispatchProfiler, MetricsSampler,
-                             NULL_RECORDER, OBS_SCHEMA, OBS_VERSION,
-                             ObsRecorder, PLACED_CAUSES, REJECTED_CAUSES,
-                             Span, dumps_chrome_trace, dumps_obs, load_obs,
-                             loads_obs, render_report, save_obs,
-                             validate_chrome_trace)
+from repro.fleet.obs import (Decision, DispatchProfiler, Instant,
+                             MetricsSampler, NULL_RECORDER, OBS_SCHEMA,
+                             OBS_VERSION, ObsRecorder, PLACED_CAUSES,
+                             REJECTED_CAUSES, Span, dumps_chrome_trace,
+                             dumps_obs, load_obs, loads_obs, render_report,
+                             save_obs, validate_chrome_trace)
 from repro.fleet.obs.export import PID_FLEET, PID_JOBS
 
 
@@ -164,6 +165,261 @@ def _reference_dumps_obs(recorder):
                             for column in samples.free_blocks],
         }, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+# -- the reference readers: the per-field checks before one parser per type --
+#
+# The readers as they stood before each record type got its own parser,
+# kept to require equal logs, or the same exception with the same
+# message, from the readers under test.
+
+
+_REFERENCE_OUTCOMES = ("placed", "rejected")
+_REFERENCE_CAUSES = set(PLACED_CAUSES) | set(REJECTED_CAUSES)
+
+
+def _reference_validate_chrome_trace(payload):
+    if not isinstance(payload, dict):
+        raise TraceError("chrome trace must be a JSON object")
+    events = payload.get("traceEvents")
+    if not isinstance(events, list):
+        raise TraceError("chrome trace needs a traceEvents array")
+    for index, event in enumerate(events):
+        where = f"traceEvents[{index}]"
+        if not isinstance(event, dict):
+            raise TraceError(f"{where}: events must be objects")
+        phase = event.get("ph")
+        if phase not in ("M", "X", "i", "C"):
+            raise TraceError(f"{where}: unknown phase {phase!r}")
+        for key in ("pid", "tid"):
+            value = event.get(key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TraceError(f"{where}: {key} must be an integer, "
+                                 f"got {value!r}")
+        if not isinstance(event.get("name"), str):
+            raise TraceError(f"{where}: name must be a string")
+        if phase != "M":
+            ts = event.get("ts")
+            if not isinstance(ts, (int, float)) or \
+                    isinstance(ts, bool) or not math.isfinite(ts):
+                raise TraceError(f"{where}: ts must be a finite number, "
+                                 f"got {ts!r}")
+        if phase == "X":
+            dur = event.get("dur")
+            if not isinstance(dur, (int, float)) or \
+                    isinstance(dur, bool) or not math.isfinite(dur) or \
+                    dur < 0:
+                raise TraceError(f"{where}: dur must be a finite "
+                                 f"non-negative number, got {dur!r}")
+
+
+def _reference_fail(where, message):
+    return TraceError(f"{where}: {message}")
+
+
+def _reference_number(record, key, where):
+    value = record.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _reference_fail(where, f"{key} must be a number, "
+                                     f"got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise _reference_fail(where, f"{key} must be finite")
+    return value
+
+
+def _reference_integer(record, key, where):
+    value = record.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _reference_fail(where, f"{key} must be an integer, "
+                                     f"got {value!r}")
+    return value
+
+
+def _reference_string(record, key, where):
+    value = record.get(key)
+    if not isinstance(value, str) or not value:
+        raise _reference_fail(where, f"{key} must be a non-empty string, "
+                                     f"got {value!r}")
+    return value
+
+
+def _reference_args(record, where):
+    value = record.get("args", {})
+    if not isinstance(value, dict):
+        raise _reference_fail(where, f"args must be an object, "
+                                     f"got {value!r}")
+    for key in ("job_id", "blocks", "pod_id"):
+        item = value.get(key, 0)
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise _reference_fail(where, f"args.{key} must be an integer, "
+                                         f"got {item!r}")
+    if not isinstance(value.get("kind", ""), str):
+        raise _reference_fail(where, f"args.kind must be a string, "
+                                     f"got {value['kind']!r}")
+    return value
+
+
+def _reference_check_version(version, where):
+    if version != OBS_VERSION:
+        raise _reference_fail(where, f"unsupported version {version!r} "
+                                     f"(this library reads version "
+                                     f"{OBS_VERSION})")
+
+
+def _reference_parse_record(recorder, record, where):
+    kind = record.get("type")
+    if kind == "span":
+        start = _reference_number(record, "start", where)
+        end = _reference_number(record, "end", where)
+        if end < start:
+            raise _reference_fail(where, f"span ends at {end} before its "
+                                         f"start {start}")
+        recorder.spans.append(Span(
+            _reference_string(record, "name", where),
+            _reference_integer(record, "job_id", where),
+            start, end, _reference_args(record, where)))
+    elif kind == "instant":
+        recorder.instants.append(Instant(
+            _reference_string(record, "name", where),
+            _reference_number(record, "time", where),
+            _reference_args(record, where)))
+    elif kind == "decision":
+        outcome = _reference_string(record, "outcome", where)
+        if outcome not in _REFERENCE_OUTCOMES:
+            raise _reference_fail(where, f"outcome must be one of "
+                                         f"{_REFERENCE_OUTCOMES}, "
+                                         f"got {outcome!r}")
+        cause = _reference_string(record, "cause", where)
+        if cause not in _REFERENCE_CAUSES:
+            raise _reference_fail(where, f"unknown decision cause "
+                                         f"{cause!r}; have "
+                                         f"{sorted(_REFERENCE_CAUSES)}")
+        recorder.decisions.append(Decision(
+            _reference_number(record, "time", where),
+            _reference_integer(record, "job_id", where),
+            _reference_string(record, "kind", where),
+            _reference_integer(record, "blocks", where),
+            _reference_integer(record, "priority", where),
+            outcome, cause))
+    elif kind == "sample":
+        free = record.get("free_blocks")
+        if not (isinstance(free, list) and
+                all(isinstance(f, int) and not isinstance(f, bool)
+                    for f in free)):
+            raise _reference_fail(where, f"free_blocks must be a list of "
+                                         f"integers, got {free!r}")
+        columns = recorder.samples.free_blocks
+        if len(recorder.samples) and len(free) != len(columns):
+            raise _reference_fail(where, f"free_blocks has {len(free)} "
+                                         f"entries, but the first sample "
+                                         f"row has {len(columns)}")
+        recorder.sample(
+            time=_reference_number(record, "time", where),
+            queue_depth=_reference_integer(record, "queue_depth", where),
+            running_jobs=_reference_integer(record, "running_jobs", where),
+            trunk_ports_in_use=_reference_integer(
+                record, "trunk_ports_in_use", where),
+            free_by_pod=list(free))
+    else:
+        raise _reference_fail(where, f"unknown record type {kind!r}")
+
+
+def _reference_loads_obs(text):
+    recorder = None
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"observability line {line_no}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise _reference_fail(where, f"not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise _reference_fail(where, "expected an object")
+        if recorder is None:
+            if record.get("type") != "header":
+                raise _reference_fail(where,
+                                      "first record must be the header")
+            if record.get("schema") != OBS_SCHEMA:
+                raise _reference_fail(where,
+                                      f"not an observability log (schema "
+                                      f"{record.get('schema')!r}, expected "
+                                      f"{OBS_SCHEMA!r})")
+            _reference_check_version(record.get("version"), where)
+            meta = record.get("meta", {})
+            if not isinstance(meta, dict):
+                raise _reference_fail(where, "meta must be an object")
+            recorder = ObsRecorder(meta=meta)
+        elif record.get("type") == "header":
+            raise _reference_fail(where, "duplicate header")
+        else:
+            _reference_parse_record(recorder, record, where)
+    if recorder is None:
+        raise TraceError("empty observability log: no header record")
+    return recorder
+
+
+def _reference_from_chrome_trace(payload):
+    _reference_validate_chrome_trace(payload)
+    other = payload.get("otherData", {})
+    if not isinstance(other, dict) or other.get("schema") != OBS_SCHEMA:
+        raise TraceError("chrome trace was not exported by this library "
+                         "(otherData.schema missing); fleet report needs "
+                         "the JSONL export for foreign traces")
+    _reference_check_version(other.get("version"), "chrome trace otherData")
+    meta = {key: value for key, value in other.items()
+            if key not in ("schema", "version")}
+    recorder = ObsRecorder(meta=meta)
+    for index, event in enumerate(payload["traceEvents"]):
+        if event["ph"] not in ("X", "i"):
+            continue
+        where = f"traceEvents[{index}]"
+        args = _reference_args(event, where)
+        time_ = event["ts"] / 1e6
+        if event["ph"] == "X":
+            record = {"type": "span", "name": event["name"],
+                      "job_id": args.get("job_id"), "start": time_,
+                      "end": (event["ts"] + event["dur"]) / 1e6,
+                      "args": {key: value for key, value in args.items()
+                               if key != "job_id"}}
+        elif "outcome" in args:
+            record = {**args, "type": "decision", "time": time_}
+        else:
+            record = {"type": "instant", "name": event["name"],
+                      "time": time_, "args": dict(args)}
+        _reference_parse_record(recorder, record, where)
+    return recorder
+
+
+def _outcome(read, source):
+    """What `read(source)` returns, or the type and text it raises."""
+    try:
+        return read(source)
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, expected):
+    """Two read outcomes agree: logs that are equal and export equal
+    text, or the same exception type with the same message."""
+    if isinstance(expected, ObsRecorder):
+        assert isinstance(got, ObsRecorder), got
+        assert (got.meta, got.spans, got.instants, got.decisions,
+                got.samples) == (expected.meta, expected.spans,
+                                 expected.instants, expected.decisions,
+                                 expected.samples)
+        assert dumps_obs(got) == dumps_obs(expected)
+    else:
+        assert got == expected
+
+
+def _assert_reads_as_reference(text):
+    """loads_obs reads `text` as the reference reader does; returns
+    what it read or raised."""
+    got = _outcome(loads_obs, text)
+    _assert_same_outcome(got, _outcome(_reference_loads_obs, text))
+    return got
 
 
 #: Every string kind the escaper meets: quotes, backslashes, non-ASCII,
@@ -567,12 +823,12 @@ class TestJsonlExport:
     ])
     def test_validation_fails_loudly(self, mutate, needle):
         lines = dumps_obs(_run_with_obs("tiny").obs).splitlines()[:1]
-        with pytest.raises(TraceError, match=needle):
-            loads_obs("\n".join(mutate(lines)))
+        kind, message = _assert_reads_as_reference("\n".join(mutate(lines)))
+        assert kind is TraceError and re.search(needle, message), message
 
     def test_empty_text_rejected(self):
-        with pytest.raises(TraceError, match="empty"):
-            loads_obs("")
+        kind, message = _assert_reads_as_reference("")
+        assert kind is TraceError and "empty" in message
 
 
 class TestChromeExport:
@@ -748,21 +1004,157 @@ class TestHostileFiles:
             payload = json.loads(dumps_chrome_trace(tiny_obs))
             mutate(payload)
             path.write_text(json.dumps(payload))
+            expected = _outcome(_reference_from_chrome_trace, payload)
         else:
             records = [json.loads(line)
                        for line in dumps_obs(tiny_obs).splitlines()]
             mutate(records)
             path.write_text("".join(json.dumps(record) + "\n"
                                     for record in records))
+            expected = _outcome(_reference_loads_obs, path.read_text())
         began = time.perf_counter()
         with pytest.raises(TraceError, match=needle):
             load_obs(path)
+        _assert_same_outcome(_outcome(load_obs, path), expected)
         assert main(["fleet", "report", "--trace", str(path)]) == 2
         assert time.perf_counter() - began < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("fleet report: ")
         assert captured.err.count("\n") == 1
+
+
+#: What a hostile edit writes into a field: every JSON type, the float
+#: edge cases, an integer past float range, and the strings the reader
+#: compares against.
+_HOSTILE_VALUES = (0, 3, -1, 10**400, 2.5, 1e300, -0.0, math.nan,
+                   math.inf, -math.inf, True, False, None, "", "running",
+                   "placed", "rejected", "pod_local", [], [1, 2], {},
+                   {"job_id": 1})
+
+#: Keys an edit may add: every record type's, the typed args keys, and
+#: one that nothing reads.
+_ADDED_KEYS = ("args", "blocks", "cause", "end", "extra", "free_blocks",
+               "job_id", "kind", "meta", "name", "outcome", "pod_id",
+               "priority", "queue_depth", "running_jobs", "schema",
+               "start", "time", "trunk_ports_in_use", "type", "version")
+
+#: The lines a pad or blank edit leaves around or instead of a line.
+_SPACES = ("", " ", "\t", "\u00a0")
+
+
+def _every_edit(line):
+    """Each one-field edit of `line`: every key set to every hostile
+    value, dropped, or added, and every nested item set."""
+    record = json.loads(line)
+    for key in sorted(record):
+        yield json.dumps({name: value for name, value in record.items()
+                          if name != key})
+        inner = record[key]
+        places = range(len(inner)) if isinstance(inner, list) else \
+            sorted(inner) + ["blocks", "extra", "job_id", "kind",
+                             "pod_id"] if isinstance(inner, dict) else ()
+        for value in _HOSTILE_VALUES:
+            yield json.dumps({**record, key: value})
+            for place in places:
+                edited = json.loads(line)
+                edited[key][place] = value
+                yield json.dumps(edited)
+    for key in _ADDED_KEYS:
+        if key not in record:
+            for value in _HOSTILE_VALUES:
+                yield json.dumps({**record, key: value})
+    for space in _SPACES:
+        yield space
+        yield space + line + space
+
+
+@st.composite
+def _hostile_edit(draw, line):
+    """`line`, one JSONL record, after one hostile edit."""
+    try:
+        record = json.loads(line)
+    except ValueError:  # an earlier edit blanked or padded it
+        return draw(st.sampled_from(_SPACES)) + line
+    nested = [key for key in sorted(record)
+              if isinstance(record[key], (list, dict)) and record[key]]
+    edit = draw(st.sampled_from(("set", "add", "drop", "type", "pad",
+                                 "blank") + (("nested",) if nested else ())))
+    if edit == "pad":
+        return draw(st.sampled_from(_SPACES)) + line + \
+            draw(st.sampled_from(_SPACES))
+    if edit == "blank":
+        return draw(st.sampled_from(_SPACES))
+    value = draw(st.sampled_from(_HOSTILE_VALUES))
+    if edit == "set":
+        record[draw(st.sampled_from(sorted(record)))] = value
+    elif edit == "add":
+        record[draw(st.sampled_from(_ADDED_KEYS))] = value
+    elif edit == "drop":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif edit == "type":
+        record["type"] = draw(st.sampled_from(
+            ("header", "span", "instant", "decision", "sample", "job", "")))
+    else:
+        inner = record[draw(st.sampled_from(nested))]
+        if isinstance(inner, list):
+            inner[draw(st.integers(0, len(inner) - 1))] = value
+        else:
+            inner[draw(st.sampled_from(sorted(inner) + ["extra"]))] = value
+    return json.dumps(record)
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_lines():
+    """A short valid edge log with every record type, as lines."""
+    obs = _recorded("edge", 0)
+    short = ObsRecorder(meta=obs.meta, spans=obs.spans[:5],
+                        instants=obs.instants[:5],
+                        decisions=obs.decisions[:5])
+    samples = obs.samples
+    for index in range(5):
+        short.sample(samples.times[index], samples.queue_depth[index],
+                     samples.running_jobs[index],
+                     samples.trunk_ports_in_use[index],
+                     [column[index] for column in samples.free_blocks])
+    return tuple(_reference_dumps_obs(short).splitlines())
+
+
+class TestReaderMatchesReference:
+    """Every hostile edit of valid lines reads as the reference reader
+    reads it: an equal log, or the same exception and message."""
+
+    def test_short_log_has_every_record_type(self):
+        assert {json.loads(line)["type"] for line in _edge_lines()} == \
+            {"header", "span", "instant", "decision", "sample"}
+
+    def test_every_one_field_edit_reads_as_reference(self):
+        # The first line of each type, and the second sample row, which
+        # a first row's width constrains.
+        lines = _edge_lines()
+        types = [json.loads(line)["type"] for line in lines]
+        for index in sorted({types.index(kind) for kind in types} |
+                            {types.index("sample") + 1}):
+            for edited in _every_edit(lines[index]):
+                _assert_reads_as_reference("\n".join(
+                    lines[:index] + (edited,) + lines[index + 1:]))
+
+    def test_chrome_export_reads_as_reference(self, tmp_path):
+        path = save_obs(_recorded("edge", 0), tmp_path / "edge.json")
+        _assert_same_outcome(
+            _outcome(load_obs, path),
+            _outcome(_reference_from_chrome_trace,
+                     json.loads(path.read_text())))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hostile_edits_read_as_reference(self, data):
+        lines = list(_edge_lines())
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            index = data.draw(st.integers(0, len(lines) - 1), label="line")
+            lines[index] = data.draw(_hostile_edit(lines[index]),
+                                     label="edit")
+        _assert_reads_as_reference("\n".join(lines) + "\n")
 
 
 class TestReportRendering:
