@@ -37,16 +37,28 @@ NUM_STREAMS = 4
 #: set-up while memory grows.  The cap turns such a config away at once.
 MAX_EXPECTED_EVENTS = 10**6
 
+
+def _finite(value: int | float) -> bool:
+    """`math.isfinite`, with an int past float range not finite: every
+    sum or product that mixes it with a float would overflow."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 #: What a field's value must be, keyed by its annotation (a string here:
 #: annotations are postponed), and how the error names it.  Bools are
 #: ints to Python, so number fields turn them away explicitly; NaN or
-#: infinite floats would hang the event loop or poison every sum.
+#: infinite floats would hang the event loop or poison every sum, and
+#: so would an int past float range, in either kind of field.
 _FIELD_TYPES = {
     "float": (lambda value: isinstance(value, (int, float)) and
-              not isinstance(value, bool) and math.isfinite(value),
+              not isinstance(value, bool) and _finite(value),
               "a finite number"),
     "int": (lambda value: isinstance(value, int) and
-            not isinstance(value, bool), "an int"),
+            not isinstance(value, bool) and _finite(value),
+            "an int within float range"),
     "bool": (lambda value: type(value) is bool, "a bool"),
     "str": (lambda value: type(value) is str, "a string"),
     "PlacementStrategy": (lambda value: isinstance(value, PlacementStrategy),
@@ -213,10 +225,12 @@ class FleetConfig:
             if not valid(value):
                 raise ConfigurationError(
                     f"{spec.name} must be {kind}, got {value!r}")
-        side = round(self.blocks_per_pod ** (1 / 3))
-        if side ** 3 != self.blocks_per_pod:
+        # The sign first: a negative number's cube root is complex.
+        if self.blocks_per_pod < 1 or \
+                round(self.blocks_per_pod ** (1 / 3)) ** 3 != \
+                self.blocks_per_pod:
             raise ConfigurationError(
-                f"blocks_per_pod must be a perfect cube, got "
+                f"blocks_per_pod must be a positive perfect cube, got "
                 f"{self.blocks_per_pod}")
         if self.num_pods < 1:
             raise ConfigurationError("need at least one pod")
@@ -284,8 +298,10 @@ class FleetConfig:
                 f"the {MAX_EXPECTED_EVENTS:,} cap")
         # Horizon over block MTBF, per block.  Written over the host
         # MTBF: a subnormal one underflows block_mtbf_seconds to 0.0.
-        outages = self.total_blocks * HOSTS_PER_BLOCK * \
-            self.horizon_seconds / self.host_mtbf_seconds
+        # A float from the first factor on, so a huge product is inf,
+        # not an int too large to convert.
+        outages = float(self.num_pods) * self.blocks_per_pod * \
+            HOSTS_PER_BLOCK * self.horizon_seconds / self.host_mtbf_seconds
         if outages > MAX_EXPECTED_EVENTS:
             raise ConfigurationError(
                 f"expected block outages (total_blocks * horizon_seconds "

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any, Callable
 
@@ -215,6 +216,17 @@ def dumps_chrome_trace(recorder: ObsRecorder) -> str:
     return _CHROME_DOCUMENT % (other, ",".join(events))
 
 
+def _finite(value: Any) -> bool:
+    """An int or float, not a bool, that is a finite float: an int past
+    float range is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def validate_chrome_trace(payload: Any) -> None:
     """Check trace-event structural validity; TraceError on violation.
 
@@ -243,15 +255,12 @@ def validate_chrome_trace(payload: Any) -> None:
             raise _fail(_EVENT % index, "name must be a string")
         if phase != "M":
             ts = event.get("ts")
-            if not isinstance(ts, (int, float)) or \
-                    isinstance(ts, bool) or not math.isfinite(ts):
+            if not _finite(ts):
                 raise _fail(_EVENT % index, f"ts must be a finite number, "
                                             f"got {ts!r}")
         if phase == "X":
             dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or \
-                    isinstance(dur, bool) or not math.isfinite(dur) or \
-                    dur < 0:
+            if not _finite(dur) or dur < 0:
                 raise _fail(_EVENT % index, f"dur must be a finite "
                                             f"non-negative number, "
                                             f"got {dur!r}")
@@ -308,10 +317,9 @@ def _number(record: dict, key: str, where: str) -> float:
     value = record.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(where, f"{key} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    if not _finite(value):
         raise _fail(where, f"{key} must be finite")
-    return value
+    return float(value)
 
 
 def _integer(record: dict, key: str, where: str) -> int:
@@ -498,6 +506,48 @@ def _parse_header(record: dict, line_no: int) -> ObsRecorder:
     raise _fail(where, "meta must be an object")  # the one test left
 
 
+#: Stands in for an integer literal too long for `int()` to read.
+_OVERLONG = object()
+
+
+def _overlong_integer(line: str) -> str:
+    """Name the key of the first integer literal in `line` that is too
+    long to read, as an error message.
+
+    `json.loads` reads each integer literal with `int()`, which refuses
+    one of more than `sys.get_int_max_str_digits()` digits with a plain
+    `ValueError` that names no key.  So the line is read again with
+    such literals marked, and the first marked key is named: ``arrival``,
+    ``args.blocks`` or ``traceEvents[3].ts``.
+    """
+    def parse_int(literal: str) -> Any:
+        try:
+            return int(literal)
+        except ValueError:
+            return _OVERLONG
+
+    def find(node: Any, path: str) -> str | None:
+        if node is _OVERLONG:
+            return path
+        if isinstance(node, dict):
+            children = [(f"{path}.{key}" if path else key, child)
+                        for key, child in node.items()]
+        elif isinstance(node, list):
+            children = [(f"{path}[{index}]", child)
+                        for index, child in enumerate(node)]
+        else:
+            children = []
+        return next(filter(None, (find(child, where)
+                                  for where, child in children)), None)
+
+    try:
+        record = json.loads(line, parse_int=parse_int)
+    except json.JSONDecodeError as exc:  # broken past the literal too
+        return f"not valid JSON: {exc}"
+    return (f"{find(record, '') or 'the value'} is an integer of more "
+            f"than {sys.get_int_max_str_digits():,} digits")
+
+
 def loads_obs(text: str) -> ObsRecorder:
     """Parse and validate JSONL observability text into a recorder."""
     recorder: ObsRecorder | None = None
@@ -508,6 +558,8 @@ def loads_obs(text: str) -> ObsRecorder:
             if not line.strip():
                 continue  # blank lines tolerated
             raise _fail(_LINE % line_no, f"not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer literal too long to read
+            raise _fail(_LINE % line_no, _overlong_integer(line)) from exc
         if not isinstance(record, dict):
             raise _fail(_LINE % line_no, "expected an object")
         if recorder is None:
@@ -563,9 +615,13 @@ def _from_chrome_trace(payload: dict) -> ObsRecorder:
             args = _args(event, _EVENT % index)
         time = event["ts"] / _MICROS
         if event["ph"] == "X":
+            try:
+                end = (event["ts"] + event["dur"]) / _MICROS
+            except OverflowError as exc:  # two ints summing past float range
+                raise _fail(_EVENT % index, "end must be finite") from exc
             record = {"type": "span", "name": event["name"],
                       "job_id": args.get("job_id"), "start": time,
-                      "end": (event["ts"] + event["dur"]) / _MICROS,
+                      "end": end,
                       "args": {key: value for key, value in args.items()
                                if key != "job_id"}}
         elif "outcome" in args:
@@ -593,7 +649,10 @@ def load_obs(path: str | Path) -> ObsRecorder:
             f"cannot read observability file {source}: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:
+        # Not one JSON document, or an integer literal too long to
+        # read: the line reader names the line (a Chrome export is one
+        # line) and the key.
         return loads_obs(text)
     if isinstance(payload, dict) and "traceEvents" in payload:
         return _from_chrome_trace(payload)

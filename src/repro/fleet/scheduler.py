@@ -76,6 +76,13 @@ class ActiveJob:
     job: FleetJob
     remaining: float
     submitted_at: float
+    #: Dense id of the job's (shape, priority) class, interned per
+    #: scheduler when the job first joins the queue and kept across
+    #: requeues.  Every skip rule of a dispatch pass reads a queued job
+    #: only through this pair, so a pass can skip a whole class at
+    #: once; an int, so the per-visit membership test hashes no nested
+    #: tuple.
+    klass: int = 0
     pending_restore: float = 0.0
     pending_reconfig: float = 0.0
     #: (pod id, blocks) per pod in slot order; empty while queued.
@@ -173,6 +180,8 @@ class FleetScheduler:
         self._failed_defrags: set[int] = set()
         self._failed_cross: set = set()
         self._failed_preemptions: set = set()
+        #: Class id per (shape, priority); see `ActiveJob.klass`.
+        self._classes: dict[tuple, int] = {}
         #: Young/Daly interval per block count — a pure function of the
         #: config's failure/checkpoint constants and the job's size,
         #: recomputed thousands of times for the handful of sizes a
@@ -210,8 +219,10 @@ class FleetScheduler:
     def _enqueue(self, job: FleetJob) -> ActiveJob:
         """Register an arrival on the queue (no dispatch)."""
         self.telemetry.record_for(job)
+        klass = self._classes.setdefault((job.shape, job.priority),
+                                         len(self._classes))
         active = ActiveJob(job=job, remaining=job.work_seconds,
-                          submitted_at=self.sim.now)
+                          submitted_at=self.sim.now, klass=klass)
         bisect.insort(self.queue, active, key=self._queue_order)
         self._joins += 1
         return active
@@ -298,7 +309,22 @@ class FleetScheduler:
         preempt_priority = self.config.preempt_priority
         free_epoch = -1
         total_free = 0
+        # Dead classes.  A skip reads a queued job only through its
+        # (shape, priority) class: `blocks` follows from the shape,
+        # `can_preempt` from the priority, and the failure caches key
+        # on shape, blocks and the pair.  Within one grow epoch the
+        # caches only grow and free space only shrinks, so once a job
+        # of a class is capacity-skipped, or fails or cache-skips every
+        # rung it reaches, every later job of that class in this pass
+        # would be skipped too: the pass stops visiting them.  A grow
+        # during a visit revives every class; a placement kills none.
+        # A future rung that reads any other job field must widen the
+        # class key.
+        dead: set[int] = set()
         for active in self._queue_in_order():
+            klass = active.klass
+            if klass in dead:
+                continue
             epoch = self._grow_epoch
             if synced != epoch:
                 synced = epoch
@@ -313,6 +339,7 @@ class FleetScheduler:
                     free_epoch = epoch
                     total_free = self.state.total_free
                 if active.job.blocks > total_free:
+                    dead.add(klass)
                     continue
             placement = None
             via = ""        # the rung that placed it, for the decision log
@@ -358,9 +385,13 @@ class FleetScheduler:
                     "placed" if placement is not None else "rejected",
                     via if placement is not None else
                     self._rejection_cause(active, can_preempt))
-            if placement is None:
-                continue  # backfill: later (smaller) jobs may still fit
-            self._start(active, placement)
+            if placement is not None:
+                self._start(active, placement)
+            # Backfill either way: later (smaller) jobs may still fit.
+            if self._grow_epoch != epoch:
+                dead.clear()
+            elif placement is None:
+                dead.add(klass)
         # Settle only a pass that saw no grow at all; after one that
         # did, the next pass starts with empty caches.
         if self._grow_epoch == epoch_at_start:

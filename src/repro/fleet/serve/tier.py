@@ -59,6 +59,16 @@ def _mixture_quantile(samples: list[tuple[float, float, float]],
     `samples` rows are ``(weight, base, wait)``: `weight` requests saw
     ``T = base + Exp(wait)`` (`wait` 0 means exactly `base`).  The
     mixture CDF is monotone, so the quantile is a bisection.
+
+    Each CDF step runs the elementwise operations of the plain formula
+    ``1 - exp(-max(x - base, 0) / wait)``, in its order, in one
+    preallocated buffer: a row with a positive wait and ``x < base``
+    gets ``exp(-0.0) == 1.0`` there, exactly the formula's tail, and a
+    row without a positive wait is set by index.  Two layouts keep
+    every bit of the result: `weights` stays the strided column view
+    of `rows` (a contiguous copy changes the dot product's summation
+    order, and with it the last bits of the quantile), and `exp` runs
+    on the contiguous float64 buffer.
     """
     if not samples:
         return 0.0
@@ -70,15 +80,21 @@ def _mixture_quantile(samples: list[tuple[float, float, float]],
     lo = float(bases.min())
     hi = float((bases + np.maximum(waits, 0.0) * _TAIL_MEANS).max())
     safe_waits = np.where(waits > 0, waits, 1.0)
+    bases = np.ascontiguousarray(bases)
+    flat = np.flatnonzero(~(waits > 0))  # exactly `base`: no tail
+    flat_bases = bases[flat]
+    buf = np.empty_like(bases)
 
     def cdf(x: float) -> float:
-        tail = np.where(x >= bases,
-                        np.where(waits > 0,
-                                 np.exp(-np.maximum(x - bases, 0.0)
-                                        / safe_waits),
-                                 0.0),
-                        1.0)
-        return float(weights @ (1.0 - tail)) / total
+        np.subtract(x, bases, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        np.negative(buf, out=buf)
+        np.divide(buf, safe_waits, out=buf)
+        np.exp(buf, out=buf)
+        if flat.size:
+            buf[flat] = np.where(x >= flat_bases, 0.0, 1.0)
+        np.subtract(1.0, buf, out=buf)
+        return float(weights @ buf) / total
 
     for _ in range(100):
         mid = 0.5 * (lo + hi)

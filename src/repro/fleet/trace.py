@@ -46,7 +46,7 @@ from repro.core.slicing import blocks_needed
 from repro.errors import ConfigurationError, SchedulingError, TraceError
 from repro.fleet.config import FleetConfig
 from repro.fleet.failures import BlockOutage, DrainWindow
-from repro.fleet.obs.export import _jsonl_scalar
+from repro.fleet.obs.export import _jsonl_scalar, _overlong_integer
 from repro.fleet.serve.scenarios import scenario_for
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.workload import FleetJob
@@ -194,7 +194,11 @@ def _float_field(record: dict, key: str, line_no: int, *,
     value = _field(record, key, line_no)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(line_no, f"{key} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError as exc:
+        raise _fail(line_no, f"{key} must be finite, got an integer past "
+                             f"float range") from exc
     if not math.isfinite(value):
         raise _fail(line_no, f"{key} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
@@ -233,7 +237,10 @@ def _parse_header(record: dict, line_no: int) -> tuple[int, FleetConfig]:
         config = FleetConfig.from_dict(payload)
         if config.serve_scenario:  # resolved by name when replayed
             scenario_for(config.serve_scenario, config)
-    except TypeError as exc:  # a negative blocks_per_pod's complex cube root
+    except TypeError as exc:
+        # No config check is known to raise one since FleetConfig tests
+        # the sign of blocks_per_pod before its cube root; a header is
+        # untrusted input, so a future check that does still ends here.
         raise _fail(line_no, f"bad config: {exc}") from exc
     except ConfigurationError as exc:
         raise _fail(line_no, f"invalid config: {exc}") from exc
@@ -380,6 +387,8 @@ def loads_trace(text: str) -> FleetTrace:
             if not line.strip():
                 continue  # blank lines tolerated (trailing newline, edits)
             raise _fail(line_no, f"not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer literal too long to read
+            raise _fail(line_no, _overlong_integer(line)) from exc
         if not isinstance(record, dict):
             raise _fail(line_no, f"expected an object, got "
                                  f"{type(record).__name__}")

@@ -1,6 +1,7 @@
 """Tests for the `python -m repro` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -163,6 +164,34 @@ class TestFleetTraceCLI:
         bad.write_text('{"type": "job"}\n')
         assert main(["fleet", "replay", "--trace", str(bad)]) == 2
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,key,literal,named", [
+        (0, "num_pods", "1" + "0" * 400,
+         "trace line 1: invalid config: num_pods must be "),
+        (1, "arrival", "1" + "0" * 400,
+         "trace line 2: arrival must be finite"),
+        (1, "arrival", "1" + "0" * 4300,
+         "trace line 2: arrival is an integer of more than "),
+    ], ids=["config-int-past-float-range", "arrival-past-float-range",
+            "overlong-integer-literal"])
+    def test_replay_hostile_number_fails_cleanly(self, tmp_path, capsys,
+                                                 line, key, literal,
+                                                 named):
+        trace_path = tmp_path / "run.jsonl"
+        assert main(["fleet", "record", "--preset", "tiny",
+                     "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        lines = trace_path.read_text().splitlines()
+        lines[line], edits = re.subn(rf'"{key}": [^,}}]+',
+                                     f'"{key}": {literal}', lines[line],
+                                     count=1)
+        assert edits == 1
+        trace_path.write_text("\n".join(lines) + "\n")
+        assert main(["fleet", "replay", "--trace", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert named in captured.err
 
     def test_replay_honors_policy_flag(self, tmp_path, capsys):
         trace_path = str(tmp_path / "run.jsonl")

@@ -13,6 +13,8 @@ from repro.fleet.simulator import FleetSimulator
 
 FLOAT_FIELDS = [spec.name for spec in dataclasses.fields(FleetConfig)
                 if spec.type == "float"]
+NUMERIC_FIELDS = [spec.name for spec in dataclasses.fields(FleetConfig)
+                  if spec.type in ("int", "float")]
 
 
 class TestValidation:
@@ -70,6 +72,11 @@ class TestValidation:
         pytest.param(dict(num_pods=2.5), id="num_pods=2.5"),
         pytest.param(dict(num_pods="2"), id="num_pods='2'"),
         pytest.param(dict(trunk_ports=True), id="trunk_ports=True"),
+        # An int past float range overflows the first float it meets.
+        *(pytest.param({name: 10**400}, id=f"{name}=10**400")
+          for name in NUMERIC_FIELDS),
+        # A negative number's cube root is complex.
+        pytest.param(dict(blocks_per_pod=-8), id="blocks_per_pod=-8"),
     ])
     def test_hostile_value_is_a_typed_error_at_once(self, overrides):
         # Past the constructor, a NaN or infinite float hangs the event

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -416,9 +417,22 @@ def _assert_same_outcome(got, expected):
 
 def _assert_reads_as_reference(text):
     """loads_obs reads `text` as the reference reader does; returns
-    what it read or raised."""
+    what it read or raised.
+
+    One planned difference: on an integer past float range in a
+    number field the reference reader raises OverflowError, and
+    loads_obs a TraceError naming the line and key."""
     got = _outcome(loads_obs, text)
-    _assert_same_outcome(got, _outcome(_reference_loads_obs, text))
+    expected = _outcome(_reference_loads_obs, text)
+    if expected == (OverflowError, "int too large to convert to float"):
+        number, key = re.fullmatch(
+            r"observability line (\d+): (\w+) must be finite",
+            got[1]).groups()
+        value = json.loads(text.splitlines()[int(number) - 1])[key]
+        assert got[0] is TraceError
+        assert type(value) is int and abs(value) > sys.float_info.max
+    else:
+        _assert_same_outcome(got, expected)
     return got
 
 
@@ -1022,6 +1036,97 @@ class TestHostileFiles:
         assert captured.out == ""
         assert captured.err.startswith("fleet report: ")
         assert captured.err.count("\n") == 1
+
+
+#: An integer literal longer than `int()` reads by default.
+_OVERLONG = "1" + "0" * 4300
+
+
+class TestHostileNumbers:
+    """A number that fits JSON but not the reader ends in a TraceError
+    naming its line (or event) and key, and `fleet report` in exit 2
+    with one stderr line: an integer past float range in a number
+    field, or an integer literal longer than int()'s digit limit."""
+
+    @staticmethod
+    def _assert_report_exits_two(path, capsys):
+        assert main(["fleet", "report", "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fleet report: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind,key", [
+        ("span", "start"), ("span", "end"), ("instant", "time"),
+        ("decision", "time"), ("sample", "time")])
+    def test_integer_past_float_range(self, tmp_path, capsys, kind, key):
+        lines = dumps_obs(_recorded("tiny", 0)).splitlines()
+        index = next(i for i, line in enumerate(lines)
+                     if json.loads(line)["type"] == kind)
+        record = json.loads(lines[index])
+        record[key] = 10**400
+        lines[index] = json.dumps(record)
+        path = tmp_path / "obs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"observability line {index + 1}: {key} must be finite"
+        with pytest.raises(TraceError, match=f"^{message}$"):
+            load_obs(path)
+        self._assert_report_exits_two(path, capsys)
+
+    @pytest.mark.parametrize("kind,key,named", [
+        ("header", "version", "version"), ("span", "job_id", "job_id"),
+        ("span", "blocks", "args.blocks"), ("decision", "time", "time"),
+        ("sample", "free_blocks", "free_blocks[0]")])
+    def test_overlong_integer_literal(self, tmp_path, capsys, kind, key,
+                                      named):
+        lines = dumps_obs(_recorded("tiny", 0)).splitlines()
+        index = next(i for i, line in enumerate(lines)
+                     if json.loads(line)["type"] == kind)
+        raw = re.sub(rf'"{key}": \[?', lambda found: found[0] + _OVERLONG +
+                     ("," if found[0].endswith("[") else ", \"x\": "),
+                     lines[index], count=1)
+        assert raw != lines[index]
+        lines[index] = raw
+        path = tmp_path / "obs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError) as caught:
+            load_obs(path)
+        assert str(caught.value) == (
+            f"observability line {index + 1}: {named} is an integer of "
+            f"more than {sys.get_int_max_str_digits():,} digits")
+        self._assert_report_exits_two(path, capsys)
+
+    @pytest.mark.parametrize("ts,dur,key", [
+        (10**400, 0, "ts"), (0, 10**400, "dur"),
+        # Each in float range, their sum (the span's end) past it.
+        (2**1023, 2**1023, "end")])
+    def test_chrome_integer_past_float_range(self, tmp_path, capsys, ts,
+                                             dur, key):
+        payload = json.loads(dumps_chrome_trace(_recorded("tiny", 0)))
+        index = next(i for i, event in enumerate(payload["traceEvents"])
+                     if event["ph"] == "X")
+        payload["traceEvents"][index].update(ts=ts, dur=dur)
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TraceError,
+                           match=rf"^traceEvents\[{index}\]: {key} must "):
+            load_obs(path)
+        self._assert_report_exits_two(path, capsys)
+
+    def test_chrome_overlong_integer_literal(self, tmp_path, capsys):
+        text = dumps_chrome_trace(_recorded("tiny", 0))
+        index = next(i for i, event in
+                     enumerate(json.loads(text)["traceEvents"])
+                     if event["ph"] == "X")
+        raw = text.replace('"dur":', f'"dur":{_OVERLONG},"x":', 1)
+        path = tmp_path / "obs.json"
+        path.write_text(raw)
+        with pytest.raises(TraceError) as caught:
+            load_obs(path)
+        assert str(caught.value) == (
+            f"observability line 1: traceEvents[{index}].dur is an integer "
+            f"of more than {sys.get_int_max_str_digits():,} digits")
+        self._assert_report_exits_two(path, capsys)
 
 
 #: What a hostile edit writes into a field: every JSON type, the float

@@ -1,7 +1,8 @@
 """Tests for the fleet scheduler: queueing, preemption, interrupts,
 placement strategies, reconfiguration latency, and defragmentation."""
 
-from types import SimpleNamespace
+import json
+from types import MethodType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from repro.fleet import FleetSimulator, preset_config
 from repro.fleet.cluster import FleetState
 from repro.fleet.config import FleetConfig
 from repro.fleet.obs import ObsRecorder
-from repro.fleet.scheduler import FleetScheduler
+from repro.fleet.scheduler import ActiveJob, FleetScheduler
 from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.workload import (FleetJob, PRIORITY_BATCH,
-                                  PRIORITY_SERVING)
+                                  PRIORITY_PROD, PRIORITY_SERVING)
 from repro.sim.events import Simulator
 
 
@@ -682,3 +683,259 @@ class TestPodChoiceOracle:
             [(pod, blocks)] = placement
             assert pod.pod_id == expected
             assert blocks == pod.first_free(needed)
+
+
+# -- the reference dispatch pass ----------------------------------------------
+#
+# The pass as it stood before it skipped dead job classes, kept to require
+# the same rung calls, the same decisions and the same run.
+
+
+def _reference_dispatch_pass(self):
+    """`FleetScheduler._dispatch_pass` before dead-class skipping."""
+    if not self.queue:
+        return False
+    moved_any = False
+    # Hoisted out of the per-job loop: this sweep visits every
+    # queued job on every pass (tens of thousands of iterations on
+    # the medium preset), so the disabled path must not pay even
+    # the attribute lookups.
+    obs_enabled = self.obs.enabled
+    # Within a pass, free space only shrinks and (because the queue
+    # is priority-sorted) no preemptible job starts before a
+    # preemptor is considered — so a failed placement, defrag,
+    # cross-pod, or preemption attempt stays failed for identical
+    # later requests until capacity grows.  The same monotonicity
+    # holds *across* passes and dispatches, so the caches persist,
+    # synced to the grow epoch before each job: a defrag or
+    # preemption that frees blocks or trunk ports mid-pass
+    # invalidates them for every later job.  They start synced at
+    # the last settled pass's epoch.
+    epoch_at_start = self._grow_epoch
+    joins_at_start = self._joins
+    synced = self._settled[0]
+    failed_shapes = self._failed_shapes
+    failed_defrags = self._failed_defrags
+    failed_cross = self._failed_cross
+    failed_preemptions = self._failed_preemptions
+    # Capacity check: a job that cannot preempt and needs more
+    # blocks than are free machine-wide fails every rung — free,
+    # defrag, and cross-pod placement all need that many free
+    # blocks — with no side effect, so it is skipped without
+    # touching any cache.  Free space grows only with the grow
+    # epoch, so the total is re-read whenever the epoch moves (a
+    # mid-pass eviction frees blocks later jobs may take).
+    preempt_priority = self.config.preempt_priority
+    free_epoch = -1
+    total_free = 0
+    for active in self._queue_in_order():
+        epoch = self._grow_epoch
+        if synced != epoch:
+            synced = epoch
+            failed_shapes.clear()
+            failed_defrags.clear()
+            failed_cross.clear()
+            failed_preemptions.clear()
+        shape = active.job.shape
+        can_preempt = active.job.priority >= preempt_priority
+        if not can_preempt:
+            if free_epoch != epoch:
+                free_epoch = epoch
+                total_free = self.state.total_free
+            if active.job.blocks > total_free:
+                continue
+        placement = None
+        via = ""        # the rung that placed it, for the decision log
+        attempted = False  # did ANY rung run, or were all cache-skipped
+        if shape not in failed_shapes:
+            attempted = True
+            placement = self._find_anywhere(active.job)
+            if placement is None:
+                failed_shapes.add(shape)
+            else:
+                via = "pod_local"
+        if placement is None and \
+                self.strategy is PlacementStrategy.DEFRAG and \
+                active.job.blocks not in failed_defrags:
+            attempted = True
+            placement = self._defrag_for(active)
+            if placement is not None:  # migrations moved blocks
+                via = "defrag"
+                moved_any = True
+            else:
+                failed_defrags.add(active.job.blocks)
+        if placement is None and shape not in failed_cross:
+            attempted = True
+            placement = self._find_cross_pod(active.job)
+            if placement is None:
+                failed_cross.add(shape)
+            else:
+                via = "cross_pod"
+        if placement is None and can_preempt:
+            key = (shape, active.job.priority)
+            if key not in failed_preemptions:
+                attempted = True
+                placement = self._preempt_for(active)
+                if placement is not None:  # eviction freed blocks
+                    via = "preemption"
+                    moved_any = True
+                else:
+                    failed_preemptions.add(key)
+        if obs_enabled and attempted:
+            self.obs.decision(
+                self.sim.now, active.job.job_id, active.job.kind,
+                active.job.blocks, active.job.priority,
+                "placed" if placement is not None else "rejected",
+                via if placement is not None else
+                self._rejection_cause(active, can_preempt))
+        if placement is None:
+            continue  # backfill: later (smaller) jobs may still fit
+        self._start(active, placement)
+    # Settle only a pass that saw no grow at all; after one that
+    # did, the next pass starts with empty caches.
+    if self._grow_epoch == epoch_at_start:
+        self._settled = (epoch_at_start, joins_at_start)
+    return moved_any
+
+
+class _RungLog:
+    """A profiler that logs scheduler work instead of timing it.
+
+    Implements the `install(scheduler, sim)` / `run_seconds` protocol
+    of `FleetSimulator.run(profiler=...)` and records every pass start
+    (`_queue_in_order`) and placement-rung call as (sim time, method,
+    job id).  With `reference`, the run's scheduler dispatches with
+    `_reference_dispatch_pass` instead of its own pass.
+    """
+
+    RUNGS = ("_find_anywhere", "_defrag_for", "_find_cross_pod",
+             "_preempt_for")
+
+    def __init__(self, reference):
+        self.reference = reference
+        self.calls = []
+        self.run_seconds = 0.0
+
+    def install(self, scheduler, sim):
+        if self.reference:
+            scheduler._dispatch_pass = MethodType(_reference_dispatch_pass,
+                                                  scheduler)
+        in_order = scheduler._queue_in_order
+
+        def logged_order():
+            self.calls.append((sim.now, "_queue_in_order", None))
+            return in_order()
+
+        scheduler._queue_in_order = logged_order
+        for name in self.RUNGS:
+            setattr(scheduler, name,
+                    self._logged(sim, name, getattr(scheduler, name)))
+
+    def _logged(self, sim, name, rung):
+        def logged(target):  # an ActiveJob or its FleetJob
+            job = target.job if isinstance(target, ActiveJob) else target
+            self.calls.append((sim.now, name, job.job_id))
+            return rung(target)
+        return logged
+
+
+def _logged_run(preset, seed, strategy, observed, reference):
+    """One OCS run under a rung log: everything it did and reported."""
+    log = _RungLog(reference)
+    recorder = ObsRecorder() if observed else None
+    report = FleetSimulator(preset_config(preset), seed=seed).run(
+        PlacementPolicy.OCS, strategy, recorder=recorder, profiler=log)
+    serve = report.serve
+    return (log.calls, json.dumps(report.summary, sort_keys=True),
+            report.job_records,
+            None if serve is None else (serve.summary, serve.pools),
+            None if recorder is None else
+            (recorder.decisions, recorder.spans, recorder.instants))
+
+
+def _scripted_run(observed, reference):
+    """A hand-built queue in which a dead class comes back to life.
+
+    One 8-block pod, with prod and serving priority both able to
+    preempt.  A serving replica and a batch job fill it.  Two 8-block
+    serving jobs (ids 3 and 5) and an 8-block prod job (2) cannot run:
+    evicting the batch job frees only 4 blocks.  The prod job's
+    preemption is its own attempt, though its shape already failed at
+    serving priority.  Then a 4-block serving job (id 4: queued last,
+    it sorts before job 5) evicts the batch job; that grow revives the
+    dead class, so job 5 is tried again in the same pass.
+    """
+    log = _RungLog(reference)
+    scheduler = _make(preempt_priority=PRIORITY_PROD)
+    if observed:
+        scheduler.obs = ObsRecorder()
+    log.install(scheduler, scheduler.sim)
+    scheduler.submit(_serve(0, (4, 8, 8), 0.0, 5000.0))
+    scheduler.submit(_train(1, (4, 8, 8), 0.0, 3000.0))
+    scheduler.submit(_train(3, (8, 8, 8), 0.0, 1000.0,
+                            priority=PRIORITY_SERVING))
+    scheduler.submit(_train(2, (8, 8, 8), 0.0, 1000.0,
+                            priority=PRIORITY_PROD))
+    scheduler.submit(_train(5, (8, 8, 8), 0.0, 1000.0,
+                            priority=PRIORITY_SERVING))
+    scheduler.submit(_serve(4, (4, 8, 8), 0.0, 2000.0))
+    scheduler.sim.run()
+    return (log.calls, None, scheduler.telemetry.records, None,
+            None if not observed else
+            (scheduler.obs.decisions, scheduler.obs.spans,
+             scheduler.obs.instants))
+
+
+class TestDeadClassOracle:
+    """A dispatch pass that skips dead job classes does the reference
+    pass's work: the same passes and rung calls in the same order, the
+    same decision log, summary and job records."""
+
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["plain", "observed"])
+    @pytest.mark.parametrize("preset,seed,strategy", [
+        ("edge", 0, None), ("edge", 1, None), ("edge", 2, None),
+        ("serve_surge", 0, None),                 # long repeated queues
+        ("large", 0, None),                       # cross-pod
+        ("small", 0, None),
+        ("large", 0, PlacementStrategy.DEFRAG),   # migrations, trunks
+    ])
+    def test_same_work_as_the_reference_pass(self, preset, seed, strategy,
+                                             observed):
+        expected = _logged_run(preset, seed, strategy, observed, True)
+        got = _logged_run(preset, seed, strategy, observed, False)
+        assert got[0], "no rung ran"
+        for part, (mine, theirs) in enumerate(zip(got, expected)):
+            assert mine == theirs, f"part {part} differs"
+
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["plain", "observed"])
+    def test_revived_class_same_work_as_the_reference_pass(self, observed):
+        expected = _scripted_run(observed, True)
+        got = _scripted_run(observed, False)
+        for part, (mine, theirs) in enumerate(zip(got, expected)):
+            assert mine == theirs, f"part {part} differs"
+        # The scenario does what it says: job 5 is tried right after
+        # job 4's eviction, in the same pass, and job 2's preemption
+        # runs although its shape failed at serving priority.
+        calls = [(method, job_id) for _, method, job_id in got[0]]
+        evicting = calls.index(("_preempt_for", 4))
+        assert calls[evicting + 1] == ("_find_anywhere", 5)
+        assert calls.count(("_preempt_for", 2)) >= 2
+
+    def test_class_ids_are_dense_and_kept_on_requeue(self):
+        scheduler = _make(num_pods=2)
+        scheduler.submit(_train(0, (8, 8, 8), 0.0, 1000.0))
+        scheduler.submit(_train(1, (4, 4, 8), 0.0, 1000.0))
+        scheduler.submit(_train(2, (8, 8, 8), 0.0, 1000.0))
+        scheduler.submit(_train(3, (8, 8, 8), 0.0, 1000.0,
+                                priority=PRIORITY_SERVING))
+        classes = {job_id: active.klass
+                   for job_id, active in scheduler.running.items()}
+        classes.update({active.job.job_id: active.klass
+                        for active in scheduler.queue})
+        assert classes == {0: 0, 1: 1, 2: 0, 3: 2}
+        victim = scheduler.running[0]
+        scheduler.on_block_down(0, 0)  # requeues job 0
+        assert victim in scheduler.queue
+        assert victim.klass == 0

@@ -1,5 +1,6 @@
 """Tests for the online serving tier (repro.fleet.serve)."""
 
+import functools
 import json
 import math
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from repro.core.scheduler import PlacementPolicy
 from repro.errors import ConfigurationError
-from repro.fleet import FleetSimulator, compare_autoscalers
+from repro.fleet import FleetSimulator, compare_autoscalers, preset_config
 from repro.fleet.config import FleetConfig
 from repro.fleet.serve import (AUTOSCALERS, SERVE_SCHEMA, ModelTraffic,
                                ReplicaPool, SurgeWindow, desired_replicas,
                                reconciliation_residual, scenario_for,
                                scenario_names)
+from repro.fleet.serve import tier
 from repro.fleet.serve.tier import _TAIL_MEANS, _mixture_quantile
 from repro.units import DAY, HOUR, MINUTE
 
@@ -136,6 +138,42 @@ class TestAutoscalerPolicies:
 
 #: Weights, bases and waits: zeros and spans from microseconds up.
 _MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+#: Waits may also be negative (no tail, as zero), and bases repeat.
+_WAITS = st.one_of(_MAGNITUDES, st.floats(-1e3, -1e-6))
+_BASES = st.one_of(_MAGNITUDES, st.sampled_from([1e-3, 2e-3]))
+
+
+def _long_samples(seed, size):
+    """`size` rows drawn from a numpy seed, so a long input stays a cheap
+    draw: zero weights, repeated bases, and zero and negative waits."""
+    rng = np.random.default_rng(seed)
+    weights = rng.exponential(1e3, size) * (rng.random(size) > 0.1)
+    if rng.random() < 0.5:
+        bases = rng.choice(rng.uniform(1e-6, 1e-2, 8), size)
+    else:
+        bases = rng.uniform(1e-6, 1e-2, size)
+    waits = rng.exponential(1e-3, size) * rng.choice(
+        [-1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], size)
+    return list(zip(weights.tolist(), bases.tolist(), waits.tolist()))
+
+
+@functools.lru_cache(maxsize=None)
+def _surge_report_calls():
+    """The (samples, fraction) of each `_mixture_quantile` call of the
+    serve report of `serve_surge` seed 0: both pools and their merge,
+    each at p50 and p99."""
+    calls = []
+
+    def logged(samples, fraction):
+        calls.append((list(samples), fraction))
+        return _mixture_quantile(samples, fraction)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tier, "_mixture_quantile", logged)
+        FleetSimulator(preset_config("serve_surge"), seed=0).run(
+            PlacementPolicy.OCS)
+    assert len(calls) == 6
+    return tuple(calls)
 
 
 def _full_bisection(samples, fraction):
@@ -189,13 +227,29 @@ class TestMixtureQuantile:
             _mixture_quantile(samples, 0.50)
 
     @settings(max_examples=300, deadline=None)
-    @given(samples=st.lists(st.tuples(_MAGNITUDES, _MAGNITUDES, _MAGNITUDES),
-                            max_size=8),
+    @given(samples=st.one_of(
+               st.lists(st.tuples(_MAGNITUDES, _BASES, _WAITS), max_size=8),
+               st.builds(_long_samples, st.integers(0, 2**32 - 1),
+                         st.integers(1, 4096))),
            fraction=st.one_of(st.sampled_from([0.5, 0.99]),
-                              st.floats(0.0, 1.0)))
-    @example(samples=[], fraction=0.5)
-    @example(samples=[(0.0, 1.0, 2.0), (0.0, 3.0, 0.0)], fraction=0.99)
-    def test_early_stop_equals_the_full_bisection(self, samples, fraction):
+                              st.floats(0.0, 1.0)),
+           surge_call=st.none())
+    @example(samples=[], fraction=0.5, surge_call=None)
+    @example(samples=[(0.0, 1.0, 2.0), (0.0, 3.0, 0.0)], fraction=0.99,
+             surge_call=None)
+    @example(samples=[(1.0, 1e-3, -2e-3), (2.0, 1e-3, 0.0),
+                      (3.0, 1e-3, 1e-3)], fraction=0.5, surge_call=None)
+    # The six report calls of a serve_surge run, in place of the draw.
+    @example(samples=[], fraction=0.0, surge_call=0)
+    @example(samples=[], fraction=0.0, surge_call=1)
+    @example(samples=[], fraction=0.0, surge_call=2)
+    @example(samples=[], fraction=0.0, surge_call=3)
+    @example(samples=[], fraction=0.0, surge_call=4)
+    @example(samples=[], fraction=0.0, surge_call=5)
+    def test_early_stop_equals_the_full_bisection(self, samples, fraction,
+                                                  surge_call):
+        if surge_call is not None:
+            samples, fraction = _surge_report_calls()[surge_call]
         assert _mixture_quantile(samples, fraction) == \
             _full_bisection(samples, fraction)
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -554,13 +555,22 @@ class TestHeaderValidation:
             f"{[name]}")
 
     def test_negative_blocks_per_pod_is_a_bad_config(self, tiny_text):
-        # FleetConfig takes the cube root of blocks_per_pod before any
-        # sign check, and a negative one's is complex: round() raises
-        # the TypeError the header parser reports as a bad config.
+        # FleetConfig checks the sign before it takes the cube root (a
+        # negative number's is complex), so this is a typed config
+        # error, not round()'s TypeError.
         header = _line(tiny_text, 0)
         header["config"]["blocks_per_pod"] = -1
         _rejects(_mutated(tiny_text, 0, header),
-                 "^trace line 1: bad config: type complex ")
+                 "^trace line 1: invalid config: blocks_per_pod must be a "
+                 "positive perfect cube, got -1$")
+
+    @pytest.mark.parametrize("field", ["num_pods", "horizon_seconds",
+                                       "trunk_ports"])
+    def test_config_int_past_float_range_is_invalid(self, tiny_text, field):
+        header = _line(tiny_text, 0)
+        header["config"][field] = 10**400
+        _rejects(_mutated(tiny_text, 0, header),
+                 f"^trace line 1: invalid config: {field} must be ")
 
     def test_non_object_config_rejected(self, tiny_text):
         header = _line(tiny_text, 0)
@@ -639,6 +649,53 @@ class TestRecordValidation:
         job = _line(tiny_text, 1)
         job["priority"] = True  # bools are ints in Python; not here
         _rejects(_mutated(tiny_text, 1, job), "must be an integer")
+
+
+def _first_line_of(text, kind):
+    """The index of the first line of record type `kind`."""
+    return next(index for index, line in enumerate(text.splitlines())
+                if json.loads(line)["type"] == kind)
+
+
+#: An integer literal longer than `int()` reads by default.
+_OVERLONG = "1" + "0" * 4300
+
+
+class TestHostileNumbers:
+    """A number that fits JSON but not the reader ends in a TraceError
+    naming its line and key: an integer past float range in a float
+    field, or an integer literal longer than int()'s digit limit."""
+
+    @pytest.mark.parametrize("kind,key", [
+        ("job", "arrival"), ("job", "work_seconds"),
+        ("outage", "start"), ("outage", "end")])
+    def test_integer_past_float_range(self, tiny_text, kind, key):
+        index = _first_line_of(tiny_text, kind)
+        record = _line(tiny_text, index)
+        record[key] = 10**400
+        with pytest.raises(TraceError) as caught:
+            loads_trace(_mutated(tiny_text, index, record))
+        assert str(caught.value) == (
+            f"trace line {index + 1}: {key} must be finite, got an "
+            f"integer past float range")
+
+    @pytest.mark.parametrize("kind,key,named", [
+        ("header", "seed", "seed"),
+        ("header", "num_pods", "config.num_pods"),
+        ("job", "arrival", "arrival"), ("job", "job_id", "job_id"),
+        ("job", "shape", "shape[0]"), ("outage", "pod_id", "pod_id")])
+    def test_overlong_integer_literal(self, tiny_text, kind, key, named):
+        index = _first_line_of(tiny_text, kind)
+        line = tiny_text.splitlines()[index]
+        raw = re.sub(rf'"{key}": \[?', lambda found: found[0] + _OVERLONG +
+                     ("," if found[0].endswith("[") else ", \"x\": "),
+                     line, count=1)
+        assert raw != line
+        with pytest.raises(TraceError) as caught:
+            loads_trace(_mutated(tiny_text, index, raw=raw))
+        assert str(caught.value) == (
+            f"trace line {index + 1}: {named} is an integer of more than "
+            f"{sys.get_int_max_str_digits():,} digits")
 
 
 class TestIntervalValidation:
@@ -831,11 +888,21 @@ def _edge_lines():
 
 def _assert_edited_reads_as_reference(lines):
     """The edited trace reads as the reference reader reads it, but for
-    the one planned difference: a header config that lacks a field,
-    which the reference reader fills with its default."""
+    two planned differences: a header config that lacks a field, which
+    the reference reader fills with its default, and an integer past
+    float range in a float field, on which it raises OverflowError."""
     text = "\n".join(lines) + "\n"
     got = _outcome(loads_trace, text)
-    if isinstance(got, tuple) and "config is missing" in got[1]:
+    if isinstance(got, tuple) and "past float range" in got[1]:
+        assert _outcome(_reference_loads_trace, text) == \
+            (OverflowError, "int too large to convert to float")
+        number, key = re.fullmatch(
+            r"trace line (\d+): (\w+) must be finite, got an integer "
+            r"past float range", got[1]).groups()
+        value = json.loads(lines[int(number) - 1])[key]
+        assert got[0] is TraceError
+        assert type(value) is int and abs(value) > sys.float_info.max
+    elif isinstance(got, tuple) and "config is missing" in got[1]:
         number = int(got[1].split(":")[0].removeprefix("trace line "))
         config = json.loads(lines[number - 1])["config"]
         missing = [spec.name for spec in dataclasses.fields(FleetConfig)
