@@ -30,6 +30,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TextIO
 
 from repro.fleet import preset_config
 from repro.fleet.serve import (SERVE_SCHEMA, compare_autoscalers,
@@ -83,8 +84,12 @@ def measure() -> dict[str, dict[str, float]]:
     return comparison
 
 
-def check_gate(comparison: dict[str, dict[str, float]]) -> list[str]:
-    """The headline claim: autoscaling beats the static split per chip."""
+def check_gate(comparison: dict[str, dict[str, float]],
+               status: TextIO) -> list[str]:
+    """The headline claim: autoscaling beats the static split per chip.
+
+    One status line per policy goes to `status`.
+    """
     failures = []
     static = comparison["static"]["slo_attainment_per_chip"]
     for policy in ("reactive", "predictive", "scheduled"):
@@ -92,7 +97,7 @@ def check_gate(comparison: dict[str, dict[str, float]]) -> list[str]:
         verdict = "ok" if got > static else "FAILED"
         print(f"serve gate: {policy} SLO-attained req/chip-sec "
               f"{got:.1f} vs static {static:.1f} "
-              f"({got / static:.2f}x) {verdict}")
+              f"({got / static:.2f}x) {verdict}", file=status)
         if got <= static:
             failures.append(
                 f"{policy} does not beat the static split on "
@@ -108,13 +113,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit the measured comparison as JSON")
     args = parser.parse_args(argv)
+    # With --json, stdout carries the JSON alone.
+    status = sys.stderr if args.json else sys.stdout
 
     began = time.perf_counter()
     comparison = measure()
     wall_seconds = time.perf_counter() - began
     if args.json:
         print(json.dumps(comparison, indent=2, sort_keys=True))
-    failures = check_gate(comparison)
+    failures = check_gate(comparison, status)
 
     if args.update:
         if failures:
@@ -133,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
             "wall_seconds": round(wall_seconds, 3),  # report-only
             "comparison": comparison,
         }, indent=2, sort_keys=True) + "\n")
-        print(f"serve gate: comparison recorded at {COMPARISON_PATH}")
+        print(f"serve gate: comparison recorded at {COMPARISON_PATH}",
+              file=status)
         return 0
 
     if not COMPARISON_PATH.exists():
@@ -166,13 +174,14 @@ def main(argv: list[str] | None = None) -> int:
                     f"{policy}.{metric}: measured {measured_value:.6g} "
                     f"drifted {drift:.1%} from committed {value:.6g}")
     print(f"serve gate: {len(comparison)} policies in "
-          f"{wall_seconds:.1f}s against {COMPARISON_PATH.name}")
+          f"{wall_seconds:.1f}s against {COMPARISON_PATH.name}",
+          file=status)
     if failures:
         for failure in failures:
             print(f"serve gate: {failure}", file=sys.stderr)
         return 1
     print("serve gate: autoscaling beats the static split; comparison "
-          "matches the committed baseline")
+          "matches the committed baseline", file=status)
     return 0
 
 

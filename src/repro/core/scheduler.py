@@ -17,9 +17,11 @@ ranks candidate splits from it, and the fleet's machine fabric
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -280,9 +282,27 @@ def _greedy_take(pool: Sequence[tuple[int, int]],
     return assignment if remaining == 0 else None
 
 
-#: Feasible region subsets enumerated per placement before falling back
-#: to the greedy pick — bounds best-fit's search on very wide fleets.
+#: Region subsets, C(n, k), that best-fit may rank per placement before
+#: it falls back to the greedy pick — bounds its search on very wide
+#: fleets.
 _SUBSET_ENUMERATION_CAP = 256
+
+
+@lru_cache(maxsize=None)
+def _block_layout(shape: SliceShape
+                  ) -> tuple[SliceShape, int, tuple[int, int, int]] | None:
+    """A shape's (dims, block count, block grid), memoized per shape.
+
+    None for a sub-block shape.  An illegal shape raises the same
+    `SchedulingError` on every call, since ``lru_cache`` caches no
+    exception.
+    """
+    dims = canonical_shape(shape)
+    if not is_legal_shape(dims):
+        raise SchedulingError(f"illegal slice shape {dims}")
+    if not is_block_multiple(dims):
+        return None  # sub-block slices live inside one block's mesh
+    return dims, blocks_needed(dims), block_grid(dims)
 
 
 def plan_multi_region(shape: SliceShape,
@@ -293,24 +313,30 @@ def plan_multi_region(shape: SliceShape,
                       ) -> MultiRegionPlacement | None:
     """Place one block-multiple slice across regions, OCS style.
 
-    `free_by_region` is (region id, free block count) per region — under
-    OCS any free blocks of a region are equivalent (Section 2.5), so
-    counts are the whole story and the caller resolves physical ids.
-    `trunk_budget` caps the trunk ports each region may consume; layouts
-    whose price would oversubscribe a region's trunks are rejected.
+    `free_by_region` is (region id, free block count) per region, with
+    distinct region ids — under OCS any free blocks of a region are
+    equivalent (Section 2.5), so counts are the whole story and the
+    caller resolves physical ids.  `trunk_budget` caps the trunk ports
+    each region may consume; layouts whose price would oversubscribe a
+    region's trunks are rejected.
 
     Strategy is the topology policy: FIRST_FIT fills regions in the
     order given; BEST_FIT (and DEFRAG, which places like best-fit once
     migration is off the table) minimizes pod spill first, then trunk
-    usage, then leftover free space in the touched regions.
+    usage, then leftover free space in the touched regions.  Best-fit
+    takes k, the fewest regions that can host the slice (the greedy
+    pick: largest first, ties by region id).  When C(n, k), for the n
+    regions with free blocks, is at most ``_SUBSET_ENUMERATION_CAP``,
+    it ranks every k-region subset with enough free blocks, each filled
+    in that order; otherwise it takes the greedy pick alone.  The
+    ranking cannot depend on the order of enumeration: with k minimal,
+    every feasible subset needs all k of its regions, so each key ends
+    in its own region tuple and no two keys tie.
     """
-    dims = canonical_shape(shape)
-    if not is_legal_shape(dims):
-        raise SchedulingError(f"illegal slice shape {dims}")
-    if not is_block_multiple(dims):
-        return None  # sub-block slices live inside one block's mesh
-    needed = blocks_needed(dims)
-    grid = block_grid(dims)
+    layout = _block_layout(shape)
+    if layout is None:
+        return None
+    dims, needed, grid = layout
     pool = [(region, free) for region, free in free_by_region if free > 0]
     if sum(free for _, free in pool) < needed:
         return None
@@ -318,33 +344,25 @@ def plan_multi_region(shape: SliceShape,
     if strategy is PlacementStrategy.FIRST_FIT:
         candidates = [_greedy_take(pool, needed)]
     else:
-        by_size = sorted(pool, key=lambda rf: (-rf[1], rf[0]))
+        # Largest first, ties by region id: the stable two-pass sort is
+        # the (-free, region) order without a Python key function.
+        by_size = sorted(sorted(pool), key=itemgetter(1), reverse=True)
         greedy = _greedy_take(by_size, needed)
-        if greedy is None:  # pragma: no cover - total checked above
-            return None
         k = len(greedy)
-        # Bound the *enumeration itself*, not just the survivors: on a
-        # very wide fleet C(n, k) explodes long before the feasibility
-        # filter runs, so stop generating at the cap and fall back to
-        # the greedy pick.
-        subsets = list(itertools.islice(itertools.combinations(pool, k),
-                                        _SUBSET_ENUMERATION_CAP + 1))
-        if len(subsets) <= _SUBSET_ENUMERATION_CAP:
-            candidates = [
-                _greedy_take(sorted(subset,
-                                    key=lambda rf: (-rf[1], rf[0])),
-                             needed)
-                for subset in subsets
-                if sum(free for _, free in subset) >= needed] or [greedy]
-        else:
+        if math.comb(len(by_size), k) > _SUBSET_ENUMERATION_CAP:
             candidates = [greedy]
+        else:
+            # Subsets of the sorted pools come out sorted, and the
+            # greedy pick is one of them.
+            candidates = (
+                _greedy_take(subset, needed)
+                for subset in itertools.combinations(by_size, k)
+                if sum(free for _, free in subset) >= needed)
 
     free_of = dict(free_by_region)
     best: MultiRegionPlacement | None = None
     best_key: tuple | None = None
     for assignment in candidates:
-        if assignment is None:
-            continue
         price = _price_for(grid, tuple(take for _, take in assignment))
         if trunk_budget is not None and any(
                 ports > trunk_budget.get(region, 0)

@@ -51,8 +51,14 @@ def is_legal_shape(shape: SliceShape) -> bool:
         and not is_block_multiple(dims)
 
 
+@lru_cache(maxsize=None)
 def blocks_needed(shape: SliceShape) -> int:
-    """4x4x4 blocks consumed by a slice (sub-block slices use one block)."""
+    """4x4x4 blocks consumed by a slice (sub-block slices use one block).
+
+    Memoized like :func:`canonical_shape`: the fleet sizes every job it
+    generates, loads or submits, from a few dozen distinct shapes.  Only
+    legal shapes are cached; an illegal one raises on every call.
+    """
     dims = canonical_shape(shape)
     if not is_legal_shape(dims):
         raise SchedulingError(f"illegal slice shape {dims}")

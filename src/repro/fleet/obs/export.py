@@ -509,6 +509,10 @@ def _parse_header(record: dict, line_no: int) -> ObsRecorder:
 #: Stands in for an integer literal too long for `int()` to read.
 _OVERLONG = object()
 
+#: Why a line nested past the interpreter's recursion limit is refused:
+#: `json.loads` raises `RecursionError` on it.
+_TOO_DEEP = "nested too deeply to read"
+
 
 def _overlong_integer(line: str) -> str:
     """Name the key of the first integer literal in `line` that is too
@@ -542,10 +546,13 @@ def _overlong_integer(line: str) -> str:
 
     try:
         record = json.loads(line, parse_int=parse_int)
+        where = find(record, "")
     except json.JSONDecodeError as exc:  # broken past the literal too
         return f"not valid JSON: {exc}"
-    return (f"{find(record, '') or 'the value'} is an integer of more "
-            f"than {sys.get_int_max_str_digits():,} digits")
+    except RecursionError:  # nested too deeply past the literal
+        return _TOO_DEEP
+    return (f"{where or 'the value'} is an integer of more than "
+            f"{sys.get_int_max_str_digits():,} digits")
 
 
 def loads_obs(text: str) -> ObsRecorder:
@@ -560,6 +567,8 @@ def loads_obs(text: str) -> ObsRecorder:
             raise _fail(_LINE % line_no, f"not valid JSON: {exc}") from exc
         except ValueError as exc:  # an integer literal too long to read
             raise _fail(_LINE % line_no, _overlong_integer(line)) from exc
+        except RecursionError as exc:
+            raise _fail(_LINE % line_no, _TOO_DEEP) from exc
         if not isinstance(record, dict):
             raise _fail(_LINE % line_no, "expected an object")
         if recorder is None:
@@ -649,10 +658,10 @@ def load_obs(path: str | Path) -> ObsRecorder:
             f"cannot read observability file {source}: {exc}") from exc
     try:
         payload = json.loads(text)
-    except ValueError:
-        # Not one JSON document, or an integer literal too long to
-        # read: the line reader names the line (a Chrome export is one
-        # line) and the key.
+    except (ValueError, RecursionError):
+        # Not one JSON document, an integer literal too long to read,
+        # or nesting too deep: the line reader names the line (a Chrome
+        # export is one line) and the key.
         return loads_obs(text)
     if isinstance(payload, dict) and "traceEvents" in payload:
         return _from_chrome_trace(payload)

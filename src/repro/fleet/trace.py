@@ -46,7 +46,8 @@ from repro.core.slicing import blocks_needed
 from repro.errors import ConfigurationError, SchedulingError, TraceError
 from repro.fleet.config import FleetConfig
 from repro.fleet.failures import BlockOutage, DrainWindow
-from repro.fleet.obs.export import _jsonl_scalar, _overlong_integer
+from repro.fleet.obs.export import (_TOO_DEEP, _jsonl_scalar,
+                                    _overlong_integer)
 from repro.fleet.serve.scenarios import scenario_for
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.workload import FleetJob
@@ -389,6 +390,8 @@ def loads_trace(text: str) -> FleetTrace:
             raise _fail(line_no, f"not valid JSON: {exc}") from exc
         except ValueError as exc:  # an integer literal too long to read
             raise _fail(line_no, _overlong_integer(line)) from exc
+        except RecursionError as exc:
+            raise _fail(line_no, _TOO_DEEP) from exc
         if not isinstance(record, dict):
             raise _fail(line_no, f"expected an object, got "
                                  f"{type(record).__name__}")

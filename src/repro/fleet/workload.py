@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +39,28 @@ _SUB_BLOCK_BY_CHIPS: dict[int, SliceShape] = {
 }
 
 
+class _BlocksOnFirstRead:
+    """``job.blocks``: ``blocks_needed(job.shape)``, computed on first read.
+
+    The value lands in the job's ``__dict__``, which this non-data
+    descriptor never shadows, so later reads are plain attribute
+    lookups, as with `functools.cached_property`, which under CPython
+    3.11 also takes a class-wide lock on every first read: once per job
+    in a fleet run.  Not a dataclass field, so `FleetJob`'s fields,
+    ``repr``, ``==``, hash and pickling are as they were.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, job: FleetJob | None, owner: type | None = None
+                ) -> int | _BlocksOnFirstRead:
+        if job is None:
+            return self
+        blocks = job.__dict__[self.name] = blocks_needed(job.shape)
+        return blocks
+
+
 @dataclass(frozen=True)
 class FleetJob:
     """One job offered to the fleet scheduler.
@@ -63,11 +84,9 @@ class FleetJob:
     work_seconds: float
     priority: int
 
-    @cached_property
-    def blocks(self) -> int:
-        """4x4x4 blocks the job occupies (cached: the dispatch loop's
-        hot query, and shape legality never changes on a frozen job)."""
-        return blocks_needed(self.shape)
+    #: 4x4x4 blocks the job occupies (cached: the dispatch loop's hot
+    #: query, and shape legality never changes on a frozen job).
+    blocks = _BlocksOnFirstRead()
 
     @property
     def is_serving(self) -> bool:

@@ -172,8 +172,10 @@ class TestFleetTraceCLI:
          "trace line 2: arrival must be finite"),
         (1, "arrival", "1" + "0" * 4300,
          "trace line 2: arrival is an integer of more than "),
+        (1, "arrival", "[" * 100_000 + "]" * 100_000,
+         "trace line 2: nested too deeply to read"),
     ], ids=["config-int-past-float-range", "arrival-past-float-range",
-            "overlong-integer-literal"])
+            "overlong-integer-literal", "nesting-past-recursion-limit"])
     def test_replay_hostile_number_fails_cleanly(self, tmp_path, capsys,
                                                  line, key, literal,
                                                  named):

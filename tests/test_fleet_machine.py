@@ -1,13 +1,20 @@
 """Tests for machine-wide placement: the trunk fabric layer, the
 multi-region placement planner, and fabric-aware spare-port repair."""
 
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.scheduler import (PlacementPolicy, PlacementStrategy,
-                                  plan_multi_region)
-from repro.errors import OCSError
+from repro.core.scheduler import (_SUBSET_ENUMERATION_CAP,
+                                  MultiRegionPlacement, PlacementPolicy,
+                                  PlacementStrategy, _greedy_take,
+                                  _price_for, plan_multi_region)
+from repro.core.slicing import (block_grid, blocks_needed, canonical_shape,
+                                is_legal_shape)
+from repro.errors import OCSError, SchedulingError
 from repro.fleet.config import FleetConfig
 from repro.fleet.failures import (apply_spare_repairs, build_failure_trace,
                                   spare_repair_count)
@@ -18,6 +25,7 @@ from repro.fleet.simulator import FleetSimulator
 from repro.ocs.fabric import FACE_LINKS
 from repro.ocs.reconfigure import (block_torus_adjacencies,
                                    grid_adjacency_indices)
+from repro.topology.builder import is_block_multiple
 
 
 class TestGridAdjacencies:
@@ -104,6 +112,164 @@ class TestPlanMultiRegion:
         second = plan_multi_region(self.SHAPE, pools,
                                    PlacementStrategy.BEST_FIT)
         assert first == second
+
+
+# -- the reference planner --------------------------------------------------
+#
+# The planner as it stood before it sized its enumeration cap with
+# `math.comb` and enumerated subsets of the sorted pools, kept to require
+# the same placement (or the same exception) on every input.
+
+
+def _reference_plan_multi_region(shape, free_by_region,
+                                 strategy=PlacementStrategy.FIRST_FIT, *,
+                                 trunk_budget=None):
+    """`plan_multi_region` before the `math.comb` cap."""
+    dims = canonical_shape(shape)
+    if not is_legal_shape(dims):
+        raise SchedulingError(f"illegal slice shape {dims}")
+    if not is_block_multiple(dims):
+        return None
+    needed = blocks_needed(dims)
+    grid = block_grid(dims)
+    pool = [(region, free) for region, free in free_by_region if free > 0]
+    if sum(free for _, free in pool) < needed:
+        return None
+    if strategy is PlacementStrategy.FIRST_FIT:
+        candidates = [_greedy_take(pool, needed)]
+    else:
+        by_size = sorted(pool, key=lambda rf: (-rf[1], rf[0]))
+        greedy = _greedy_take(by_size, needed)
+        if greedy is None:
+            return None
+        k = len(greedy)
+        subsets = list(itertools.islice(itertools.combinations(pool, k),
+                                        _SUBSET_ENUMERATION_CAP + 1))
+        if len(subsets) <= _SUBSET_ENUMERATION_CAP:
+            candidates = [
+                _greedy_take(sorted(subset,
+                                    key=lambda rf: (-rf[1], rf[0])),
+                             needed)
+                for subset in subsets
+                if sum(free for _, free in subset) >= needed] or [greedy]
+        else:
+            candidates = [greedy]
+    free_of = dict(free_by_region)
+    best = None
+    best_key = None
+    for assignment in candidates:
+        if assignment is None:
+            continue
+        price = _price_for(grid, tuple(take for _, take in assignment))
+        if trunk_budget is not None and any(
+                ports > trunk_budget.get(region, 0)
+                for (region, _), ports in zip(assignment,
+                                              price.ports_by_region)):
+            continue
+        leftover = sum(free_of[region] for region, _ in assignment) - needed
+        key = (len(assignment) - 1, price.trunk_count, leftover,
+               tuple(region for region, _ in assignment))
+        if best is None or key < best_key:
+            best = MultiRegionPlacement(
+                shape=dims, grid=grid, region_blocks=tuple(assignment),
+                price=price)
+            best_key = key
+    return best
+
+
+def _outcome(planner, *args, **kwargs):
+    """The planner's placement, or the type and text of what it raised."""
+    try:
+        return planner(*args, **kwargs)
+    except SchedulingError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _planner_inputs(draw):
+    """Pools with distinct region ids in shuffled order, any shape
+    (block-multiple, sub-block or illegal), strategy and trunk budget."""
+    regions = draw(st.lists(st.integers(0, 999), min_size=1, max_size=64,
+                            unique=True))
+    # Whole pods (27 or 64 blocks) make the equal pools that id order
+    # must break.
+    free = st.integers(0, 64) | st.sampled_from([27, 64])
+    pools = [(region, draw(free)) for region in regions]
+    shape = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 8, 12, 16,
+                                                 24, 32]),
+                                min_size=3, max_size=3)))
+    strategy = draw(st.sampled_from(list(PlacementStrategy)))
+    budget = draw(st.none() | st.fixed_dictionaries(
+        {region: st.integers(0, 48) for region in regions}))
+    return shape, pools, strategy, budget
+
+
+class TestPlanMultiRegionOracle:
+    """`plan_multi_region` places exactly as the reference planner does:
+    the same placement, or the same exception, on every input."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_planner_inputs())
+    def test_matches_reference(self, inputs):
+        shape, pools, strategy, budget = inputs
+        assert _outcome(plan_multi_region, shape, pools, strategy,
+                        trunk_budget=budget) == \
+            _outcome(_reference_plan_multi_region, shape, pools, strategy,
+                     trunk_budget=budget)
+
+    # C(23, 2) = 253 subsets are ranked: the 8-block pool leaves the
+    # least over.  C(24, 2) = 276 pass the cap: the greedy pick.
+    @pytest.mark.parametrize("nines, expected", [
+        (22, ((0, 9), (22, 7))),
+        (23, ((0, 9), (1, 7))),
+    ])
+    def test_cap_boundary_two_regions(self, nines, expected):
+        pools = [(region, 9) for region in range(nines)] + [(nines, 8)]
+        placement = plan_multi_region((8, 8, 16), pools,
+                                      PlacementStrategy.BEST_FIT)
+        assert placement.region_blocks == expected
+        assert placement == _reference_plan_multi_region(
+            (8, 8, 16), pools, PlacementStrategy.BEST_FIT)
+
+    # C(256, 1) = 256 subsets are ranked: the 2-block pool fits a
+    # one-block slice snuggest.  With 257 pools the greedy pick, the
+    # largest, wins.
+    @pytest.mark.parametrize("fives, expected", [
+        (255, ((0, 1),)),
+        (256, ((1, 1),)),
+    ])
+    def test_cap_boundary_one_region(self, fives, expected):
+        pools = [(0, 2)] + [(region, 5) for region in range(1, fives + 1)]
+        placement = plan_multi_region((4, 4, 4), pools,
+                                      PlacementStrategy.BEST_FIT)
+        assert placement.region_blocks == expected
+        assert placement == _reference_plan_multi_region(
+            (4, 4, 4), pools, PlacementStrategy.BEST_FIT)
+
+    # Pools given out of size and id order.  Ranked: each subset fills
+    # largest first, so 12 + 4 beats 6 + 10.  Equal pools: the lower id
+    # goes first, whether the subsets are ranked (two pools) or not
+    # (C(30, 2) = 435, the greedy pick).
+    @pytest.mark.parametrize("pools, expected", [
+        ([(0, 6), (1, 12), (2, 10)], ((1, 12), (0, 4))),
+        ([(1, 9), (0, 9)], ((0, 9), (1, 7))),
+        ([(region, 9) for region in reversed(range(30))],
+         ((0, 9), (1, 7))),
+    ])
+    def test_subsets_fill_largest_then_lowest_id_first(self, pools,
+                                                       expected):
+        for strategy in (PlacementStrategy.BEST_FIT,
+                         PlacementStrategy.DEFRAG):
+            placement = plan_multi_region((8, 8, 16), pools, strategy)
+            assert placement.region_blocks == expected
+            assert placement == _reference_plan_multi_region(
+                (8, 8, 16), pools, strategy)
+
+    def test_illegal_shape_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(SchedulingError, match="illegal slice"):
+                plan_multi_region((3, 4, 4), [(0, 8)],
+                                  PlacementStrategy.BEST_FIT)
 
 
 class TestMachineFabric:

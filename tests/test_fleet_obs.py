@@ -1129,6 +1129,40 @@ class TestHostileNumbers:
         self._assert_report_exits_two(path, capsys)
 
 
+#: A value nested past the recursion limit: `json.loads` raises
+#: `RecursionError` on it, where the reference reader stops.
+_DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+
+
+class TestDeepNesting:
+    """A line nested past the recursion limit ends in a TraceError that
+    names the line, from both readers, and `fleet report` in exit 2
+    with one stderr line."""
+
+    def test_jsonl_line(self, tmp_path, capsys):
+        lines = dumps_obs(_recorded("tiny", 0)).splitlines()
+        index = next(i for i, line in enumerate(lines)
+                     if json.loads(line)["type"] == "span")
+        lines[index] = lines[index][:-1] + f', "x": {_DEEP_NESTING}}}'
+        text = "\n".join(lines) + "\n"
+        message = f"observability line {index + 1}: nested too deeply to read"
+        with pytest.raises(TraceError, match=f"^{message}$"):
+            loads_obs(text)
+        path = tmp_path / "obs.jsonl"
+        path.write_text(text)
+        TestHostileNumbers._assert_report_exits_two(path, capsys)
+
+    def test_chrome_export(self, tmp_path, capsys):
+        text = dumps_chrome_trace(_recorded("tiny", 0))
+        path = tmp_path / "obs.json"
+        path.write_text(text.replace('"dur":', f'"x":{_DEEP_NESTING},"dur":',
+                                     1))
+        with pytest.raises(TraceError, match="^observability line 1: "
+                                             "nested too deeply to read$"):
+            load_obs(path)
+        TestHostileNumbers._assert_report_exits_two(path, capsys)
+
+
 #: What a hostile edit writes into a field: every JSON type, the float
 #: edge cases, an integer past float range, and the strings the reader
 #: compares against.

@@ -1,8 +1,10 @@
 """Tests for the online serving tier (repro.fleet.serve)."""
 
 import functools
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +331,24 @@ class TestSurgeAndComparison:
     def test_both_tiers_reconcile(self, reports):
         for report in reports.values():
             assert reconciliation_residual(report) <= 1e-9
+
+    def test_bench_gate_json_is_alone_on_stdout(self, monkeypatch, capsys):
+        # The gate script with --json: stdout parses as the comparison,
+        # and the status lines go to stderr.  Measured as committed, so
+        # every gate line prints without four serve runs.
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / \
+            "bench_serve_autoscale.py"
+        spec = importlib.util.spec_from_file_location("bench_serve_gate",
+                                                      path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        committed = json.loads(bench.COMPARISON_PATH.read_text())
+        monkeypatch.setattr(bench, "measure",
+                            lambda: committed["comparison"])
+        assert bench.main(["--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == committed["comparison"]
+        assert captured.err.count("serve gate: ") == 5
 
 
 class TestValidation:

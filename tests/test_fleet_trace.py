@@ -698,6 +698,22 @@ class TestHostileNumbers:
             f"{sys.get_int_max_str_digits():,} digits")
 
 
+class TestDeepNesting:
+    """A line nested past the recursion limit, on which `json.loads`
+    raises `RecursionError` (as the reference reader does), ends in a
+    TraceError naming the line."""
+
+    def test_job_line(self, tiny_text):
+        index = _first_line_of(tiny_text, "job")
+        line = tiny_text.splitlines()[index]
+        nested = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(TraceError) as caught:
+            loads_trace(_mutated(tiny_text, index,
+                                 raw=line[:-1] + f', "x": {nested}}}'))
+        assert str(caught.value) == (
+            f"trace line {index + 1}: nested too deeply to read")
+
+
 class TestIntervalValidation:
     @pytest.fixture()
     def outage_index(self, tiny_text):

@@ -1,12 +1,14 @@
 """Tests for fleet job-stream generation."""
 
+import dataclasses
+import pickle
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
-from repro.core.slicing import blocks_needed, is_legal_shape
-from repro.errors import ConfigurationError
+from repro.core.slicing import blocks_needed, is_legal_shape, parse_shape
+from repro.errors import ConfigurationError, SchedulingError
 from repro.fleet.config import (NUM_STREAMS, STREAM_ARRIVALS, STREAM_SHAPES,
                                 FleetConfig)
 from repro.fleet.presets import preset_config, preset_names
@@ -18,6 +20,7 @@ from repro.fleet.workload import (PRIORITY_BATCH, PRIORITY_PROD,
                                   truncated_slice_mix)
 from repro.models.dlrm import DLRMConfig
 from repro.models.serving import serving_estimate
+from repro.models.workload import TABLE2_SLICES
 from repro.sim.rng import make_rng, spawn_rngs
 
 
@@ -130,6 +133,48 @@ class TestGenerateJobs:
     def test_work_is_positive(self):
         jobs, _ = self._jobs()
         assert all(j.work_seconds > 0 for j in jobs)
+
+
+def _job(shape, job_id=7):
+    return FleetJob(job_id=job_id, kind="train", model_type="Transformer",
+                    shape=shape, arrival=1.5, work_seconds=60.0, priority=1)
+
+
+class TestJobBlocks:
+    """`FleetJob.blocks` is computed on first read and then kept in the
+    job's `__dict__`, without becoming a dataclass field."""
+
+    @pytest.mark.parametrize("label",
+                             [usage.label for usage in TABLE2_SLICES])
+    def test_equals_blocks_needed_and_is_kept(self, label):
+        shape, _ = parse_shape(label)
+        job = _job(shape)
+        assert "blocks" not in job.__dict__
+        assert job.blocks == blocks_needed(shape)
+        assert job.__dict__["blocks"] == blocks_needed(shape)
+        assert job.blocks == blocks_needed(shape)
+
+    def test_illegal_shape_raises_on_every_read(self):
+        job = _job((3, 4, 4))
+        for _ in range(2):
+            with pytest.raises(SchedulingError, match="illegal slice"):
+                job.blocks
+        assert "blocks" not in job.__dict__
+
+    def test_dataclass_surface_is_unchanged(self):
+        read, unread = _job((4, 4, 8)), _job((4, 4, 8))
+        assert read.blocks == 2
+        assert [field.name for field in dataclasses.fields(FleetJob)] == [
+            "job_id", "kind", "model_type", "shape", "arrival",
+            "work_seconds", "priority"]
+        assert repr(read) == (
+            "FleetJob(job_id=7, kind='train', model_type='Transformer', "
+            "shape=(4, 4, 8), arrival=1.5, work_seconds=60.0, priority=1)")
+        assert read == unread and hash(read) == hash(unread)
+        assert read != _job((4, 4, 8), job_id=8)
+        for job in (read, unread):
+            copy = pickle.loads(pickle.dumps(job))
+            assert copy == job and copy.blocks == 2
 
 
 def _distinct_mixes() -> list:
