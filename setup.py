@@ -15,5 +15,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
 )

@@ -28,23 +28,22 @@ Quickstart::
 from repro.analysis.core import (EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE,
                                  AnalysisError, Finding, SourceFile,
                                  Suppression, load_source)
-from repro.analysis.rules import REGISTRY, Rule, rule_ids
+from repro.analysis.rules import REGISTRY, Rule
 # Importing the rule modules registers the packs with the REGISTRY;
 # engine must come after so U100 lands last in the documented order.
 from repro.analysis import determinism as _determinism  # noqa: F401
 from repro.analysis import contracts as _contracts  # noqa: F401
 from repro.analysis.engine import Project, collect_targets, run_lint
-from repro.analysis.report import (LINT_SCHEMA, LINT_VERSION,
-                                   LintResult, rule_table)
+from repro.analysis.report import LINT_SCHEMA, LINT_VERSION, LintResult
 
 __all__ = [
     # running
     "run_lint", "collect_targets", "Project",
     # result surface
     "LintResult", "Finding", "Suppression", "SourceFile",
-    "load_source", "rule_table",
+    "load_source",
     # registry
-    "REGISTRY", "Rule", "rule_ids",
+    "REGISTRY", "Rule",
     # contracts
     "AnalysisError", "LINT_SCHEMA", "LINT_VERSION",
     "EXIT_CLEAN", "EXIT_FINDINGS", "EXIT_USAGE",

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 from repro.analysis.core import Finding
-from repro.analysis.rules import REGISTRY
 
 #: Version of the JSON payload's shape; bump on key changes.
 LINT_SCHEMA = "repro.detlint"
@@ -64,10 +63,3 @@ class LintResult:
             f"{self.files_checked} files, rules "
             f"{','.join(self.rules_run)}")
         return "\n".join(lines)
-
-
-def rule_table() -> list[dict[str, str]]:
-    """The registered rules as rows (docs and --json share this)."""
-    return [{"id": entry.rule_id, "title": entry.title,
-             "summary": entry.summary}
-            for entry in REGISTRY.values()]

@@ -5,9 +5,8 @@ A rule is a named check with a stable id (``D...`` determinism,
 import time through :func:`rule`.  Per-file rules see one
 :class:`~repro.analysis.core.SourceFile` at a time; cross-file rules
 see the whole analyzed set plus any schema anchors the engine located
-outside it.  The registry is the single source of truth the CLI's
-``--rules`` filter, the JSON output's rule table, and the README's
-documentation table are all generated from.
+outside it.  The registry is the single source of truth for the CLI's
+``--rules`` filter and the rule list every run reports.
 """
 
 from __future__ import annotations
@@ -55,8 +54,3 @@ def rule(rule_id: str, title: str, summary: str, *,
                                  check=check)
         return check
     return register
-
-
-def rule_ids() -> list[str]:
-    """Registered ids, registration order (docs and JSON use this)."""
-    return list(REGISTRY)

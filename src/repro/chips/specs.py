@@ -49,18 +49,6 @@ class ChipSpec:
         """Hardware threads across the chip (Table 5 discussion)."""
         return self.processors_per_chip * self.threads_per_core
 
-    @property
-    def ici_bandwidth_total(self) -> float:
-        """Aggregate off-chip interconnect bandwidth (bytes/s)."""
-        return self.ici_links * self.ici_link_bandwidth
-
-    @property
-    def flops_per_watt(self) -> float | None:
-        """Peak FLOPS per measured mean watt (None without power data)."""
-        if not self.mean_watts:
-            return None
-        return self.peak_bf16_flops / self.mean_watts
-
 
 TPUV4 = ChipSpec(
     name="TPU v4",
@@ -210,14 +198,3 @@ IPU_BOW = ChipSpec(
     hbm_capacity_bytes=0.0,
     hbm_bandwidth=0.0,
 )
-
-
-def all_specs() -> dict[str, ChipSpec]:
-    """Every catalogued chip, keyed by short name."""
-    return {
-        "tpu_v4": TPUV4,
-        "tpu_v3": TPUV3,
-        "tpu_v4_lite": TPUV4LITE,
-        "a100": A100,
-        "ipu_bow": IPU_BOW,
-    }

@@ -19,16 +19,14 @@ from repro.core.deployment import (incremental_deployment,
                                    sample_delivery_days)
 from repro.core.checkpoint import (CheckpointParams, expected_overhead,
                                    goodput_fraction, optimal_interval,
-                                   policy_report, simulate_run,
-                                   sweep_intervals)
+                                   simulate_run, sweep_intervals)
 from repro.core.security import (IsolationReport, airgap_audit,
-                                 reachable_blocks, verify_isolated)
+                                 reachable_blocks)
 
 __all__ = [
     "CheckpointParams", "optimal_interval", "expected_overhead",
-    "goodput_fraction", "sweep_intervals", "simulate_run", "policy_report",
+    "goodput_fraction", "sweep_intervals", "simulate_run",
     "IsolationReport", "airgap_audit", "reachable_blocks",
-    "verify_isolated",
     "TPUv4Chip", "CHIPS_PER_HOST", "ICI_LINKS_PER_CHIP",
     "Tray", "CHIPS_PER_TRAY", "EXTERNAL_LINKS_PER_TRAY",
     "Block", "CHIPS_PER_BLOCK", "HOSTS_PER_BLOCK",

@@ -15,13 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.block import HOSTS_PER_BLOCK
-from repro.core.scheduler import PlacementPolicy, SliceScheduler
+from repro.core.scheduler import PlacementPolicy, SliceScheduler, _grid_dims
 from repro.core.slicing import SliceShape
 from repro.errors import SchedulingError
 from repro.sim.rng import make_rng
 
 MACHINE_BLOCKS_DEFAULT = 64
 CHIPS_PER_BLOCK = 64
+#: Largest machine the goodput models price: a 16x16x16 block grid, 64
+#: times the paper's.  The exact curve's integers grow with the count.
+MAX_GOODPUT_BLOCKS = 4096
+#: Most block draws one Monte Carlo run may make (trials x blocks).
+MAX_SAMPLED_BLOCKS = 10**6
 
 
 def balanced_block_shape(slice_chips: int) -> SliceShape:
@@ -72,8 +77,9 @@ def _check_goodput_inputs(slice_chips: int, num_blocks: int,
         raise SchedulingError(
             f"slice chips must be a positive multiple of {CHIPS_PER_BLOCK}, "
             f"got {slice_chips}")
-    if num_blocks < 1:
-        raise SchedulingError(f"num_blocks must be >= 1, got {num_blocks}")
+    if not 1 <= num_blocks <= MAX_GOODPUT_BLOCKS:
+        raise SchedulingError(
+            f"num_blocks must be in [1, {MAX_GOODPUT_BLOCKS}], got {num_blocks}")
     if not 0.0 < availability <= 1.0:
         raise SchedulingError(
             f"availability must be in (0, 1], got {availability}")
@@ -108,13 +114,18 @@ def simulate_goodput(slice_chips: int, availability: float, *,
     _check_count("trials", trials)
     if trials < 1:
         raise SchedulingError(f"trials must be >= 1, got {trials}")
+    grid = _grid_dims(num_blocks)
+    if int(trials) * int(num_blocks) > MAX_SAMPLED_BLOCKS:
+        raise SchedulingError(
+            f"trials * num_blocks must be <= {MAX_SAMPLED_BLOCKS}, got "
+            f"trials={trials} with num_blocks={num_blocks}")
     policy = PlacementPolicy.OCS if use_ocs else PlacementPolicy.STATIC
     shape = balanced_block_shape(slice_chips)
     rng = make_rng(seed)
     samples = np.empty(trials)
     for trial in range(trials):
         healthy = _sample_block_health(rng, availability, num_blocks)
-        scheduler = SliceScheduler(healthy)
+        scheduler = SliceScheduler(healthy, grid)
         samples[trial] = scheduler.pack(shape, policy).goodput
     return GoodputResult(
         slice_chips=slice_chips,
@@ -132,18 +143,24 @@ def analytic_ocs_goodput(slice_chips: int, availability: float, *,
 
     H is the number of healthy blocks; with OCS any healthy block is
     usable, so the packed slice count is floor(H / blocks_per_slice).
+    With a^16 = up / whole exactly (``whole`` a power of two), the
+    expectation is a sum of integers over ``whole**N``, so the one true
+    division at the end rounds correctly.
     """
     _check_goodput_inputs(slice_chips, num_blocks, availability)
-    # Imported here, not at module level: this is scipy's only use, and it
-    # is by far the heaviest import, so importing repro does not load it.
-    from scipy import stats
-
-    blocks_per_slice = slice_chips // CHIPS_PER_BLOCK
-    p_block = availability**HOSTS_PER_BLOCK
-    h = np.arange(num_blocks + 1)
-    pmf = stats.binom.pmf(h, num_blocks, p_block)
-    packed = (h // blocks_per_slice) * blocks_per_slice
-    return float(np.sum(pmf * packed) / num_blocks)
+    # Python ints: a numpy count would overflow the exact sum.
+    num_blocks = int(num_blocks)
+    blocks_per_slice = int(slice_chips) // CHIPS_PER_BLOCK
+    up, whole = (availability**HOSTS_PER_BLOCK).as_integer_ratio()
+    down = whole - up
+    if down == 0:
+        return num_blocks // blocks_per_slice * blocks_per_slice / num_blocks
+    # term = C(N, h) * up**h * down**(N - h): the pmf at h times whole**N.
+    term, slices = down**num_blocks, 0
+    for healthy in range(1, num_blocks + 1):
+        term = term * (num_blocks - healthy + 1) * up // (healthy * down)
+        slices += term * (healthy // blocks_per_slice)
+    return slices * blocks_per_slice / (whole**num_blocks * num_blocks)
 
 
 def spares_staircase(slice_chips: int,

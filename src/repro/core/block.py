@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.chip import CHIPS_PER_HOST, TPUv4Chip
+from repro.core.chip import TPUv4Chip
 from repro.core.tray import CHIPS_PER_TRAY, Tray
 
 BLOCK_SIDE = 4
@@ -74,18 +74,3 @@ class Block:
     def fail_host(self, local_host: int) -> None:
         """Mark one of the block's 16 hosts down."""
         self.host_up[local_host] = False
-
-    def repair_all(self) -> None:
-        """Bring every host back up."""
-        for i in range(len(self.host_up)):
-            self.host_up[i] = True
-
-    @property
-    def face_links(self) -> int:
-        """Optical links leaving the rack."""
-        return FACE_LINKS_PER_BLOCK
-
-    @property
-    def internal_links(self) -> int:
-        """Electrical mesh links inside the rack."""
-        return INTERNAL_MESH_LINKS

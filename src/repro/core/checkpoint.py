@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import make_rng
-from repro.units import DAY, HOUR, MINUTE
+from repro.units import DAY, MINUTE
 
 
 @dataclass(frozen=True)
@@ -165,15 +165,3 @@ def simulate_run(params: CheckpointParams, interval: float, *,
     return MonteCarloOutcome(interval_seconds=interval,
                              duration_seconds=clock,
                              failures=failures, lost_seconds=lost)
-
-
-def policy_report(params: CheckpointParams | None = None) -> dict[str, float]:
-    """Headline numbers for one deployment: MTBF, optimum, goodput."""
-    params = params or CheckpointParams()
-    best = optimal_interval(params)
-    return {
-        "system_mtbf_hours": params.system_mtbf_seconds / HOUR,
-        "optimal_interval_minutes": best / MINUTE,
-        "overhead_at_optimum": expected_overhead(best, params),
-        "goodput_at_optimum": goodput_fraction(best, params),
-    }

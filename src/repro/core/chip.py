@@ -34,16 +34,6 @@ class TPUv4Chip:
     coords: tuple[int, int, int]
 
     @property
-    def tensorcores(self) -> int:
-        """TensorCores on the die."""
-        return TENSORCORES_PER_CHIP
-
-    @property
-    def sparsecores(self) -> int:
-        """SparseCores on the die."""
-        return SPARSECORES_PER_CHIP
-
-    @property
     def ici_links(self) -> int:
         """ICI ports (x+, x-, y+, y-, z+, z-)."""
         return ICI_LINKS_PER_CHIP

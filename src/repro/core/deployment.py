@@ -79,14 +79,3 @@ def monolithic_deployment(delivery_days: np.ndarray,
                              horizon_days=horizon,
                              chip_days=chip_days,
                              full_capacity_day=full_day)
-
-
-def deployment_advantage(seed: int = 0, *,
-                         horizon_days: float | None = None) -> float:
-    """Chip-days ratio of incremental over monolithic deployment."""
-    deliveries = sample_delivery_days(seed=seed)
-    incremental = incremental_deployment(deliveries, horizon_days)
-    monolithic = monolithic_deployment(deliveries, horizon_days)
-    if monolithic.chip_days == 0:
-        return float("inf")
-    return incremental.chip_days / monolithic.chip_days

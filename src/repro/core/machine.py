@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from repro.core.block import (Block, CHIPS_PER_BLOCK, HOSTS_PER_BLOCK)
 from repro.core.slice_ import Slice
 from repro.core.slicing import (SliceShape, blocks_needed, canonical_shape,
@@ -19,8 +17,7 @@ from repro.errors import SchedulingError
 from repro.ocs.fabric import OCSFabric
 from repro.ocs.reconfigure import (BlockCoord, default_placement,
                                    realize_slice, release_slice)
-from repro.sim.rng import make_rng
-from repro.topology.builder import BLOCK_SIDE, is_block_multiple
+from repro.topology.builder import is_block_multiple
 
 MACHINE_BLOCKS = 64
 MACHINE_CHIPS = MACHINE_BLOCKS * CHIPS_PER_BLOCK  # 4096
@@ -55,39 +52,9 @@ class TPUv4Supercomputer:
         """Total CPU hosts (4 chips per host)."""
         return self.num_blocks * HOSTS_PER_BLOCK
 
-    def healthy_blocks(self) -> list[Block]:
-        """Blocks with all hosts up."""
-        return [b for b in self.blocks if b.is_healthy]
-
     def available_blocks(self) -> list[Block]:
         """Healthy blocks not already in a slice."""
         return [b for b in self.blocks if b.available]
-
-    # -- failures -------------------------------------------------------------------
-
-    def inject_host_failures(self, availability: float,
-                             seed: int | np.random.Generator = 0) -> int:
-        """Take each host down independently with prob 1-availability.
-
-        Returns the number of failed hosts.
-        """
-        if not 0.0 < availability <= 1.0:
-            raise SchedulingError(
-                f"availability must be in (0, 1], got {availability}")
-        rng = make_rng(seed)
-        failures = 0
-        for block in self.blocks:
-            block.repair_all()
-            downs = rng.random(block.num_hosts) > availability
-            for host_index in np.nonzero(downs)[0]:
-                block.fail_host(int(host_index))
-                failures += 1
-        return failures
-
-    def repair_all(self) -> None:
-        """Bring every host back up."""
-        for block in self.blocks:
-            block.repair_all()
 
     # -- slice lifecycle ---------------------------------------------------------------
 

@@ -71,11 +71,6 @@ class ScheduleOutcome:
     total_blocks: int = 0
 
     @property
-    def num_slices(self) -> int:
-        """Slices successfully placed."""
-        return len(self.placements)
-
-    @property
     def scheduled_blocks(self) -> int:
         """Blocks consumed by placed slices."""
         return sum(len(p) for p in self.placements)
@@ -252,11 +247,6 @@ class MultiRegionPlacement:
         """Blocks the slice occupies across all regions."""
         return sum(take for _, take in self.region_blocks)
 
-    @property
-    def spill(self) -> int:
-        """Pods beyond the first — 0 for a single-pod placement."""
-        return len(self.region_blocks) - 1
-
     def trunk_ports_by_region(self) -> dict[int, int]:
         """Trunk-port endpoints each region must terminate.
 
@@ -341,8 +331,11 @@ def plan_multi_region(shape: SliceShape,
     if sum(free for _, free in pool) < needed:
         return None
 
+    # Each candidate comes with its leftover: the free blocks its regions
+    # keep.  A lone candidate's key is never compared, so its leftover
+    # is moot.
     if strategy is PlacementStrategy.FIRST_FIT:
-        candidates = [_greedy_take(pool, needed)]
+        candidates = [(_greedy_take(pool, needed), 0)]
     else:
         # Largest first, ties by region id: the stable two-pass sort is
         # the (-free, region) order without a Python key function.
@@ -350,26 +343,26 @@ def plan_multi_region(shape: SliceShape,
         greedy = _greedy_take(by_size, needed)
         k = len(greedy)
         if math.comb(len(by_size), k) > _SUBSET_ENUMERATION_CAP:
-            candidates = [greedy]
+            candidates = [(greedy, 0)]
         else:
             # Subsets of the sorted pools come out sorted, and the
-            # greedy pick is one of them.
+            # greedy pick is one of them.  With k minimal a subset
+            # fills all of its regions, so its leftover is its own free
+            # sum less the blocks needed.
             candidates = (
-                _greedy_take(subset, needed)
+                (_greedy_take(subset, needed), spare)
                 for subset in itertools.combinations(by_size, k)
-                if sum(free for _, free in subset) >= needed)
+                if (spare := sum(free for _, free in subset) - needed) >= 0)
 
-    free_of = dict(free_by_region)
     best: MultiRegionPlacement | None = None
     best_key: tuple | None = None
-    for assignment in candidates:
+    for assignment, leftover in candidates:
         price = _price_for(grid, tuple(take for _, take in assignment))
         if trunk_budget is not None and any(
                 ports > trunk_budget.get(region, 0)
                 for (region, _), ports in zip(assignment,
                                               price.ports_by_region)):
             continue
-        leftover = sum(free_of[region] for region, _ in assignment) - needed
         key = (len(assignment) - 1, price.trunk_count, leftover,
                tuple(region for region, _ in assignment))
         if best is None or key < best_key:
@@ -410,8 +403,7 @@ def _grid_dims(num_blocks: int) -> tuple[int, int, int]:
     side = round(num_blocks ** (1 / 3))
     if side**3 != num_blocks:
         raise SchedulingError(
-            f"static policy needs a cubic block grid; {num_blocks} blocks "
-            f"is not a cube")
+            f"num_blocks must be a cube (a block grid), got {num_blocks}")
     return (side, side, side)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.errors import OCSError
 from repro.ocs.fabric import OCSFabric
 from repro.ocs.reconfigure import SliceWiring
 
@@ -158,11 +157,3 @@ def airgap_audit(fabric: OCSFabric,
                     f"foreign blocks {sorted(leaked)}"))
                 break  # one finding per slice is enough
     return report
-
-
-def verify_isolated(fabric: OCSFabric,
-                    wirings: dict[str, SliceWiring]) -> None:
-    """Raise :class:`OCSError` unless the airgap audit is clean."""
-    report = airgap_audit(fabric, wirings)
-    if not report.isolated:
-        raise OCSError(report.summary())

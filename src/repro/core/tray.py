@@ -29,17 +29,3 @@ class Tray:
         if len(self.chips) not in (0, CHIPS_PER_TRAY):
             raise ValueError(
                 f"a tray holds {CHIPS_PER_TRAY} chips, got {len(self.chips)}")
-
-    @property
-    def pcb_links(self) -> int:
-        """Links embedded in the PCB (2x2 mesh)."""
-        return PCB_LINKS_PER_TRAY
-
-    @property
-    def external_links(self) -> int:
-        """OSFP links leaving the tray."""
-        return EXTERNAL_LINKS_PER_TRAY
-
-    def pcb_mesh_edges(self) -> list[tuple[int, int]]:
-        """The 2x2 mesh as local chip-index pairs (no diagonal)."""
-        return [(0, 1), (0, 2), (1, 3), (2, 3)]

@@ -47,8 +47,8 @@ from repro.fleet.obs import (DispatchProfiler, MetricsSampler, ObsRecorder,
 from repro.fleet.presets import PRESETS, preset_config, preset_names
 from repro.fleet.scenario import (DeploymentSchedule, SCHEDULES,
                                   compare_deployment, incremental_rollout,
-                                  rolling_maintenance, run_scenario,
-                                  schedule_for, schedule_names)
+                                  rolling_maintenance, schedule_for,
+                                  schedule_names)
 from repro.fleet.scheduler import ActiveJob, FleetScheduler
 from repro.fleet.simulator import (FleetReport, FleetSimulator,
                                    compare_cross_pod, compare_policies,

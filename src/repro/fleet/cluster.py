@@ -77,10 +77,6 @@ class Pod:
 
     # -- state queries -----------------------------------------------------------
 
-    def is_free(self, block: int) -> bool:
-        """True when the block is healthy and unowned."""
-        return bool(self._free[block])
-
     def free_mask(self) -> list[bool]:
         """Per-block availability, the SliceScheduler health map (a copy)."""
         return self._free.tolist()
@@ -104,11 +100,6 @@ class Pod:
     def num_busy(self) -> int:
         """Blocks currently owned by jobs."""
         return len(self.owner)
-
-    @property
-    def num_down(self) -> int:
-        """Blocks currently failed."""
-        return int(np.count_nonzero(~self.up))
 
     def jobs_on(self) -> list[int]:
         """Sorted ids of jobs holding any block of this pod.
@@ -244,11 +235,6 @@ class FleetState:
     def busy_blocks(self) -> int:
         """Blocks owned by jobs right now."""
         return sum(pod.num_busy for pod in self.pods)
-
-    @property
-    def down_blocks(self) -> int:
-        """Blocks currently failed."""
-        return sum(pod.num_down for pod in self.pods)
 
     def free_by_pod(self) -> list[tuple[int, int]]:
         """(pod id, free blocks) per pod — the machine placement index.

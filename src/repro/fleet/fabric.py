@@ -210,11 +210,6 @@ class PodFabric:
                                     tuple[np.ndarray, np.ndarray,
                                           np.ndarray]]] = {}
 
-    @property
-    def live_circuits(self) -> int:
-        """Chip circuits currently programmed across the pod's switches."""
-        return self.bank.total_circuits
-
     def holds(self, job_id: int) -> bool:
         """True while `job_id` has circuits on this fabric."""
         return job_id in self._held

@@ -214,10 +214,6 @@ class MachineFabric:
         """Trunk ports installed across every pod."""
         return self.trunk_ports * self.num_pods
 
-    def trunk_free(self, pod_id: int) -> int:
-        """Unused trunk ports on one pod."""
-        return self._trunk_free[pod_id]
-
     def trunk_budget(self) -> dict[int, int]:
         """Free trunk ports per pod — the placement planner's budget."""
         return {pod_id: free

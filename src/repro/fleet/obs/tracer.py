@@ -213,10 +213,6 @@ class ObsRecorder:
         return len(self.spans) + len(self.instants) + \
             len(self.decisions) + len(self.samples)
 
-    def spans_of(self, job_id: int) -> list[Span]:
-        """One job's spans, in recording (time) order."""
-        return [span for span in self.spans if span.job_id == job_id]
-
     def rejection_counts(self) -> dict[str, int]:
         """Rejected-attempt counts by cause, descending, ties by name."""
         counts: dict[str, int] = {}

@@ -184,15 +184,6 @@ def schedule_for(name: str, config: FleetConfig) -> DeploymentSchedule:
 # -- scenario runners ------------------------------------------------------------
 
 
-def run_scenario(config: FleetConfig, schedule: DeploymentSchedule, *,
-                 seed: int = 0,
-                 policy: PlacementPolicy = PlacementPolicy.OCS,
-                 strategy: PlacementStrategy | None = None) -> FleetReport:
-    """One run with the schedule's drains overlaid on live traffic."""
-    simulator = FleetSimulator(config, seed=seed, windows=schedule.windows)
-    return simulator.run(policy, strategy)
-
-
 def compare_deployment(config: FleetConfig, *,
                        schedule: DeploymentSchedule | None = None,
                        seed: int = 0,

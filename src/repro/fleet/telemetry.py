@@ -71,11 +71,6 @@ class JobRecord:
         """True once the job finished all its work."""
         return self.completed_at is not None
 
-    @property
-    def first_wait(self) -> float | None:
-        """Queue wait before the job first ran."""
-        return self.queue_waits[0] if self.queue_waits else None
-
 
 def _percentile(values: list[float], fraction: float) -> float:
     """Nearest-rank percentile of a non-empty list."""
@@ -114,18 +109,6 @@ class FleetTelemetry:
     cross_pod_preemptions: int = 0
     trunk_freeing_migrations: int = 0
     trunk_ports_reclaimed: int = 0
-
-    @property
-    def preemption_events(self) -> int:
-        """Total preemptions across jobs."""
-        # detlint: ignore[D005] integer counters; order-free sum
-        return sum(r.preemptions for r in self.records.values())
-
-    @property
-    def defrag_migrations(self) -> int:
-        """Total defrag migrations, rolled up from per-job records."""
-        # detlint: ignore[D005] integer counters; order-free sum
-        return sum(r.migrations for r in self.records.values())
 
     @property
     def cross_pod_placements(self) -> int:

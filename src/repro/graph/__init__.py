@@ -20,8 +20,7 @@ Typical use::
     print(trace.summary())
 """
 
-from repro.graph.builders import (DLRMGraphConfig, TransformerShardingPlan,
-                                  dlrm_step_graph, mlp_step_graph,
+from repro.graph.builders import (TransformerShardingPlan,
                                   transformer_step_graph)
 from repro.graph.graph import ComputationGraph
 from repro.graph.mesh import DeviceMesh, MeshAxis
@@ -33,9 +32,9 @@ from repro.graph.overlap import (decompose_all, decompose_pair,
 from repro.graph.pipeline import (PipelineConfig, PipelineOutcome,
                                   PipelineSchedule,
                                   analytic_bubble_fraction,
-                                  microbatch_sweep, simulate_pipeline)
+                                  simulate_pipeline)
 from repro.graph.memory import (MemoryEstimate, TPUV4_HBM_CAPACITY,
-                                estimate_memory, max_global_batch)
+                                estimate_memory)
 from repro.graph.schedule import (ChipTimingModel, GraphScheduler,
                                   TPUV3_TIMING, TPUV4_TIMING, simulate)
 from repro.graph.spmd import ShardedGraph, partition
@@ -56,9 +55,7 @@ __all__ = [
     "decompose_pair", "decompose_all", "overlappable_pairs",
     "overlap_speedup",
     "PipelineConfig", "PipelineOutcome", "PipelineSchedule",
-    "analytic_bubble_fraction", "microbatch_sweep", "simulate_pipeline",
+    "analytic_bubble_fraction", "simulate_pipeline",
     "MemoryEstimate", "TPUV4_HBM_CAPACITY", "estimate_memory",
-    "max_global_batch",
-    "transformer_step_graph", "dlrm_step_graph", "mlp_step_graph",
-    "TransformerShardingPlan", "DLRMGraphConfig",
+    "transformer_step_graph", "TransformerShardingPlan",
 ]

@@ -1,21 +1,14 @@
-"""Builders for the training-step graphs the paper's workloads run.
+"""The training-step graph of the paper's transformer workloads.
 
-Each builder returns ``(graph, annotations)``: the logical op graph of
-one training step (forward, backward, optimizer update) plus the
-GSPMD sharding annotations for its parameters and inputs.  Passing the
-pair through :func:`repro.graph.spmd.partition` materialises the
-communication the parallelism strategy implies:
-
-* :func:`transformer_step_graph` — a decoder block stack with
-  Megatron-style tensor parallelism over ``model1`` and data
-  parallelism over ``data``; propagation inserts the two forward
-  all-reduces per layer, the backward ones, and the data-parallel
-  gradient all-reduce in front of every optimizer update.
-* :func:`dlrm_step_graph` — dense towers data-parallel, embedding
-  tables row-sharded across the slice; propagation inserts the
-  all-to-all vector exchanges of Section 3.4.
-* :func:`mlp_step_graph` — a minimal dense chain for tests and the
-  quickstart example.
+:func:`transformer_step_graph` returns ``(graph, annotations)``: the
+logical op graph of one training step (forward, backward, optimizer
+update) plus the GSPMD sharding annotations for its parameters and
+inputs.  It builds a decoder block stack with Megatron-style tensor
+parallelism over ``model1`` and data parallelism over ``data``.
+Passing the pair through :func:`repro.graph.spmd.partition`
+materialises the communication that implies: the two forward
+all-reduces per layer, the backward ones, and the data-parallel
+gradient all-reduce in front of every optimizer update.
 """
 
 from __future__ import annotations
@@ -24,9 +17,8 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.graph.graph import ComputationGraph
-from repro.graph.mesh import DeviceMesh
-from repro.graph.ops import (AllToAllOp, ElementwiseOp, EmbeddingLookupOp,
-                             FusionOp, InputOp, MatMulOp, ParameterOp)
+from repro.graph.ops import (ElementwiseOp, EmbeddingLookupOp, FusionOp,
+                             InputOp, MatMulOp, ParameterOp)
 from repro.graph.tensor import ShardingSpec, TensorSpec
 from repro.models.transformer import TransformerConfig
 
@@ -36,10 +28,6 @@ Annotations = dict[str, ShardingSpec]
 def _spec(*axes: str | None) -> ShardingSpec:
     return ShardingSpec(axes=tuple(axes))
 
-
-# ---------------------------------------------------------------------------
-# Transformer
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TransformerShardingPlan:
@@ -247,230 +235,5 @@ def transformer_step_graph(config: TransformerConfig, *, global_batch: int,
                             (s["w_up"], dw_up), (s["w_down"], dw_down)):
             elementwise(f"{wname}.update", (wname, grad),
                         g.op(wname).output, 4.0)
-
-    return g, ann
-
-
-# ---------------------------------------------------------------------------
-# DLRM
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DLRMGraphConfig:
-    """Shape of one DLRM training step (Figure 8's model by default)."""
-
-    name: str = "DLRM"
-    num_tables: int = 8        # lookup ops emitted (tables, possibly grouped)
-    vocab_per_table: int = 4_000_000
-    embedding_width: int = 128
-    valency: int = 4           # averaged multivalent lookups per feature
-    dense_features: int = 512
-    bottom_mlp: tuple[int, ...] = (512, 256, 128)
-    top_mlp: tuple[int, ...] = (1024, 512, 256, 1)
-
-    def __post_init__(self) -> None:
-        if self.num_tables < 1:
-            raise ConfigurationError("need at least one embedding table")
-        if not self.top_mlp or self.top_mlp[-1] != 1:
-            raise ConfigurationError("top MLP must end in a single logit")
-
-
-def dlrm_step_graph(config: DLRMGraphConfig, mesh: DeviceMesh, *,
-                    global_batch: int, data_axis: str = "data",
-                    table_axis: str | None = None
-                    ) -> tuple[ComputationGraph, Annotations]:
-    """One DLRM training step: lookups, dense towers, loss, backward.
-
-    Tables are row-sharded over `table_axis` (default: the data axis,
-    i.e. model-parallel across the whole slice, Section 3.3), which
-    makes propagation insert the forward all-to-all; the builder emits
-    the matching backward gradient all-to-all explicitly.
-    """
-    table_axis = table_axis or data_axis
-    batch = global_batch
-    width = config.embedding_width
-    g = ComputationGraph(name=f"{config.name}-step")
-    ann: Annotations = {}
-
-    def elementwise(name: str, inputs: tuple[str, ...],
-                    spec: TensorSpec, fpe: float) -> str:
-        return g.add(ElementwiseOp(name=name, inputs=inputs, output=spec,
-                                   flops_per_element=fpe))
-
-    # -- embedding forward ------------------------------------------------------
-    emb_outputs = []
-    for t in range(config.num_tables):
-        table = g.add(ParameterOp(
-            name=f"table{t}",
-            output=TensorSpec((config.vocab_per_table, width))))
-        ann[f"table{t}"] = _spec(table_axis, None)
-        ids = g.add(InputOp(name=f"ids{t}",
-                            output=TensorSpec((batch,), dtype_bytes=4)))
-        ann[f"ids{t}"] = _spec(data_axis)
-        lookup = g.add(EmbeddingLookupOp(
-            name=f"lookup{t}", inputs=(table, ids),
-            output=TensorSpec((batch, width)),
-            vocab=config.vocab_per_table, width=width,
-            lookups=batch * config.valency))
-        emb_outputs.append(lookup)
-
-    emb_cat_spec = TensorSpec((batch, config.num_tables * width))
-    emb_cat = g.add(FusionOp(name="emb_concat", inputs=tuple(emb_outputs),
-                             output=emb_cat_spec))
-    ann["emb_concat"] = _spec(data_axis, None)
-
-    # -- dense forward ------------------------------------------------------------
-    dense_in = g.add(InputOp(
-        name="dense_in", output=TensorSpec((batch, config.dense_features))))
-    ann["dense_in"] = _spec(data_axis, None)
-
-    def mlp(prefix: str, x: str, in_dim: int,
-            dims: tuple[int, ...]) -> tuple[str, list[tuple[str, str, int, int]]]:
-        """Dense tower; returns (output op, [(weight, activation_in, k, n)])."""
-        chain = []
-        for j, out_dim in enumerate(dims):
-            w = g.add(ParameterOp(name=f"{prefix}.w{j}",
-                                  output=TensorSpec((in_dim, out_dim))))
-            ann[f"{prefix}.w{j}"] = _spec(None, None)
-            y = g.add(MatMulOp(name=f"{prefix}.mm{j}", inputs=(x, w),
-                               output=TensorSpec((batch, out_dim)),
-                               m=batch, k=in_dim, n=out_dim))
-            act = elementwise(f"{prefix}.relu{j}", (y,),
-                              TensorSpec((batch, out_dim)), 1.0)
-            chain.append((w, x, in_dim, out_dim))
-            x, in_dim = act, out_dim
-        return x, chain
-
-    bottom_out, bottom_chain = mlp("bottom", dense_in,
-                                   config.dense_features, config.bottom_mlp)
-
-    # -- feature interaction ---------------------------------------------------------
-    cat_dim = config.num_tables * width + config.bottom_mlp[-1]
-    interact_in = g.add(FusionOp(name="interact_in",
-                                 inputs=(emb_cat, bottom_out),
-                                 output=TensorSpec((batch, cat_dim))))
-    ann["interact_in"] = _spec(data_axis, None)
-    fields = config.num_tables + 1
-    interaction = g.add(MatMulOp(
-        name="interaction", inputs=(interact_in, interact_in),
-        output=TensorSpec((batch, fields * fields)),
-        batch=batch, m=fields, k=width, n=fields, batch_local=True))
-    ann["interaction"] = _spec(data_axis, None)
-
-    top_in_dim = fields * fields + config.bottom_mlp[-1]
-    top_in = g.add(FusionOp(name="top_in", inputs=(interaction, bottom_out),
-                            output=TensorSpec((batch, top_in_dim))))
-    top_out, top_chain = mlp("top", top_in, top_in_dim, config.top_mlp)
-    loss = elementwise("loss", (top_out,), TensorSpec((batch, 1)), 8.0)
-
-    # -- dense backward -----------------------------------------------------------------
-    def tower_backward(prefix: str, dx: str,
-                       chain: list[tuple[str, str, int, int]]) -> str:
-        for j, (w, act_in, in_dim, out_dim) in reversed(
-                list(enumerate(chain))):
-            dy_spec = TensorSpec((batch, out_dim))
-            drelu = elementwise(f"{prefix}.drelu{j}", (dx,), dy_spec, 1.0)
-            wT = g.add(FusionOp(name=f"{w}.T", inputs=(w,),
-                                output=TensorSpec((out_dim, in_dim))))
-            dx = g.add(MatMulOp(name=f"{prefix}.dmm{j}", inputs=(drelu, wT),
-                                output=TensorSpec((batch, in_dim)),
-                                m=batch, k=out_dim, n=in_dim))
-            actT = g.add(FusionOp(name=f"{prefix}.act{j}.T",
-                                  inputs=(act_in,),
-                                  output=TensorSpec((in_dim, batch))))
-            ann[f"{prefix}.act{j}.T"] = _spec(None, data_axis)
-            dw = g.add(MatMulOp(name=f"{w}.grad", inputs=(actT, drelu),
-                                output=TensorSpec((in_dim, out_dim)),
-                                m=in_dim, k=batch, n=out_dim))
-            elementwise(f"{w}.update", (w, dw),
-                        TensorSpec((in_dim, out_dim)), 4.0)
-        return dx
-
-    dtop_in = tower_backward("top", loss, top_chain)
-    # Split the concat gradient back to the bottom tower's output width.
-    dbottom = elementwise(
-        "dconcat.bottom", (dtop_in,),
-        TensorSpec((batch, config.bottom_mlp[-1])), 0.0)
-    tower_backward("bottom", dbottom, bottom_chain)
-
-    # -- embedding backward ----------------------------------------------------------------
-    # Gradient vectors return to the row owners (all-to-all), then the
-    # owners apply the sparse optimizer to their rows.
-    chips_on_axis = mesh.axis_size(table_axis)
-    grad_spec = TensorSpec((batch, width))
-    for t in range(config.num_tables):
-        demb = elementwise(f"demb{t}", (dtop_in,), grad_spec, 1.0)
-        local_bytes = grad_spec.num_bytes / max(chips_on_axis, 1)
-        back = g.add(AllToAllOp(
-            name=f"demb{t}.alltoall", inputs=(demb,), output=grad_spec,
-            mesh_axis=table_axis, comm_bytes=float(local_bytes)))
-        ann[f"demb{t}.alltoall"] = _spec(data_axis, None)
-        elementwise(f"table{t}.update", (f"table{t}", back),
-                    TensorSpec((config.vocab_per_table, width)), 4.0)
-
-    return g, ann
-
-
-# ---------------------------------------------------------------------------
-# MLP (minimal)
-# ---------------------------------------------------------------------------
-
-def mlp_step_graph(dims: tuple[int, ...], *, global_batch: int,
-                   data_axis: str | None = "data",
-                   model_axis: str | None = None
-                   ) -> tuple[ComputationGraph, Annotations]:
-    """Forward+backward+update of a plain MLP — the smallest real graph.
-
-    Args:
-        dims: layer widths including input, e.g. (1024, 4096, 1024).
-        global_batch: rows per step.
-        data_axis: mesh axis sharding the batch (None: no data parallel).
-        model_axis: mesh axis column-sharding odd layers / row-sharding
-            even layers, Megatron-style (None: no model parallel).
-    """
-    if len(dims) < 2:
-        raise ConfigurationError("an MLP needs at least input+output dims")
-    g = ComputationGraph(name="mlp-step")
-    ann: Annotations = {}
-    batch = global_batch
-
-    x = g.add(InputOp(name="x", output=TensorSpec((batch, dims[0]))))
-    ann["x"] = _spec(data_axis, None)
-    forward: list[tuple[str, str, int, int]] = []
-    for j, (k, n) in enumerate(zip(dims, dims[1:])):
-        w = g.add(ParameterOp(name=f"w{j}", output=TensorSpec((k, n))))
-        if model_axis is not None:
-            ann[f"w{j}"] = (_spec(None, model_axis) if j % 2 == 0
-                            else _spec(model_axis, None))
-        else:
-            ann[f"w{j}"] = _spec(None, None)
-        y = g.add(MatMulOp(name=f"mm{j}", inputs=(x, w),
-                           output=TensorSpec((batch, n)), m=batch, k=k, n=n))
-        act = g.add(ElementwiseOp(name=f"act{j}", inputs=(y,),
-                                  output=TensorSpec((batch, n)),
-                                  flops_per_element=1.0))
-        forward.append((w, x, k, n))
-        x = act
-
-    dx = g.add(ElementwiseOp(name="dloss", inputs=(x,),
-                             output=TensorSpec((batch, dims[-1])),
-                             flops_per_element=2.0))
-    for j, (w, act_in, k, n) in reversed(list(enumerate(forward))):
-        wT = g.add(FusionOp(name=f"w{j}.T", inputs=(w,),
-                            output=TensorSpec((n, k))))
-        if model_axis is not None:
-            ann[f"w{j}.T"] = (_spec(model_axis, None) if j % 2 == 0
-                              else _spec(None, model_axis))
-        dx_new = g.add(MatMulOp(name=f"dmm{j}", inputs=(dx, wT),
-                                output=TensorSpec((batch, k)),
-                                m=batch, k=n, n=k))
-        actT = g.add(FusionOp(name=f"act{j}.in.T", inputs=(act_in,),
-                              output=TensorSpec((k, batch))))
-        ann[f"act{j}.in.T"] = _spec(None, data_axis)
-        dw = g.add(MatMulOp(name=f"w{j}.grad", inputs=(actT, dx),
-                            output=TensorSpec((k, n)), m=k, k=batch, n=n))
-        g.add(ElementwiseOp(name=f"w{j}.update", inputs=(w, dw),
-                            output=TensorSpec((k, n)), flops_per_element=4.0))
-        dx = dx_new
 
     return g, ann

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import ConfigurationError
-from repro.graph.ops import CollectiveOp, InputOp, MatMulOp, Op, ParameterOp
+from repro.graph.ops import CollectiveOp, InputOp, Op, ParameterOp
 
 
 class ComputationGraph:
@@ -66,22 +66,12 @@ class ComputationGraph:
         self.op(name)
         return list(self._consumers[name])
 
-    def sinks(self) -> list[str]:
-        """Ops nothing consumes (losses, optimizer updates)."""
-        return [name for name, users in self._consumers.items() if not users]
-
     # -- aggregates ------------------------------------------------------------------
 
     def total_flops(self) -> float:
         """Sum of global FLOPs over all ops."""
         # detlint: ignore[D005] _ops preserves deterministic build order
         return sum(op.flops() for op in self._ops.values())
-
-    def matmul_flops(self) -> float:
-        """FLOPs in dense matmuls only (the MXU share)."""
-        # detlint: ignore[D005] _ops preserves deterministic build order
-        return sum(op.flops() for op in self._ops.values()
-                   if isinstance(op, MatMulOp))
 
     def parameter_bytes(self) -> float:
         """Total weight bytes (global, before sharding)."""

@@ -57,13 +57,6 @@ class MemoryEstimate:
         return (self.parameter_bytes + self.gradient_bytes
                 + self.optimizer_bytes + self.activation_bytes)
 
-    def fits(self, capacity: float = TPUV4_HBM_CAPACITY, *,
-             headroom: float = 0.9) -> bool:
-        """True when the program fits `headroom` of the HBM."""
-        if capacity <= 0 or not 0 < headroom <= 1:
-            raise ConfigurationError("capacity and headroom must be > 0")
-        return self.total_bytes <= capacity * headroom
-
     def utilization(self, capacity: float = TPUV4_HBM_CAPACITY) -> float:
         """Fraction of HBM the program occupies."""
         return self.total_bytes / capacity
@@ -137,28 +130,3 @@ def estimate_memory(sharded: ShardedGraph, *,
         gradient_bytes=params,
         optimizer_bytes=param_elements * optimizer_bytes_per_param,
         activation_bytes=activations * activation_liveness)
-
-
-def max_global_batch(sharded_builder, mesh, *, candidates: list[int],
-                     capacity: float = TPUV4_HBM_CAPACITY) -> int | None:
-    """Largest candidate batch whose program still fits HBM.
-
-    Args:
-        sharded_builder: callable batch -> (graph, annotations).
-        mesh: the device mesh to partition over.
-        candidates: ascending batch sizes to try.
-        capacity: per-chip HBM bytes.
-
-    Returns:
-        The largest fitting batch, or None if even the smallest spills.
-    """
-    from repro.graph.spmd import partition
-    best: int | None = None
-    for batch in candidates:
-        graph, annotations = sharded_builder(batch)
-        estimate = estimate_memory(partition(graph, mesh, annotations))
-        if estimate.fits(capacity):
-            best = batch
-        else:
-            break
-    return best

@@ -5,13 +5,14 @@ event-driven simulator that operates at the TensorFlow graph operation
 level", Section 7.3): dense matmuls for the TensorCore, elementwise
 vector work for the VPU, embedding lookups for the SparseCore, and the
 collectives the GSPMD partitioner inserts.  Every op knows its global
-FLOPs and memory traffic; the SPMD pass scales those to per-chip
-quantities, and the scheduler turns them into time.
+FLOPs; the SPMD pass scales those to per-chip quantities and prices
+each op's per-chip memory traffic from its operand shapes, and the
+scheduler turns them into time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.errors import ConfigurationError
@@ -42,10 +43,6 @@ class Op:
     def flops(self) -> float:
         """Global floating-point work of the op."""
         return 0.0
-
-    def bytes_accessed(self) -> float:
-        """Global memory traffic: output written (inputs priced by graph)."""
-        return float(self.output.num_bytes)
 
     @property
     def is_collective(self) -> bool:
@@ -120,15 +117,6 @@ class ElementwiseOp(Op):
         """flops_per_element over the output extent."""
         return self.flops_per_element * self.output.num_elements
 
-    def bytes_accessed(self) -> float:
-        """Elementwise ops are memory bound: read inputs + write output.
-
-        Inputs are assumed output-sized (true for the norms/activations
-        we emit); refinements can subclass.
-        """
-        reads = len(self.inputs) * self.output.num_bytes
-        return float(reads + self.output.num_bytes)
-
 
 @dataclass(frozen=True)
 class EmbeddingLookupOp(Op):
@@ -157,11 +145,6 @@ class EmbeddingLookupOp(Op):
         """One add per gathered element (multivalent combining)."""
         return float(self.lookups * self.width)
 
-    def bytes_accessed(self) -> float:
-        """Gathered rows + written output; the table itself stays in HBM."""
-        gathered = self.lookups * self.width * self.output.dtype_bytes
-        return float(gathered + self.output.num_bytes)
-
 
 @dataclass(frozen=True)
 class CollectiveOp(Op):
@@ -185,10 +168,6 @@ class CollectiveOp(Op):
         if self.comm_bytes < 0:
             raise ConfigurationError(
                 f"collective {self.name!r} comm_bytes must be >= 0")
-
-    def bytes_accessed(self) -> float:
-        """Collectives move bytes over ICI, not through HBM (DMA engines)."""
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -219,7 +198,3 @@ class FusionOp(Op):
     decomposition transform so downstream consumers keep one producer."""
 
     kind: ClassVar[str] = "fusion"
-
-    def bytes_accessed(self) -> float:
-        """Pure renaming — the compiler elides it."""
-        return 0.0

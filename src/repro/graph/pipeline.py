@@ -203,21 +203,3 @@ def simulate_pipeline(config: PipelineConfig) -> PipelineOutcome:
         ideal_seconds=config.num_microbatches * per_microbatch,
         peak_activations=max(s.peak_resident for s in stages),
         stage_busy_seconds=[s.busy_seconds for s in stages])
-
-
-def microbatch_sweep(num_stages: int, microbatch_counts: list[int], *,
-                     forward_seconds: float = 1.0,
-                     backward_seconds: float = 2.0,
-                     permute_seconds: float = 0.0,
-                     schedule: PipelineSchedule = PipelineSchedule.ONE_F_ONE_B
-                     ) -> list[PipelineOutcome]:
-    """Bubble fraction vs microbatch count, the standard tuning plot."""
-    outcomes = []
-    for count in microbatch_counts:
-        config = PipelineConfig(
-            num_stages=num_stages, num_microbatches=count,
-            forward_seconds=forward_seconds,
-            backward_seconds=backward_seconds,
-            permute_seconds=permute_seconds, schedule=schedule)
-        outcomes.append(simulate_pipeline(config))
-    return outcomes

@@ -49,10 +49,6 @@ class TensorSpec:
         """Global size in bytes."""
         return self.num_elements * self.dtype_bytes
 
-    def with_shape(self, shape: tuple[int, ...]) -> "TensorSpec":
-        """Same dtype, different shape."""
-        return TensorSpec(shape=shape, dtype_bytes=self.dtype_bytes)
-
 
 @dataclass(frozen=True)
 class ShardingSpec:
@@ -88,25 +84,9 @@ class ShardingSpec:
         return len(self.axes)
 
     @property
-    def is_replicated(self) -> bool:
-        """True when no dimension is sharded and no partial sums remain."""
-        return all(a is None for a in self.axes) and not self.partial
-
-    @property
     def sharded_axes(self) -> tuple[str, ...]:
         """Mesh axes that shard some dimension, in dimension order."""
         return tuple(a for a in self.axes if a is not None)
-
-    def axis_of_dim(self, dim: int) -> str | None:
-        """Mesh axis sharding tensor dimension `dim` (None if unsharded)."""
-        return self.axes[dim]
-
-    def dim_of_axis(self, axis: str) -> int | None:
-        """Tensor dimension sharded by `axis` (None if the axis is unused)."""
-        for dim, name in enumerate(self.axes):
-            if name == axis:
-                return dim
-        return None
 
     def drop_partial(self) -> "ShardingSpec":
         """The same layout with partial sums resolved."""

@@ -60,13 +60,6 @@ class ExecutionTrace:
         span = self.makespan
         return self.busy_seconds(engine) / span if span > 0 else 0.0
 
-    def seconds_by_kind(self) -> dict[str, float]:
-        """Occupied seconds per op kind."""
-        out: dict[str, float] = {}
-        for r in self.records:
-            out[r.kind] = out.get(r.kind, 0.0) + r.duration
-        return out
-
     def exposed_comm_seconds(self) -> float:
         """Communication time not hidden under compute.
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.mlperf.results import MLPerfEntry, entries_for
+from repro.mlperf.results import entries_for
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,6 @@ class ScalingSeries:
     system: str
     chips: tuple[int, ...]
     minutes: tuple[float, ...]
-
-    def speedup_relative_to_first(self) -> tuple[float, ...]:
-        """Throughput speedup normalized at the smallest size."""
-        return tuple(self.minutes[0] / m for m in self.minutes)
 
 
 def scaling_series(benchmark: str, system: str) -> ScalingSeries:

@@ -12,7 +12,6 @@ Covers three reproductions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -38,16 +37,6 @@ class DLRMConfig:
     avg_valency: float = 1.5   # features are mostly univalent on average
     dedup_fraction: float = 0.35
     batch_per_chip: int = 32
-
-    @property
-    def weights_bytes(self) -> float:
-        """Dense model size in bytes."""
-        return self.dense_params * self.dense_bytes_per_param
-
-    @property
-    def embedding_bytes(self) -> float:
-        """Embedding tables size in bytes."""
-        return self.embedding_params * self.embedding_bytes_per_param
 
     def dense_flops_per_example(self) -> float:
         """Fwd+bwd MLP FLOPs per example (~6 per weight)."""

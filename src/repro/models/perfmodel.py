@@ -14,7 +14,7 @@ the roofline ridge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.models.profiles import AppProfile, PRODUCTION_APPS
@@ -108,13 +108,6 @@ TPUV3_GEN = ChipGeneration(
     torus_dims=2,
     mean_watts=220.0,
 )
-
-
-def app_step_time(app: str | AppProfile,
-                  generation: ChipGeneration = TPUV4_GEN) -> float:
-    """Step time of one production app on one generation."""
-    profile = PRODUCTION_APPS[app] if isinstance(app, str) else app
-    return generation.step_time(profile)
 
 
 def speedup_v4_over_v3(app: str | AppProfile, *,

@@ -92,11 +92,3 @@ PRODUCTION_APPS: dict[str, AppProfile] = {
         comm_bytes=24 * MB, paper_speedup_v4_over_v3=2.8,
         scale_limit_chips=1024),
 }
-
-
-def app_profile(name: str) -> AppProfile:
-    """Look up a production app by name."""
-    if name not in PRODUCTION_APPS:
-        raise ConfigurationError(
-            f"unknown app {name!r}; have {sorted(PRODUCTION_APPS)}")
-    return PRODUCTION_APPS[name]

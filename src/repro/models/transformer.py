@@ -45,11 +45,6 @@ class TransformerConfig:
         """Forward+backward training FLOPs per token (~6 per weight)."""
         return 6.0 * self.num_params
 
-    def layer_activation_bytes(self, batch: int,
-                               bytes_per_element: int = 2) -> float:
-        """Bytes of one layer-boundary activation tensor for a microbatch."""
-        return batch * self.seq_len * self.d_model * bytes_per_element
-
 
 # BERT-large-ish: the MLPerf benchmark model.
 BERT_CONFIG = TransformerConfig(
@@ -66,13 +61,6 @@ GPT3_CONFIG = TransformerConfig(
 LLM_CONFIG = TransformerConfig(
     name="LLM", num_layers=64, d_model=8192, num_heads=64, d_ff=32_768,
     seq_len=1024, vocab_size=32_000)
-
-
-def training_flops(config: TransformerConfig, tokens: float) -> float:
-    """Total training FLOPs for a token budget."""
-    if tokens < 0:
-        raise ConfigurationError("tokens must be >= 0")
-    return config.flops_per_token() * tokens
 
 
 def model_flops_utilization(achieved_tokens_per_second: float,

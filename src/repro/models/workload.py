@@ -14,14 +14,6 @@ from repro.core.slicing import classify_slice, parse_shape
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class WorkloadShare:
-    """Share of one DNN model type in one fleet snapshot."""
-
-    model_type: str
-    share: float  # 0..1
-
-
 # Table 1: % of TPUs used by DNN model type across four fleet snapshots.
 TABLE1_MIX: dict[str, dict[str, float]] = {
     "TPU v1 (7/2016, inference)": {

@@ -33,11 +33,6 @@ class AllToAllAnalysis:
     injection_peak: float          # per-node NIC/port limit (bytes/s)
 
     @property
-    def aggregate_throughput(self) -> float:
-        """Machine-wide all-to-all bytes/second."""
-        return self.per_node_throughput * self.num_nodes
-
-    @property
     def efficiency_vs_ideal(self) -> float:
         """Measured / ideal-peak, the complement of Figure 6's delta bar."""
         return self.per_node_throughput / self.ideal_peak

@@ -179,13 +179,3 @@ def ring_allreduce_time(ring_size: int, num_bytes: float,
     """
     return AxisGeometry((ring_size,), link_bandwidth,
                         alpha=0.0).allreduce(num_bytes)
-
-
-def allreduce_lower_bound(shape: tuple[int, int, int], num_bytes: float,
-                          link_bandwidth: float) -> float:
-    """Bandwidth lower bound: 2*(N-1)/N * bytes over all injection ports."""
-    n = shape[0] * shape[1] * shape[2]
-    ports = 2 * len([d for d in shape if d >= 2])
-    if ports == 0 or n < 2:
-        return 0.0
-    return 2 * (n - 1) / n * num_bytes / (ports * link_bandwidth)

@@ -24,7 +24,7 @@ the flow is recorded.  ``Flow.route`` keeps the caller's link ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -124,12 +124,6 @@ class FlowSim:
             raise SimulationError(
                 f"{len(stuck)} flows never completed (zero-rate routes?)")
         return self.sim.now
-
-    def completion_time(self, flow: Flow) -> float:
-        """Finish time of a completed flow."""
-        if flow.finish_time is None:
-            raise SimulationError(f"flow {flow.flow_id} has not finished")
-        return flow.finish_time
 
     # -- internals ------------------------------------------------------------------
 

@@ -12,12 +12,10 @@ from repro.ocs.fabric import OCSFabric, FACE_LINKS, NUM_OCS
 from repro.ocs.reconfigure import SliceWiring, realize_slice, release_slice
 from repro.ocs.optics_cost import (OpticsBill, OpticsCostModel,
                                    default_cost_model, optics_bill)
-from repro.ocs.wavelength import (WDMConfig, lambdas_for_target,
-                                  upgrade_study)
+from repro.ocs.wavelength import WDMConfig, upgrade_study
 
 __all__ = [
     "WDMConfig",
-    "lambdas_for_target",
     "upgrade_study",
     "OpticalCircuitSwitch",
     "PALOMAR_PORTS",

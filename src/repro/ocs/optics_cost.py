@@ -60,10 +60,6 @@ class OpticsBill:
         """Optics share of total machine power."""
         return self.optics_power / (self.optics_power + self.system_power)
 
-    def meets_paper_claims(self) -> bool:
-        """Section 2.10: <5% of capital cost and <3% of power."""
-        return self.cost_fraction < 0.05 and self.power_fraction < 0.03
-
 
 def optics_bill(fabric: OCSFabric, *, chips_per_block: int = 64,
                 model: OpticsCostModel | None = None) -> OpticsBill:

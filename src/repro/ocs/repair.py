@@ -40,11 +40,6 @@ class RepairableSwitch:
         """Spare ports still unassigned."""
         return len(self._spares_free)
 
-    @property
-    def ports_under_test(self) -> list[int]:
-        """Production ports currently quarantined."""
-        return sorted(self._under_test)
-
     def fail_port(self, port: int) -> int:
         """Move `port`'s circuit onto a spare; returns the spare used.
 

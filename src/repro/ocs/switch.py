@@ -52,11 +52,6 @@ class OpticalCircuitSwitch:
                 f"{self.name}: port {port} outside usable range "
                 f"0..{self.usable_ports - 1}")
 
-    def is_free(self, port: int) -> bool:
-        """True when the port has no circuit."""
-        self._check_port(port)
-        return port not in self._peer
-
     def peer_of(self, port: int) -> int | None:
         """The port this port is mirrored to, or None."""
         self._check_port(port)

@@ -138,14 +138,3 @@ def upgrade_study(wavelength_counts: list[int] | None = None, *,
             devices_touched_ib=(churn["ib_nics"]
                                 + churn["ib_switches_replaced"])))
     return points
-
-
-def lambdas_for_target(target_terabits: float, *,
-                       gigabytes_per_wavelength: float = 50.0) -> int:
-    """Smallest lambda count reaching a per-link Tbit/s target."""
-    if not (math.isfinite(target_terabits) and target_terabits > 0):
-        raise ConfigurationError(
-            f"target must be finite and > 0, got {target_terabits}")
-    per_lambda_tbits = WDMConfig(
-        gigabytes_per_wavelength=gigabytes_per_wavelength).terabits_per_link
-    return max(1, math.ceil(target_terabits / per_lambda_tbits))

@@ -53,11 +53,6 @@ class PanasPoint:
         """Fraction of the step the SparseCore sits idle."""
         return 1.0 - self.sparse_time / self.step_time
 
-    @property
-    def tc_idle_fraction(self) -> float:
-        """Fraction of the step the TensorCore sits idle."""
-        return 1.0 - self.dense_time / self.step_time
-
 
 def original_dlrm0_balance() -> PanasPoint:
     """The hand-tuned starting point (top bars of Figure 10)."""

@@ -58,11 +58,6 @@ class PartitionSpec:
         return self.pipeline * self.data * self.model1 * self.model2
 
     @property
-    def model_parallelism(self) -> int:
-        """Total tensor-parallel ways."""
-        return self.model1 * self.model2
-
-    @property
     def label(self) -> str:
         """Paper notation: '[p,d,m1,m2], act/weight'."""
         return (f"[{self.pipeline},{self.data},{self.model1},{self.model2}]"

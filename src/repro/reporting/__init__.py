@@ -5,7 +5,7 @@ paper-vs-measured comparison is visible in CI logs without plotting
 dependencies.
 """
 
-from repro.reporting.tables import Table, format_ratio
+from repro.reporting.tables import Table
 from repro.reporting.figures import AsciiChart, Series
 
-__all__ = ["Table", "format_ratio", "AsciiChart", "Series"]
+__all__ = ["Table", "AsciiChart", "Series"]

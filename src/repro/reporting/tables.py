@@ -5,15 +5,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 
-def format_ratio(value: float, digits: int = 2) -> str:
-    """Format a speedup/ratio like the paper does ('2.30x').
-
-    >>> format_ratio(2.3)
-    '2.30x'
-    """
-    return f"{value:.{digits}f}x"
-
-
 def _stringify(cell: Any) -> str:
     if isinstance(cell, float):
         return f"{cell:.4g}"

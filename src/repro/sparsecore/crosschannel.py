@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 
@@ -45,16 +43,6 @@ class CrossChannelUnits:
     def partition_time(self, num_keys: int) -> float:
         """Bucket keys by destination chip."""
         return max(num_keys, 0) / self.partition_throughput / self.clock_hz
-
-    def segment_sum_time(self, rows: int, row_elements: int) -> float:
-        """Combine gathered rows into per-example activations."""
-        cycles = rows * math.ceil(row_elements / self.segment_sum_lanes)
-        return cycles / self.clock_hz
-
-    def sequencer_time(self, num_instructions: int) -> float:
-        """CISC instruction generation (the MLPerf-DLRM bottleneck)."""
-        return (num_instructions * self.sequencer_cycles_per_instruction
-                / self.clock_hz)
 
     def dedup_pipeline_time(self, num_keys: int) -> float:
         """sort + unique + partition for one batch of keys."""

@@ -43,11 +43,6 @@ def dedup_ids(ids: np.ndarray) -> DedupResult:
     return DedupResult(unique_ids=unique, inverse=inverse)
 
 
-def expand(result: DedupResult, gathered_rows: np.ndarray) -> np.ndarray:
-    """Undo dedup: replicate gathered unique rows back to original order."""
-    return gathered_rows[result.inverse]
-
-
 def dedup_savings(ids: np.ndarray) -> float:
     """Fraction of lookups eliminated (0 = nothing repeated).
 

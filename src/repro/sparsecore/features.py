@@ -8,7 +8,7 @@ array plus row offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class FeatureBatch:
     def total_ids(self) -> int:
         """Total lookups before deduplication."""
         return len(self.ids)
-
-    def row_ids(self, row: int) -> np.ndarray:
-        """Ids of one example."""
-        return self.ids[self.offsets[row]:self.offsets[row + 1]]
 
     def valencies(self) -> np.ndarray:
         """Per-example id counts."""

@@ -63,10 +63,6 @@ class LoadStats:
             return 0.0
         return 1.0 - float(self.loads.sum()) / self.total_ids
 
-    def step_slowdown(self) -> float:
-        """Step-time multiplier vs a perfectly balanced wave."""
-        return self.imbalance
-
 
 def zipf_ids(num_ids: int, vocab: int, *, alpha: float = 1.1,
              seed: int = 0) -> np.ndarray:
@@ -121,14 +117,6 @@ class ImbalanceStudy:
         if raw_total == 0:
             return 0.0
         return 1.0 - float(self.deduped.loads.sum()) / float(raw_total)
-
-    @property
-    def imbalance_reduction(self) -> float:
-        """How much of the max/mean skew dedup removed."""
-        if self.raw.imbalance <= 1.0:
-            return 0.0
-        return ((self.raw.imbalance - self.deduped.imbalance)
-                / (self.raw.imbalance - 1.0))
 
     def speedup(self) -> float:
         """Step-time gain from dedup: max-load ratio raw/deduped."""

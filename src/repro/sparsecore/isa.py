@@ -164,10 +164,6 @@ class SequencerModel:
         gathers = sum(1 for i in program if i.opcode is Opcode.GATHER)
         return self.issue_seconds(program) + gathers * self.hbm_latency
 
-    def instructions_per_step(self, shape: EmbeddingStepShape) -> int:
-        """Program length for one step shape."""
-        return len(generate_step_program(shape))
-
 
 TPUV4_SEQUENCER = SequencerModel()
 

@@ -52,18 +52,6 @@ class ShardingPlan:
 
     # -- placement queries ---------------------------------------------------
 
-    def owner_of_row(self, table_name: str, row_id: int) -> int:
-        """Chip owning a row (ROW/TABLE/REPLICATED strategies)."""
-        strategy = self.strategy_of(table_name)
-        if strategy is ShardingStrategy.ROW:
-            return row_id % self.num_chips
-        if strategy is ShardingStrategy.TABLE:
-            return self.table_home[table_name]
-        if strategy is ShardingStrategy.REPLICATED:
-            return -1  # every chip
-        raise ShardingError(
-            f"{table_name}: column shards own partial rows, not whole rows")
-
     def owners_of_ids(self, table_name: str, ids: np.ndarray) -> np.ndarray:
         """Vectorized owner computation for ROW sharding."""
         strategy = self.strategy_of(table_name)
@@ -75,44 +63,6 @@ class ShardingPlan:
                            dtype=np.int64)
         raise ShardingError(
             f"{table_name}: owners_of_ids applies to ROW/TABLE strategies")
-
-    def local_rows(self, table: EmbeddingTable, chip: int) -> np.ndarray:
-        """Global row ids resident on a chip under the plan."""
-        strategy = self.strategy_of(table.name)
-        if strategy is ShardingStrategy.ROW:
-            return np.arange(chip, table.vocab_size, self.num_chips)
-        if strategy is ShardingStrategy.TABLE:
-            if self.table_home[table.name] != chip:
-                return np.arange(0)
-            return np.arange(table.vocab_size)
-        if strategy is ShardingStrategy.REPLICATED:
-            return np.arange(table.vocab_size)
-        raise ShardingError(f"{table.name}: column shards hold all rows")
-
-    def column_range(self, table: EmbeddingTable,
-                     chip: int) -> tuple[int, int]:
-        """Column interval a chip owns under COLUMN sharding."""
-        if self.strategy_of(table.name) is not ShardingStrategy.COLUMN:
-            raise ShardingError(f"{table.name}: not column-sharded")
-        per_chip = table.dim / self.num_chips
-        lo = int(round(chip * per_chip))
-        hi = int(round((chip + 1) * per_chip))
-        return lo, hi
-
-    def memory_per_chip(self, tables: list[EmbeddingTable]) -> list[float]:
-        """Bytes of table storage per chip under the plan."""
-        usage = [0.0] * self.num_chips
-        for table in tables:
-            strategy = self.strategy_of(table.name)
-            if strategy is ShardingStrategy.REPLICATED:
-                for chip in range(self.num_chips):
-                    usage[chip] += table.bytes
-            elif strategy is ShardingStrategy.TABLE:
-                usage[self.table_home[table.name]] += table.bytes
-            else:  # ROW or COLUMN split evenly
-                for chip in range(self.num_chips):
-                    usage[chip] += table.bytes / self.num_chips
-        return usage
 
 
 def plan_for_tables(tables: list[EmbeddingTable], num_chips: int, *,

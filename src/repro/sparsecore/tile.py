@@ -42,7 +42,3 @@ class SCTile:
     def flush_time(self, rows: int, row_bytes: float) -> float:
         """Seconds for the Flush unit to write updated rows back."""
         return self.fetch_time(rows, row_bytes)
-
-    def spmem_fits(self, working_set_bytes: float) -> bool:
-        """True when a working set fits in the tile's Spmem slice."""
-        return working_set_bytes <= self.spmem_bytes

@@ -41,11 +41,6 @@ class SCTimingParams:
         return self.sparsecores_per_chip * self.tiles_per_sparsecore
 
     @property
-    def vector_lanes(self) -> int:
-        """SIMD lanes across the chip."""
-        return self.total_tiles * self.lanes_per_tile
-
-    @property
     def gather_bandwidth(self) -> float:
         """HBM bytes/second available to embedding gathers."""
         return self.hbm_bandwidth * self.hbm_embedding_share

@@ -6,6 +6,6 @@ Section 2.2, Table 4).  The Figure 13 CMEM study
 (:mod:`repro.models.perfmodel`) prices dense memory traffic with it.
 """
 
-from repro.tensorcore.memory import MemorySystem, TransferTime
+from repro.tensorcore.memory import MemorySystem
 
-__all__ = ["MemorySystem", "TransferTime"]
+__all__ = ["MemorySystem"]

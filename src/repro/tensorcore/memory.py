@@ -1,9 +1,9 @@
 """The TPU v4 on-chip memory hierarchy: HBM, CMEM, VMEM.
 
 TPU v4 adds the 128 MiB CMEM scratchpad missing from TPU v3; Figure 13
-attributes a 1.2x average (2x for RNN1) speedup to it.  The model captures
-capacity-gated traffic capture: bytes whose working set fits in a level are
-served at that level's bandwidth instead of HBM's.
+attributes a 1.2x average (2x for RNN1) speedup to it.  The model blends
+bandwidth by where traffic is served: the share that must reach HBM at
+HBM's bandwidth, the rest at CMEM's when CMEM is enabled.
 """
 
 from __future__ import annotations
@@ -12,14 +12,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.units import GB, GIB, MIB
-
-
-@dataclass(frozen=True)
-class TransferTime:
-    """Time and the level that served a transfer."""
-
-    seconds: float
-    served_by: str
 
 
 @dataclass(frozen=True)
@@ -45,39 +37,6 @@ class MemorySystem:
             vmem_bandwidth=self.vmem_bandwidth,
             cmem_enabled=False,
         )
-
-    def serving_level(self, working_set_bytes: float) -> str:
-        """The closest level whose capacity holds the working set."""
-        if working_set_bytes < 0:
-            raise ConfigurationError("working set must be >= 0")
-        if working_set_bytes <= self.vmem_capacity:
-            return "vmem"
-        if self.cmem_enabled and working_set_bytes <= self.cmem_capacity:
-            return "cmem"
-        if working_set_bytes <= self.hbm_capacity:
-            return "hbm"
-        raise ConfigurationError(
-            f"working set {working_set_bytes:.3g} B exceeds HBM capacity")
-
-    def bandwidth_of(self, level: str) -> float:
-        """Bandwidth of a named level."""
-        bandwidths = {"vmem": self.vmem_bandwidth,
-                      "cmem": self.cmem_bandwidth,
-                      "hbm": self.hbm_bandwidth}
-        if level not in bandwidths:
-            raise ConfigurationError(f"unknown memory level {level!r}")
-        return bandwidths[level]
-
-    def transfer_time(self, num_bytes: float,
-                      working_set_bytes: float | None = None) -> TransferTime:
-        """Stream `num_bytes` whose working set is `working_set_bytes`."""
-        if num_bytes < 0:
-            raise ConfigurationError("num_bytes must be >= 0")
-        if working_set_bytes is None:
-            working_set_bytes = num_bytes
-        level = self.serving_level(working_set_bytes)
-        return TransferTime(seconds=num_bytes / self.bandwidth_of(level),
-                            served_by=level)
 
     def effective_bandwidth(self, hbm_fraction: float) -> float:
         """Blended bandwidth when a fraction of traffic must go to HBM.

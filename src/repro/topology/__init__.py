@@ -15,7 +15,7 @@ from repro.topology.properties import (
     diameter,
     theoretical_bisection_scaling,
 )
-from repro.topology.routing import RoutingTable, ecmp_edge_loads, shortest_path
+from repro.topology.routing import RoutingTable, ecmp_edge_loads
 from repro.topology.torus import Torus3D
 from repro.topology.twisted import TwistedTorus3D, is_twistable
 
@@ -33,6 +33,5 @@ __all__ = [
     "average_distance",
     "theoretical_bisection_scaling",
     "RoutingTable",
-    "shortest_path",
     "ecmp_edge_loads",
 ]

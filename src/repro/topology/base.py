@@ -90,10 +90,6 @@ class Topology:
 
     # -- edge API -------------------------------------------------------------
 
-    def neighbors(self, node: Coord) -> list[Coord]:
-        """Neighbors of a node; parallel links appear once per link."""
-        return self._adj[node]
-
     def unique_neighbors(self, node: Coord) -> list[Coord]:
         """Neighbors with parallel links collapsed, insertion-ordered."""
         seen: dict[Coord, None] = {}

@@ -63,11 +63,6 @@ def index_to_coord(index: int, shape: Shape) -> Coord:
     return (x, y, z)
 
 
-def add_mod(coord: Coord, delta: Sequence[int], shape: Shape) -> Coord:
-    """Element-wise addition modulo the shape (torus wraparound)."""
-    return tuple((coord[i] + delta[i]) % shape[i] for i in range(3))  # type: ignore[return-value]
-
-
 def ring_distance(a: int, b: int, size: int) -> int:
     """Distance between positions on a ring of the given size.
 
@@ -76,16 +71,6 @@ def ring_distance(a: int, b: int, size: int) -> int:
     """
     d = abs(a - b) % size
     return min(d, size - d)
-
-
-def torus_distance(u: Coord, v: Coord, shape: Shape) -> int:
-    """L1 distance on a regular (untwisted) torus of the given shape."""
-    return sum(ring_distance(u[i], v[i], shape[i]) for i in range(3))
-
-
-def mesh_distance(u: Coord, v: Coord) -> int:
-    """L1 distance on a mesh (no wraparound)."""
-    return sum(abs(u[i] - v[i]) for i in range(3))
 
 
 def num_nodes(shape: Shape) -> int:

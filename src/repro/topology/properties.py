@@ -7,7 +7,6 @@ Bisection bandwidth drives the paper's embedding (all-to-all) analysis:
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
 
 from repro.errors import TopologyError
 from repro.topology.base import Topology
@@ -124,22 +123,3 @@ def theoretical_bisection_scaling(num_chips: int, torus_dims: int) -> float:
     if torus_dims == 3:
         return 2.0 * num_chips ** (2.0 / 3.0)
     raise TopologyError(f"torus_dims must be 2 or 3, got {torus_dims}")
-
-
-def is_regular(topology: Topology, expected_degree: int | None = None) -> bool:
-    """True when every node has the same degree (optionally a given one)."""
-    degrees = {topology.degree(node) for node in topology.nodes}
-    if len(degrees) != 1:
-        return False
-    if expected_degree is not None:
-        return degrees == {expected_degree}
-    return True
-
-
-def degree_histogram(topology: Topology) -> dict[int, int]:
-    """Map degree -> node count; useful for mesh boundary accounting."""
-    histogram: dict[int, int] = {}
-    for node in topology.nodes:
-        d = topology.degree(node)
-        histogram[d] = histogram.get(d, 0) + 1
-    return dict(sorted(histogram.items()))

@@ -42,24 +42,6 @@ def _shortest_path_dag(
     return dist, sigma, preds
 
 
-def shortest_path(topology: Topology, src: Coord, dst: Coord) -> list[Coord]:
-    """One deterministic shortest path from src to dst (inclusive)."""
-    dist, _, preds = _shortest_path_dag(topology, src)
-    if dst not in dist:
-        raise TopologyError(f"{dst} unreachable from {src}")
-    path = [dst]
-    while path[-1] != src:
-        # Deterministic tie-break: smallest predecessor coordinate.
-        path.append(min(preds[path[-1]]))
-    path.reverse()
-    return path
-
-
-def path_length(topology: Topology, src: Coord, dst: Coord) -> int:
-    """Hop count of the shortest path between two nodes."""
-    return len(shortest_path(topology, src, dst)) - 1
-
-
 def ecmp_edge_loads(
     topology: Topology, sources: Iterable[Coord] | None = None
 ) -> dict[DirectedEdge, float]:

@@ -34,17 +34,3 @@ class Torus3D(Topology):
                 if size == 2 and node[dim] == 1:
                     continue
                 yield node, successor, dim
-
-    def wraparound_edges(self) -> list[tuple[Coord, Coord]]:
-        """The OCS-provided links (those joining index size-1 back to 0)."""
-        wraps = []
-        for u, v, _ in self.edges():
-            for dim in range(3):
-                size = self.shape[dim]
-                if size < 3:
-                    continue
-                ends = {u[dim], v[dim]}
-                if ends == {0, size - 1}:
-                    wraps.append((u, v))
-                    break
-        return wraps

@@ -14,8 +14,7 @@ import pytest
 import repro
 from repro.analysis import (AnalysisError, EXIT_CLEAN, EXIT_FINDINGS,
                             EXIT_USAGE, REGISTRY, LintResult,
-                            collect_targets, rule_ids, rule_table,
-                            run_lint)
+                            collect_targets, run_lint)
 
 
 def lint_text(tmp_path, text, rules=None, name="sample.py"):
@@ -472,11 +471,10 @@ class TestEngineAndResult:
         assert (EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE) == (0, 1, 2)
 
     def test_registry_covers_the_documented_pack(self):
-        assert rule_ids() == ["D001", "D002", "D003", "D004", "D005",
-                              "C101", "C102", "U100"]
-        rows = rule_table()
-        assert [row["id"] for row in rows] == rule_ids()
-        assert all(row["summary"] for row in rows)
+        assert list(REGISTRY) == ["D001", "D002", "D003", "D004", "D005",
+                                  "C101", "C102", "U100"]
+        assert all(entry.rule_id == rule_id and entry.summary
+                   for rule_id, entry in REGISTRY.items())
 
 
 class TestSelfRun:
@@ -488,5 +486,5 @@ class TestSelfRun:
         assert result.clean, result.render()
         # Every suppression in the tree is load-bearing (no U100) and
         # the whole pack actually ran.
-        assert result.rules_run == tuple(rule_ids())
+        assert result.rules_run == tuple(REGISTRY)
         assert result.files_checked > 100

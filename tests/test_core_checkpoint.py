@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.checkpoint import (CheckpointParams, IntervalSweepPoint,
                                    expected_overhead, goodput_fraction,
-                                   optimal_interval, policy_report,
-                                   simulate_run, sweep_intervals)
+                                   optimal_interval, simulate_run,
+                                   sweep_intervals)
 from repro.errors import ConfigurationError
 from repro.units import DAY, HOUR, MINUTE
 
@@ -137,17 +137,6 @@ class TestMonteCarlo:
         eager = simulate_run(params, MINUTE,
                              duration_seconds=100 * DAY, seed=2)
         assert best.measured_goodput > eager.measured_goodput
-
-
-class TestPolicyReport:
-    def test_headline_fields(self):
-        report = policy_report()
-        assert set(report) == {"system_mtbf_hours",
-                               "optimal_interval_minutes",
-                               "overhead_at_optimum",
-                               "goodput_at_optimum"}
-        assert 0 < report["overhead_at_optimum"] < 0.5
-        assert report["goodput_at_optimum"] > 0.5
 
 
 @settings(max_examples=30)

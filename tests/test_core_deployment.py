@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.deployment import (deployment_advantage,
-                                   incremental_deployment,
+from repro.core.deployment import (incremental_deployment,
                                    monolithic_deployment,
                                    sample_delivery_days)
 from repro.errors import ConfigurationError
@@ -38,8 +37,10 @@ class TestDeployment:
                        / monolithic_deployment(rough, horizon).chip_days)
         assert rough_ratio > smooth_ratio
 
-    def test_advantage_ratio_positive(self):
-        assert deployment_advantage(seed=0) > 1.0
+    def test_incremental_beats_monolithic(self):
+        days = sample_delivery_days(seed=0)
+        assert incremental_deployment(days).chip_days > \
+            monolithic_deployment(days).chip_days
 
     def test_utilization_bounded(self):
         days = sample_delivery_days(seed=0)

@@ -20,13 +20,13 @@ class TestScheduler:
     def test_ocs_pack_counts(self):
         scheduler = SliceScheduler(all_healthy())
         outcome = scheduler.pack((8, 8, 16), PlacementPolicy.OCS)
-        assert outcome.num_slices == 4  # 16 blocks each
+        assert len(outcome.placements) == 4  # 16 blocks each
         assert outcome.goodput == 1.0
 
     def test_static_pack_counts_full_health(self):
         scheduler = SliceScheduler(all_healthy())
         outcome = scheduler.pack((8, 8, 16), PlacementPolicy.STATIC)
-        assert outcome.num_slices == 4
+        assert len(outcome.placements) == 4
         assert outcome.goodput == 1.0
 
     def test_ocs_ignores_fragmentation(self):
@@ -36,8 +36,8 @@ class TestScheduler:
             healthy[block] = False
         ocs = SliceScheduler(healthy).pack((8, 8, 16), PlacementPolicy.OCS)
         static = SliceScheduler(healthy).pack((8, 8, 16), PlacementPolicy.STATIC)
-        assert ocs.num_slices >= static.num_slices
-        assert ocs.num_slices == 3  # 60 healthy // 16
+        assert len(ocs.placements) >= len(static.placements)
+        assert len(ocs.placements) == 3  # 60 healthy // 16
 
     def test_static_requires_contiguity(self):
         healthy = all_healthy(8)
@@ -45,10 +45,10 @@ class TestScheduler:
         # 2x2x2 grid of 8 blocks; an 8-block slice no longer fits.
         scheduler = SliceScheduler(healthy, grid=(2, 2, 2))
         outcome = scheduler.pack((8, 8, 8), PlacementPolicy.STATIC)
-        assert outcome.num_slices == 0
+        assert len(outcome.placements) == 0
         ocs = SliceScheduler(healthy, grid=(2, 2, 2)).pack(
             (8, 8, 8), PlacementPolicy.OCS)
-        assert ocs.num_slices == 0  # needs 8 blocks, only 7 healthy
+        assert len(ocs.placements) == 0  # needs 8 blocks, only 7 healthy
 
     def test_static_orientation_freedom(self):
         # A 1x1x4 column can stand along any axis of the 4x4x4 grid.
@@ -57,7 +57,7 @@ class TestScheduler:
             healthy[x * 16] = True  # column along grid x at (y=0, z=0)
         scheduler = SliceScheduler(healthy)
         outcome = scheduler.pack((4, 4, 16), PlacementPolicy.STATIC)
-        assert outcome.num_slices == 1
+        assert len(outcome.placements) == 1
 
     def test_no_overlap_in_placements(self):
         scheduler = SliceScheduler(all_healthy())
@@ -68,7 +68,7 @@ class TestScheduler:
     def test_sub_block_shape_packs_per_block(self):
         scheduler = SliceScheduler(all_healthy())
         outcome = scheduler.pack((2, 2, 4), PlacementPolicy.OCS)
-        assert outcome.num_slices == 64
+        assert len(outcome.placements) == 64
 
     def test_non_cubic_grid_rejected(self):
         with pytest.raises(SchedulingError):
@@ -87,7 +87,7 @@ class TestScheduler:
                    for i in range(64)]
         ocs = SliceScheduler(healthy).pack((8, 8, 8), PlacementPolicy.OCS)
         static = SliceScheduler(healthy).pack((8, 8, 8), PlacementPolicy.STATIC)
-        assert ocs.num_slices >= static.num_slices
+        assert len(ocs.placements) >= len(static.placements)
 
 
 class TestPlacementStrategy:
@@ -307,10 +307,39 @@ class TestGoodput:
                      id="simulate-zero-blocks"),
         pytest.param(simulate_goodput, (64, 0.99), {"num_blocks": -3},
                      id="simulate-negative-blocks"),
+        pytest.param(analytic_ocs_goodput, (64, 0.99), {"num_blocks": 4097},
+                     id="analytic-blocks-over-4096"),
+        pytest.param(spares_staircase, (64, 4097), {},
+                     id="spares-blocks-over-4096"),
+        pytest.param(simulate_goodput, (64, 0.99), {"num_blocks": 4913},
+                     id="simulate-cube-blocks-over-4096"),
+        pytest.param(simulate_goodput, (64, 0.99), {"num_blocks": 2},
+                     id="simulate-non-cube-blocks"),
+        pytest.param(simulate_goodput, (64, 0.99), {"num_blocks": 63},
+                     id="simulate-non-cube-blocks-63"),
+        pytest.param(simulate_goodput, (64, 0.99), {"trials": 10**13},
+                     id="simulate-trials-over-sample-budget"),
+        pytest.param(simulate_goodput, (64, 0.99), {"trials": 15_626},
+                     id="simulate-trials-one-past-sample-budget"),
+        pytest.param(simulate_goodput, (64, 0.99),
+                     {"trials": np.int16(30_000), "num_blocks": np.uint8(64)},
+                     id="simulate-numpy-trials-over-sample-budget"),
     ])
     def test_rejects_malformed_inputs(self, model, args, kwargs):
         with pytest.raises(SchedulingError):
             model(*args, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        pytest.param({"trials": 10**13}, "trials", id="trials-over-budget"),
+        pytest.param({"num_blocks": 2}, "num_blocks", id="non-cube-blocks"),
+        pytest.param({"num_blocks": 4913}, "num_blocks",
+                     id="blocks-over-4096"),
+    ])
+    def test_monte_carlo_bounds_name_their_argument(self, kwargs, name):
+        # Checked before anything is allocated; the OCS policy needs no
+        # static grid, so the error names the argument, not a policy.
+        with pytest.raises(SchedulingError, match=f"^{name}"):
+            simulate_goodput(64, 0.99, **kwargs)
 
     @pytest.mark.parametrize("model, args, kwargs, name", [
         pytest.param(analytic_ocs_goodput, (64, 0.99), {"num_blocks": 2.5},

@@ -66,14 +66,13 @@ class TestPod:
         pod.assign([3], job_id=9)
         assert pod.block_down(3) == 9
         assert pod.block_down(4) is None
-        assert pod.num_down == 2
+        assert not pod.up[3] and not pod.up[4]
         pod.block_up(3)
-        assert pod.num_down == 1
+        assert pod.up[3] and not pod.up[4]
 
     def test_down_block_not_free(self):
         pod = Pod(0, 8)
         pod.block_down(0)
-        assert not pod.is_free(0)
         assert pod.free_mask()[0] is False
 
 
@@ -84,7 +83,7 @@ class TestFleetState:
         state.pods[1].assign([0, 1], job_id=1)
         state.pods[2].block_down(5)
         assert state.busy_blocks == 2
-        assert state.down_blocks == 1
+        assert sum(int((~pod.up).sum()) for pod in state.pods) == 1
 
     def test_pods_by_space_prefers_emptiest(self):
         state = FleetState(num_pods=2, blocks_per_pod=8)

@@ -232,7 +232,7 @@ class TestVerificationModeOracle:
             json.dumps(runs[False][0].summary, sort_keys=True)
         # The modes really differ in what they program: jobs still
         # running at the horizon hold pod circuits only when verifying.
-        live = {on: sum(pod.fabric.live_circuits
+        live = {on: sum(pod.fabric.bank.total_circuits
                         for pod in scheduler.state.pods)
                 for on, (_, scheduler) in runs.items()}
         assert live[True] > 0

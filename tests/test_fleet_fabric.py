@@ -61,19 +61,19 @@ class TestPodFabric:
         plan = fabric.plan(1, (4, 4, 8), [2, 6])
         assert fabric.apply(plan) == 96
         assert fabric.holds(1)
-        assert fabric.live_circuits == 96
+        assert fabric.bank.total_circuits == 96
         assert fabric.release(1) == 96
         assert not fabric.holds(1)
-        assert fabric.live_circuits == 0
+        assert fabric.bank.total_circuits == 0
 
     def test_concurrent_jobs_use_disjoint_ports(self):
         fabric = PodFabric(8)
         fabric.apply(fabric.plan(1, (4, 4, 8), [0, 1]))
         fabric.apply(fabric.plan(2, (4, 4, 8), [2, 3]))
         fabric.apply(fabric.plan(3, (4, 4, 4), [7]))
-        assert fabric.live_circuits == 96 + 96 + 48
+        assert fabric.bank.total_circuits == 96 + 96 + 48
         assert fabric.release(2) == 96
-        assert fabric.live_circuits == 96 + 48
+        assert fabric.bank.total_circuits == 96 + 48
 
     def test_double_apply_rejected(self):
         fabric = PodFabric(8)

@@ -52,14 +52,14 @@ class TestPlanMultiRegion:
     def test_single_region_when_it_fits(self):
         placement = plan_multi_region(self.SHAPE, [(0, 16), (1, 16)],
                                       PlacementStrategy.BEST_FIT)
-        assert placement.spill == 0
+        assert len(placement.region_blocks) == 1
         assert placement.price.trunk_count == 0
         assert placement.region_blocks == ((0, 16),)
 
     def test_spans_when_no_region_fits(self):
         placement = plan_multi_region(self.SHAPE, [(0, 10), (1, 10)],
                                       PlacementStrategy.BEST_FIT)
-        assert placement.spill == 1
+        assert len(placement.region_blocks) == 2
         assert placement.num_blocks == 16
         assert placement.price.trunk_count > 0
         # Both sides of every trunk adjacency terminate a port.
@@ -73,7 +73,7 @@ class TestPlanMultiRegion:
         placement = plan_multi_region(
             self.SHAPE, [(0, 6), (1, 12), (2, 10)],
             PlacementStrategy.BEST_FIT)
-        assert placement.spill == 1
+        assert len(placement.region_blocks) == 2
         alternatives = [
             plan_multi_region(self.SHAPE, [(a, take_a), (b, take_b)],
                               PlacementStrategy.FIRST_FIT)
@@ -316,7 +316,7 @@ class TestMachineFabric:
         assert plan.wiring is not None  # programmed by default
         created = fabric.apply(plan)
         assert created == plan.price.num_circuits
-        assert sum(pod.live_circuits for pod in fabric.pods) == \
+        assert sum(pod.bank.total_circuits for pod in fabric.pods) == \
             created - plan.price.num_trunk_circuits
         assert fabric.holds_trunks(1)
         assert fabric.trunk_in_use() == plan.price.total_trunk_ports
@@ -325,7 +325,7 @@ class TestMachineFabric:
         assert removed == created
         assert fabric.trunk_in_use() == 0
         assert not fabric.holds_trunks(1)
-        assert all(pod.live_circuits == 0 for pod in fabric.pods)
+        assert all(pod.bank.total_circuits == 0 for pod in fabric.pods)
         fabric.check_trunk_accounting()
 
     def test_double_apply_rejected(self):
@@ -341,7 +341,7 @@ class TestMachineFabric:
             fabric.apply(plan)
         # Nothing leaked: ports intact, no pod programmed.
         assert fabric.trunk_in_use() == 0
-        assert all(pod.live_circuits == 0 for pod in fabric.pods)
+        assert all(pod.bank.total_circuits == 0 for pod in fabric.pods)
 
     def test_budget_reflects_held_ports(self):
         fabric = self._fabric()
@@ -424,7 +424,6 @@ class TestTrunkReserve:
                                trunk_ports=8)
         fabric.reserve(7, {0: 2, 1: 2})
         assert fabric.holds_trunks(7)
-        assert fabric.trunk_free(0) == 6 and fabric.trunk_free(1) == 6
         assert fabric.trunk_in_use() == 4
         assert fabric.trunk_budget() == {0: 6, 1: 6, 2: 8}
         assert fabric.trunk_budget_excluding([7]) == {0: 8, 1: 8, 2: 8}

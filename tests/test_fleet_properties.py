@@ -167,7 +167,7 @@ def _check_structure(scheduler):
             usage[pod_id] += count
     for pod_id, used in enumerate(usage):
         assert 0 <= used <= machine.trunk_ports, "trunk overbooked"
-        assert machine.trunk_free(pod_id) == machine.trunk_ports - used
+        assert machine.trunk_budget()[pod_id] == machine.trunk_ports - used
     # Running cross-pod jobs hold exactly their placement's trunk ports.
     for job_id, active in running.items():
         if active.is_cross_pod:

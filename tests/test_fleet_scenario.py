@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.fleet import (BlockOutage, DrainWindow, FleetSimulator,
                          compare_deployment, drained_block_seconds,
                          incremental_rollout, overlay_windows,
-                         preset_config, rolling_maintenance, run_scenario,
+                         preset_config, rolling_maintenance,
                          schedule_for, schedule_names, spare_repair_count)
 
 IDENTITY_PARTS = ("goodput", "replay_fraction", "restore_fraction",
@@ -211,7 +211,8 @@ class TestScenarioRuns:
     def test_drain_fraction_positive_with_windows(self):
         config = preset_config("tiny")
         schedule = schedule_for("deploy_week", config)
-        report = run_scenario(config, schedule, seed=0)
+        report = FleetSimulator(config, seed=0, windows=schedule.windows).run(
+            PlacementPolicy.OCS)
         assert report.drain_fraction > 0
         assert report.summary["drain_fraction"] == report.drain_fraction
         # The drained capacity shows up as lost machine time.
@@ -288,8 +289,8 @@ class TestScenarioRuns:
         config = preset_config("tiny")
         schedule = schedule_for("maintenance", config)
         for policy in (PlacementPolicy.OCS, PlacementPolicy.STATIC):
-            summary = run_scenario(config, schedule, seed=0,
-                                   policy=policy).summary
+            summary = FleetSimulator(
+                config, seed=0, windows=schedule.windows).run(policy).summary
             parts = sum(summary[key] for key in IDENTITY_PARTS)
             assert abs(summary["utilization"] - parts) < 1e-9
 
@@ -306,8 +307,10 @@ class TestScenarioRuns:
     def test_scenario_runs_are_deterministic(self):
         config = preset_config("tiny")
         schedule = schedule_for("deploy_week", config)
-        first = run_scenario(config, schedule, seed=1)
-        second = run_scenario(config, schedule, seed=1)
+        first = FleetSimulator(config, seed=1, windows=schedule.windows).run(
+            PlacementPolicy.OCS)
+        second = FleetSimulator(config, seed=1, windows=schedule.windows).run(
+            PlacementPolicy.OCS)
         assert json.dumps(first.summary, sort_keys=True) == \
             json.dumps(second.summary, sort_keys=True)
 
@@ -327,7 +330,8 @@ class TestScenarioRuns:
     def test_render_mentions_deployment_only_when_drained(self):
         config = preset_config("tiny")
         schedule = schedule_for("deploy_week", config)
-        drained = run_scenario(config, schedule, seed=0)
+        drained = FleetSimulator(config, seed=0, windows=schedule.windows).run(
+            PlacementPolicy.OCS)
         plain = FleetSimulator(config, seed=0).run(PlacementPolicy.OCS)
         assert "deployment:" in drained.render()
         assert "deployment:" not in plain.render()

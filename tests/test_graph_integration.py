@@ -10,10 +10,8 @@ models everything else uses.
 import pytest
 
 from repro import TPUv4Supercomputer
-from repro.graph import (DeviceMesh, MeshAxis, TPUV4_TIMING,
-                         dlrm_step_graph, partition, simulate,
-                         transformer_step_graph)
-from repro.graph.builders import DLRMGraphConfig
+from repro.graph import (DeviceMesh, MeshAxis, TPUV4_TIMING, partition,
+                         simulate, transformer_step_graph)
 from repro.graph.overlap import overlap_speedup
 from repro.graph.schedule import GraphScheduler
 from repro.models.transformer import LLM_CONFIG, TransformerConfig
@@ -115,37 +113,3 @@ class TestSection710Pinned:
                                 chunks=4)
         assert times == pytest.approx(self.GOLDEN, rel=1e-12)
 
-
-class TestDLRMIntegration:
-    def test_dlrm_on_machine_slice(self):
-        machine = TPUv4Supercomputer()
-        slice_ = machine.create_slice((4, 4, 4))
-        mesh = mesh_for_slice(slice_.topology.shape)
-        config = DLRMGraphConfig(num_tables=4, vocab_per_table=65536,
-                                 embedding_width=64)
-        graph, annotations = dlrm_step_graph(config, mesh,
-                                             global_batch=1024,
-                                             table_axis="model1")
-        trace = simulate(partition(graph, mesh, annotations))
-        trace.validate()
-        # SC, TC and ICI all participate (Section 3.5's parallelization).
-        assert {"sparsecore", "tensorcore"} <= set(trace.engines)
-        assert any(e.startswith("ici:") for e in trace.engines)
-        machine.release(slice_)
-
-    def test_sparse_and_dense_overlap(self):
-        """Embedding gathers run on the SC engine concurrently with
-        TensorCore matmuls — the overlap Section 3.5 credits the SC."""
-        mesh = mesh_for_slice((4, 4, 4))
-        config = DLRMGraphConfig(num_tables=8, vocab_per_table=65536,
-                                 embedding_width=256, valency=16)
-        graph, annotations = dlrm_step_graph(config, mesh,
-                                             global_batch=4096)
-        trace = simulate(partition(graph, mesh, annotations))
-        sc = [r for r in trace.records if r.engine == "sparsecore"]
-        tc = [r for r in trace.records if r.engine == "tensorcore"
-              and r.duration > 0]
-        overlapped = any(
-            s.start < t.end and t.start < s.end
-            for s in sc for t in tc)
-        assert overlapped

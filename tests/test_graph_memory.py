@@ -3,10 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.graph.builders import TransformerShardingPlan, mlp_step_graph, \
-    transformer_step_graph
+from repro.graph.builders import TransformerShardingPlan, transformer_step_graph
 from repro.graph.memory import (MemoryEstimate, TPUV4_HBM_CAPACITY,
-                                estimate_memory, max_global_batch)
+                                estimate_memory)
 from repro.graph.mesh import DeviceMesh, MeshAxis
 from repro.graph.spmd import partition
 from repro.models.transformer import TransformerConfig
@@ -34,21 +33,11 @@ class TestMemoryEstimate:
         assert estimate.total_bytes == 10.0
         assert estimate.utilization(100.0) == pytest.approx(0.1)
 
-    def test_fits_with_headroom(self):
-        estimate = MemoryEstimate(parameter_bytes=85.0, gradient_bytes=0,
-                                  optimizer_bytes=0, activation_bytes=0)
-        assert estimate.fits(100.0, headroom=0.9)
-        assert not estimate.fits(100.0, headroom=0.8)
-
-    def test_invalid_capacity_rejected(self):
-        estimate = MemoryEstimate(1, 1, 1, 1)
-        with pytest.raises(ConfigurationError):
-            estimate.fits(0)
-        with pytest.raises(ConfigurationError):
-            estimate.fits(100, headroom=0)
-
     def test_summary_mentions_gib(self):
         assert "GiB" in MemoryEstimate(GIB, GIB, GIB, GIB).summary()
+
+    def test_tpuv4_capacity_constant(self):
+        assert TPUV4_HBM_CAPACITY == 32 * GIB
 
 
 class TestEstimateMemory:
@@ -97,27 +86,3 @@ class TestEstimateMemory:
         replicated = estimate_memory(flat)
         assert replicated.parameter_bytes > sharded.parameter_bytes
 
-
-class TestMaxGlobalBatch:
-    def test_finds_a_knee(self):
-        builder = lambda batch: transformer_step_graph(
-            TINY, global_batch=batch)
-        best = max_global_batch(builder, mesh(),
-                                candidates=[64, 256, 1024, 4096, 16384],
-                                capacity=2 * GIB)
-        assert best in (64, 256, 1024, 4096, 16384, None)
-        if best is not None:
-            graph, annotations = builder(best)
-            estimate = estimate_memory(
-                partition(graph, mesh(), annotations))
-            assert estimate.fits(2 * GIB)
-
-    def test_none_when_nothing_fits(self):
-        builder = lambda batch: mlp_step_graph(
-            (4096, 4096), global_batch=batch, data_axis="data")
-        best = max_global_batch(builder, mesh(), candidates=[1024],
-                                capacity=1.0)  # one byte
-        assert best is None
-
-    def test_tpuv4_capacity_constant(self):
-        assert TPUV4_HBM_CAPACITY == 32 * GIB

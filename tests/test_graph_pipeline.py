@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.graph.pipeline import (PipelineConfig, PipelineSchedule,
-                                  analytic_bubble_fraction,
-                                  microbatch_sweep, simulate_pipeline)
+                                  analytic_bubble_fraction, simulate_pipeline)
 
 
 def config(stages=4, microbatches=16, schedule=PipelineSchedule.ONE_F_ONE_B,
@@ -50,8 +49,8 @@ class TestBubble:
         assert out.step_seconds == pytest.approx(out.ideal_seconds)
 
     def test_more_microbatches_shrink_bubble(self):
-        sweep = microbatch_sweep(8, [8, 32, 128])
-        bubbles = [o.bubble_fraction for o in sweep]
+        bubbles = [simulate_pipeline(config(8, count)).bubble_fraction
+                   for count in (8, 32, 128)]
         assert bubbles[0] > bubbles[1] > bubbles[2]
 
     def test_permute_time_stretches_step(self):

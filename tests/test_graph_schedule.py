@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.graph.builders import mlp_step_graph
+from repro.graph.builders import TransformerShardingPlan, transformer_step_graph
 from repro.graph.graph import ComputationGraph
 from repro.graph.mesh import DeviceMesh, MeshAxis
 from repro.graph.ops import (AllReduceOp, ElementwiseOp, InputOp, MatMulOp,
@@ -13,6 +13,10 @@ from repro.graph.schedule import (ChipTimingModel, GraphScheduler,
 from repro.graph.spmd import partition
 from repro.graph.tensor import ShardingSpec, TensorSpec
 from repro.graph.trace import ExecutionTrace, OpRecord
+from repro.models.transformer import TransformerConfig
+
+SMALL = TransformerConfig(name="small", num_layers=1, d_model=1024,
+                          num_heads=16, d_ff=2048, seq_len=128)
 
 
 def mesh():
@@ -20,9 +24,10 @@ def mesh():
                                   MeshAxis("model", 16, (1, 2))])
 
 
-def sharded_mlp(model_axis="model"):
-    g, ann = mlp_step_graph((1024, 2048, 1024), global_batch=512,
-                            data_axis="data", model_axis=model_axis)
+def sharded_step():
+    g, ann = transformer_step_graph(
+        SMALL, global_batch=16, include_head=False,
+        plan=TransformerShardingPlan(data="data", model="model"))
     return partition(g, mesh(), ann)
 
 
@@ -52,17 +57,17 @@ class TestChipTimingModel:
 
 class TestScheduler:
     def test_all_ops_execute_exactly_once(self):
-        sharded = sharded_mlp()
+        sharded = sharded_step()
         trace = simulate(sharded)
         assert len(trace.records) == len(sharded.graph)
         assert len({r.name for r in trace.records}) == len(sharded.graph)
 
     def test_trace_is_valid(self):
-        trace = simulate(sharded_mlp())
+        trace = simulate(sharded_step())
         trace.validate()  # engine exclusivity + dependency order
 
     def test_engines_partition_op_kinds(self):
-        trace = simulate(sharded_mlp())
+        trace = simulate(sharded_step())
         for record in trace.records:
             if record.kind in ("all_reduce", "all_gather", "all_to_all"):
                 assert record.engine.startswith("ici:")
@@ -72,11 +77,11 @@ class TestScheduler:
                 assert record.engine == "tensorcore"
 
     def test_serial_mode_puts_collectives_on_tensorcore(self):
-        trace = simulate(sharded_mlp(), overlap_comm=False)
+        trace = simulate(sharded_step(), overlap_comm=False)
         assert trace.engines == ["tensorcore"]
 
     def test_overlap_no_slower_than_serial(self):
-        sharded = sharded_mlp()
+        sharded = sharded_step()
         overlap = simulate(sharded, overlap_comm=True).makespan
         serial = simulate(sharded, overlap_comm=False).makespan
         assert overlap <= serial + 1e-12
@@ -127,7 +132,7 @@ class TestScheduler:
         assert trace.makespan == pytest.approx(d1 + d2)
 
     def test_faster_chip_shortens_step(self):
-        sharded = sharded_mlp()
+        sharded = sharded_step()
         v4 = simulate(sharded, chip=TPUV4_TIMING).makespan
         v3 = simulate(sharded, chip=TPUV3_TIMING).makespan
         assert v3 > v4
@@ -179,11 +184,6 @@ class TestExecutionTrace:
         ], dependencies={"b": ("a",)})
         with pytest.raises(SimulationError):
             trace.validate()
-
-    def test_seconds_by_kind(self):
-        by_kind = self.make_trace().seconds_by_kind()
-        assert by_kind["matmul"] == pytest.approx(3.0)
-        assert by_kind["all_reduce"] == pytest.approx(1.5)
 
     def test_timeline_renders(self):
         text = self.make_trace().timeline(width=40)

@@ -50,8 +50,6 @@ class TestConfig:
     def test_sizes(self):
         assert DLRM0_2022.dense_params == pytest.approx(137e6)
         assert DLRM0_2022.embedding_params == pytest.approx(20e9)
-        assert DLRM0_2022.weights_bytes == pytest.approx(137e6)  # Int8
-        assert DLRM0_2022.embedding_bytes == pytest.approx(80e9)  # fp32
 
     def test_flops_law(self):
         assert DLRM0_2022.dense_flops_per_example() == pytest.approx(

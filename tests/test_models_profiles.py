@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.models import (PRODUCTION_APPS, TPUV3_GEN, TPUV4_GEN,
-                          TPUV4_GEN_NO_CMEM, app_profile, app_step_time,
-                          speedup_v4_over_v3)
+                          TPUV4_GEN_NO_CMEM, speedup_v4_over_v3)
 from repro.models.perfmodel import geomean_speedup, perf_per_watt_ratio
 from repro.models.profiles import AppProfile
 
@@ -15,11 +14,6 @@ class TestProfiles:
         assert len(PRODUCTION_APPS) == 8
         kinds = {p.kind for p in PRODUCTION_APPS.values()}
         assert kinds == {"cnn", "rnn", "bert", "dlrm"}
-
-    def test_lookup(self):
-        assert app_profile("CNN0").name == "CNN0"
-        with pytest.raises(ConfigurationError):
-            app_profile("GAN0")
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -82,14 +76,10 @@ class TestFigure13:
 
 class TestStepTime:
     def test_step_time_positive(self):
-        for app in PRODUCTION_APPS:
+        for profile in PRODUCTION_APPS.values():
             for gen in (TPUV3_GEN, TPUV4_GEN, TPUV4_GEN_NO_CMEM):
-                assert app_step_time(app, gen) > 0
+                assert gen.step_time(profile) > 0
 
     def test_v4_always_faster(self):
-        for app in PRODUCTION_APPS:
-            assert app_step_time(app, TPUV4_GEN) < app_step_time(app, TPUV3_GEN)
-
-    def test_profile_object_accepted(self):
-        profile = app_profile("CNN0")
-        assert app_step_time(profile) == app_step_time("CNN0")
+        for profile in PRODUCTION_APPS.values():
+            assert TPUV4_GEN.step_time(profile) < TPUV3_GEN.step_time(profile)

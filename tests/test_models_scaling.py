@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.models import (BERT_CONFIG, GPT3_CONFIG, TransformerConfig,
-                          production_scaling_curves, scaling_curve,
-                          training_flops)
+                          production_scaling_curves, scaling_curve)
 from repro.models.scaling import apps_scaling_well
 from repro.models.transformer import model_flops_utilization
 
@@ -20,10 +19,8 @@ class TestTransformerConfigs:
         assert BERT_CONFIG.num_params == pytest.approx(340e6, rel=0.15)
 
     def test_flops_law(self):
-        assert training_flops(GPT3_CONFIG, 1e9) == pytest.approx(
-            6 * GPT3_CONFIG.num_params * 1e9)
-        with pytest.raises(ConfigurationError):
-            training_flops(GPT3_CONFIG, -1)
+        assert GPT3_CONFIG.flops_per_token() == pytest.approx(
+            6 * GPT3_CONFIG.num_params)
 
     def test_heads_divide_dmodel(self):
         with pytest.raises(ConfigurationError):

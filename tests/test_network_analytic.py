@@ -26,11 +26,6 @@ class TestAllToAllAnalysis:
         ratio = twi.per_node_throughput / reg.per_node_throughput
         assert 1.15 <= ratio <= 1.6  # paper: 1.31x
 
-    def test_aggregate_is_per_node_times_n(self):
-        analysis = alltoall_analysis(Torus3D((4, 4, 4)), 50e9)
-        assert analysis.aggregate_throughput == pytest.approx(
-            analysis.per_node_throughput * 64)
-
     def test_efficiency_at_most_one(self):
         for topo in [Torus3D((4, 4, 8)), Mesh3D((4, 4, 4))]:
             analysis = alltoall_analysis(topo, 50e9)

@@ -11,7 +11,6 @@ class TestOpticsBill:
         assert bill.num_chips == 4096
         assert bill.cost_fraction < 0.05   # "<5% of system cost"
         assert bill.power_fraction < 0.03  # "<3% of system power"
-        assert bill.meets_paper_claims()
 
     def test_component_counts(self):
         bill = optics_bill(OCSFabric())
@@ -28,7 +27,7 @@ class TestOpticsBill:
         pricey = OpticsCostModel(ocs_cost=2_000_000.0,
                                  transceiver_cost=5_000.0)
         bill = optics_bill(OCSFabric(), model=pricey)
-        assert not bill.meets_paper_claims()
+        assert bill.cost_fraction >= 0.05 or bill.power_fraction >= 0.03
 
     def test_cost_scales_with_blocks(self):
         small = optics_bill(OCSFabric(num_blocks=8))

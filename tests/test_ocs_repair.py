@@ -21,14 +21,12 @@ class TestRepair:
         assert loaded_switch.switch.peer_of(64) == spare
         assert loaded_switch.circuit_count() == 64
         assert loaded_switch.spares_available == 7
-        assert loaded_switch.ports_under_test == [0]
 
     def test_repair_returns_port_to_service(self, loaded_switch):
         loaded_switch.fail_port(0)
         loaded_switch.repair_port(0)
         assert loaded_switch.switch.peer_of(0) == 64
         assert loaded_switch.spares_available == 8
-        assert loaded_switch.ports_under_test == []
 
     def test_other_circuits_untouched(self, loaded_switch):
         loaded_switch.fail_port(5)

@@ -48,7 +48,7 @@ class TestConnections:
         switch = OpticalCircuitSwitch()
         switch.connect(1, 2)
         switch.disconnect(2)
-        assert switch.is_free(1) and switch.is_free(2)
+        assert switch.peer_of(1) is None and switch.peer_of(2) is None
         with pytest.raises(OCSError):
             switch.disconnect(1)
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.errors import ConfigurationError
 from repro.ocs.wavelength import (BASELINE_LINK_BANDWIDTH, WDMConfig,
                                   collective_times, devices_touched,
-                                  lambdas_for_target, upgrade_study)
+                                  upgrade_study)
 
 
 class TestWDMConfig:
@@ -62,28 +62,12 @@ class TestUpgradeStudy:
             upgrade_study([])
 
 
-class TestLambdasForTarget:
-    def test_single_lambda_covers_fraction(self):
-        assert lambdas_for_target(0.4) == 1
-
-    def test_multiple_terabits(self):
-        assert lambdas_for_target(1.0) == 3
-        assert lambdas_for_target(3.2) == 8
-
-    def test_invalid_target_rejected(self):
-        with pytest.raises(ConfigurationError):
-            lambdas_for_target(0)
-
-
 @pytest.mark.parametrize("call", [
     lambda: WDMConfig(gigabytes_per_wavelength=float("nan")),
     lambda: WDMConfig(gigabytes_per_wavelength=float("inf")),
     lambda: WDMConfig(wavelengths=2.5),
-    lambda: lambdas_for_target(float("nan")),
-    lambda: lambdas_for_target(float("inf")),
-    lambda: lambdas_for_target(1.0, gigabytes_per_wavelength=0.0),
-], ids=["gbps-nan", "gbps-inf", "fractional-lambdas", "target-nan",
-        "target-inf", "target-zero-gbps"])
+    lambda: WDMConfig(gigabytes_per_wavelength=0.0),
+], ids=["gbps-nan", "gbps-inf", "fractional-lambdas", "gbps-zero"])
 def test_bad_inputs_raise_configuration_error(call):
     with pytest.raises(ConfigurationError):
         call()
@@ -94,12 +78,3 @@ def test_link_bandwidth_linear_in_lambdas(lambdas):
     config = WDMConfig(wavelengths=lambdas)
     assert config.link_bandwidth == pytest.approx(
         lambdas * BASELINE_LINK_BANDWIDTH)
-
-
-@given(st.floats(0.1, 100.0))
-def test_lambdas_for_target_is_sufficient_and_minimal(target):
-    lambdas = lambdas_for_target(target)
-    assert WDMConfig(wavelengths=lambdas).terabits_per_link >= target - 1e-9
-    if lambdas > 1:
-        below = WDMConfig(wavelengths=lambdas - 1)
-        assert below.terabits_per_link < target

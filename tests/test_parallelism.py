@@ -185,12 +185,12 @@ class TestPanas:
         point = original_dlrm0_balance()
         # Paper: the SC idles ~25% of the step.
         assert point.sc_idle_fraction == pytest.approx(0.25)
-        assert point.tc_idle_fraction == 0.0
+        assert point.dense_time == point.step_time  # the TC never idles
 
     def test_search_balances_pipes(self):
         best = dlrm0_panas_search()
         assert best.sc_idle_fraction < 0.05
-        assert best.tc_idle_fraction < 0.05
+        assert best.dense_time / best.step_time > 0.95
 
     def test_gain_over_10_percent(self):
         assert panas_gain() > 1.10

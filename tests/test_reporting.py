@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reporting import AsciiChart, Series, Table, format_ratio
+from repro.reporting import AsciiChart, Series, Table
 
 
 class TestTable:
@@ -25,10 +25,6 @@ class TestTable:
         table = Table(["x"])
         table.add_row([1.23456789])
         assert "1.235" in table.render()
-
-    def test_format_ratio(self):
-        assert format_ratio(2.3) == "2.30x"
-        assert format_ratio(1.6321, digits=1) == "1.6x"
 
     def test_str_matches_render(self):
         table = Table(["x"])

@@ -58,7 +58,6 @@ class TestShardLoads:
         ids = np.arange(64)
         stats = shard_loads(ids, 8, dedup=False)
         assert stats.imbalance == pytest.approx(1.0)
-        assert stats.step_slowdown() == pytest.approx(1.0)
 
     def test_invalid_chips_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -75,14 +74,12 @@ class TestDedupStudy:
         study = dedup_study(1_000_000, 100_000, 64, alpha=1.2, seed=1)
         assert study.traffic_reduction > 0.5
         assert study.deduped.imbalance < study.raw.imbalance
-        assert study.imbalance_reduction > 0.5
         assert study.speedup() > 1.0
 
     def test_no_duplicates_no_gain(self):
         loads = LoadStats(loads=np.full(4, 10.0), total_ids=40)
         study = ImbalanceStudy(raw=loads, deduped=loads)
         assert study.traffic_reduction == 0.0
-        assert study.imbalance_reduction == 0.0
         assert study.speedup() == pytest.approx(1.0)
 
     def test_imbalance_vs_chips_rows(self):

@@ -61,20 +61,5 @@ class TestDistances:
         assert C.ring_distance(a, b, size) == C.ring_distance(b, a, size)
         assert 0 <= C.ring_distance(a, b, size) <= size // 2
 
-    def test_torus_distance(self):
-        assert C.torus_distance((0, 0, 0), (3, 0, 7), (4, 4, 8)) == 1 + 1
-
-    def test_mesh_distance(self):
-        assert C.mesh_distance((0, 0, 0), (3, 0, 7)) == 10
-
-    @given(shapes.flatmap(lambda s: st.tuples(st.just(s), coords_in(s),
-                                              coords_in(s))))
-    def test_torus_leq_mesh(self, args):
-        shape, u, v = args
-        assert C.torus_distance(u, v, shape) <= C.mesh_distance(u, v)
-
-    def test_add_mod(self):
-        assert C.add_mod((3, 3, 7), (1, 0, 1), (4, 4, 8)) == (0, 3, 0)
-
     def test_num_nodes(self):
         assert C.num_nodes((4, 4, 8)) == 128

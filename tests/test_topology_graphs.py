@@ -5,24 +5,27 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.topology import Mesh3D, Torus3D, TwistedTorus3D, is_twistable
-from repro.topology.coords import torus_distance
-from repro.topology.properties import (bfs_distances, degree_histogram,
-                                       is_regular)
+from repro.topology.coords import ring_distance
+from repro.topology.properties import bfs_distances
 from repro.topology.twisted import canonical_twist, figure5_example
 
 small_dims = st.integers(1, 6)
+
+
+def degrees(topology):
+    return {topology.degree(node) for node in topology.nodes}
 
 
 class TestTorus:
     def test_cube_is_6_regular(self):
         torus = Torus3D((4, 4, 4))
         assert torus.num_nodes == 64
-        assert is_regular(torus, 6)
+        assert degrees(torus) == {6}
         assert torus.num_links == 64 * 6 // 2
 
     def test_2d_torus_degenerate_z(self):
         torus = Torus3D((8, 8, 1))
-        assert is_regular(torus, 4)
+        assert degrees(torus) == {4}
         assert torus.num_links == 128
 
     def test_size2_dim_single_link(self):
@@ -37,17 +40,13 @@ class TestTorus:
     def test_neighbors_at_unit_torus_distance(self):
         torus = Torus3D((4, 4, 8))
         for u, v, _ in torus.edges():
-            assert torus_distance(u, v, torus.shape) == 1
-
-    def test_wraparound_edges_counted(self):
-        torus = Torus3D((4, 4, 4))
-        # Each dimension contributes one wrap edge per ring: 3 * 16 rings.
-        assert len(torus.wraparound_edges()) == 3 * 16
+            assert sum(ring_distance(u[i], v[i], torus.shape[i])
+                       for i in range(3)) == 1
 
     @given(st.tuples(st.integers(3, 5), st.integers(3, 5), st.integers(3, 5)))
     @settings(max_examples=10, deadline=None)
     def test_regularity_property(self, shape):
-        assert is_regular(Torus3D(shape), 6)
+        assert degrees(Torus3D(shape)) == {6}
 
     def test_connected(self):
         torus = Torus3D((4, 4, 8))
@@ -57,8 +56,8 @@ class TestTorus:
 class TestMesh:
     def test_corner_degrees(self):
         mesh = Mesh3D((4, 4, 4))
-        histogram = degree_histogram(mesh)
-        assert histogram[3] == 8  # corners
+        corners = [node for node in mesh.nodes if mesh.degree(node) == 3]
+        assert len(corners) == 8
         assert mesh.degree((0, 0, 0)) == 3
         assert mesh.degree((1, 1, 1)) == 6
 
@@ -108,7 +107,7 @@ class TestTwistedTorus:
 
     def test_6_regular_and_connected(self):
         twisted = TwistedTorus3D((4, 4, 8))
-        assert is_regular(twisted, 6)
+        assert degrees(twisted) == {6}
         assert len(bfs_distances(twisted, (0, 0, 0))) == 128
 
     def test_same_link_count_as_regular(self):

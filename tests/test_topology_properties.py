@@ -11,9 +11,9 @@ from repro.topology import (Mesh3D, Torus3D, TwistedTorus3D,
                             bisection_links, diameter,
                             theoretical_bisection_scaling)
 from repro.topology import routing
-from repro.topology.properties import _cut_crossings
+from repro.topology.properties import _cut_crossings, bfs_distances
 from repro.topology.routing import (RoutingTable, ecmp_edge_loads,
-                                    max_edge_load, path_length, shortest_path)
+                                    max_edge_load)
 from repro.topology.twisted import _twist_candidates
 
 
@@ -91,20 +91,20 @@ class TestDistances:
 class TestRouting:
     def test_shortest_path_endpoints(self):
         torus = Torus3D((4, 4, 4))
-        path = shortest_path(torus, (0, 0, 0), (2, 2, 2))
+        path = RoutingTable(torus).path((0, 0, 0), (2, 2, 2))
         assert path[0] == (0, 0, 0)
         assert path[-1] == (2, 2, 2)
         assert len(path) - 1 == 6
 
     def test_path_steps_are_links(self):
         torus = TwistedTorus3D((4, 4, 8))
-        path = shortest_path(torus, (0, 0, 0), (3, 3, 5))
+        path = RoutingTable(torus).path((0, 0, 0), (3, 3, 5))
         for u, v in zip(path, path[1:]):
             assert torus.has_edge(u, v)
 
     def test_path_uses_wraparound(self):
         torus = Torus3D((8, 1, 1))
-        assert path_length(torus, (0, 0, 0), (7, 0, 0)) == 1
+        assert bfs_distances(torus, (0, 0, 0))[(7, 0, 0)] == 1
 
     def test_ecmp_loads_symmetric_on_torus(self):
         torus = Torus3D((4, 4, 4))
@@ -119,7 +119,6 @@ class TestRouting:
         loads = ecmp_edge_loads(torus)
         total_work = 0.0
         for src in torus.nodes:
-            from repro.topology.properties import bfs_distances
             total_work += sum(bfs_distances(torus, src).values())
         assert sum(loads.values()) == pytest.approx(total_work)
 
@@ -141,7 +140,7 @@ class TestRouting:
         table = RoutingTable(torus)
         path = table.path((0, 0, 0), (2, 1, 6))
         assert path[0] == (0, 0, 0) and path[-1] == (2, 1, 6)
-        assert len(path) - 1 == path_length(torus, (0, 0, 0), (2, 1, 6))
+        assert len(path) - 1 == bfs_distances(torus, (0, 0, 0))[(2, 1, 6)]
 
     @given(st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)))
     @settings(max_examples=8, deadline=None)
