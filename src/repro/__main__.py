@@ -56,11 +56,6 @@ from repro.fleet.obs import (DispatchProfiler, MetricsSampler, ObsRecorder,
 from repro.fleet.serve import AUTOSCALERS, scenario_names
 from repro.fleet.trace import load_trace, save_trace, trace_of
 
-#: The fleet subcommand keywords; a bare `fleet` defaults to `run`.
-FLEET_MODES = ("run", "record", "replay", "report", "profile", "sweep",
-               "serve", "lint")
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     experiments = list_experiments()
     if args.json:

@@ -2,8 +2,8 @@
 scheduling, and availability analysis (paper Section 2).
 """
 
-from repro.core.chip import TPUv4Chip, CHIPS_PER_HOST, ICI_LINKS_PER_CHIP
-from repro.core.tray import Tray, CHIPS_PER_TRAY, EXTERNAL_LINKS_PER_TRAY
+from repro.core.chip import TPUv4Chip, ICI_LINKS_PER_CHIP
+from repro.core.tray import Tray, CHIPS_PER_TRAY
 from repro.core.block import Block, CHIPS_PER_BLOCK, HOSTS_PER_BLOCK
 from repro.core.machine import TPUv4Supercomputer, MACHINE_BLOCKS
 from repro.core.slice_ import Slice
@@ -27,8 +27,8 @@ __all__ = [
     "CheckpointParams", "optimal_interval", "expected_overhead",
     "goodput_fraction", "sweep_intervals", "simulate_run",
     "IsolationReport", "airgap_audit", "reachable_blocks",
-    "TPUv4Chip", "CHIPS_PER_HOST", "ICI_LINKS_PER_CHIP",
-    "Tray", "CHIPS_PER_TRAY", "EXTERNAL_LINKS_PER_TRAY",
+    "TPUv4Chip", "ICI_LINKS_PER_CHIP",
+    "Tray", "CHIPS_PER_TRAY",
     "Block", "CHIPS_PER_BLOCK", "HOSTS_PER_BLOCK",
     "TPUv4Supercomputer", "MACHINE_BLOCKS",
     "Slice",

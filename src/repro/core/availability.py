@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.block import HOSTS_PER_BLOCK
 from repro.core.scheduler import PlacementPolicy, SliceScheduler, _grid_dims
-from repro.core.slicing import SliceShape
+from repro.core.slicing import SliceShape, cube_shape
 from repro.errors import SchedulingError
 from repro.sim.rng import make_rng
 
@@ -43,22 +43,7 @@ def balanced_block_shape(slice_chips: int) -> SliceShape:
     if slice_chips % CHIPS_PER_BLOCK:
         raise SchedulingError(
             f"slice chips must be a multiple of {CHIPS_PER_BLOCK}")
-    blocks = slice_chips // CHIPS_PER_BLOCK
-    best: tuple[int, tuple[int, int, int]] | None = None
-    for i in range(1, blocks + 1):
-        if blocks % i:
-            continue
-        for j in range(i, blocks + 1):
-            if (blocks // i) % j:
-                continue
-            k = blocks // (i * j)
-            if k < j:
-                continue
-            spread = k - i
-            if best is None or spread < best[0]:
-                best = (spread, (i, j, k))
-    assert best is not None
-    i, j, k = best[1]
+    i, j, k = cube_shape(slice_chips // CHIPS_PER_BLOCK)
     return (4 * i, 4 * j, 4 * k)
 
 
@@ -93,7 +78,6 @@ class GoodputResult:
     availability: float
     policy: PlacementPolicy
     mean_goodput: float
-    std_goodput: float
     trials: int
 
 
@@ -132,7 +116,6 @@ def simulate_goodput(slice_chips: int, availability: float, *,
         availability=availability,
         policy=policy,
         mean_goodput=float(samples.mean()),
-        std_goodput=float(samples.std()),
         trials=trials,
     )
 

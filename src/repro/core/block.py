@@ -19,8 +19,6 @@ BLOCK_SIDE = 4
 CHIPS_PER_BLOCK = BLOCK_SIDE**3     # 64
 TRAYS_PER_BLOCK = CHIPS_PER_BLOCK // CHIPS_PER_TRAY  # 16
 HOSTS_PER_BLOCK = TRAYS_PER_BLOCK  # one host per tray
-FACE_LINKS_PER_BLOCK = 6 * BLOCK_SIDE * BLOCK_SIDE  # 96
-INTERNAL_MESH_LINKS = 3 * (BLOCK_SIDE - 1) * BLOCK_SIDE * BLOCK_SIDE  # 144
 
 
 @dataclass
@@ -38,18 +36,16 @@ class Block:
         """Construct a fully-populated healthy block."""
         block = cls(block_id=block_id)
         host_base = block_id * HOSTS_PER_BLOCK
-        chip_base = block_id * CHIPS_PER_BLOCK
         # Trays tile the block as 4 z-planes of 2x2 chip quads.
         for tray_index in range(TRAYS_PER_BLOCK):
             host_id = host_base + tray_index
-            tray = Tray(tray_id=host_id, host_id=host_id)
+            tray = Tray(host_id=host_id)
             block.trays.append(tray)
             block.host_up.append(True)
         for local_id in range(CHIPS_PER_BLOCK):
             coords = (local_id // 16, (local_id // 4) % 4, local_id % 4)
             tray_index = local_id // CHIPS_PER_TRAY
-            chip = TPUv4Chip(chip_id=chip_base + local_id,
-                             block_id=block_id,
+            chip = TPUv4Chip(block_id=block_id,
                              host_id=host_base + tray_index,
                              coords=coords)
             block.chips.append(chip)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.block import CHIPS_PER_BLOCK
 from repro.errors import ConfigurationError
 from repro.sim.rng import make_rng
 
@@ -53,8 +54,8 @@ def sample_delivery_days(num_blocks: int = 64, *,
 
 
 def incremental_deployment(delivery_days: np.ndarray,
-                           horizon_days: float | None = None,
-                           chips_per_block: int = 64) -> DeploymentOutcome:
+                           horizon_days: float | None = None
+                           ) -> DeploymentOutcome:
     """OCS policy: every block serves from its own ready-date."""
     deliveries = np.asarray(delivery_days, dtype=float)
     full_day = float(deliveries.max())
@@ -62,19 +63,19 @@ def incremental_deployment(delivery_days: np.ndarray,
     usable = np.clip(horizon - deliveries, 0.0, None)
     return DeploymentOutcome(policy="incremental (OCS)",
                              horizon_days=horizon,
-                             chip_days=float(usable.sum()) * chips_per_block,
+                             chip_days=float(usable.sum()) * CHIPS_PER_BLOCK,
                              full_capacity_day=full_day)
 
 
 def monolithic_deployment(delivery_days: np.ndarray,
-                          horizon_days: float | None = None,
-                          chips_per_block: int = 64) -> DeploymentOutcome:
+                          horizon_days: float | None = None
+                          ) -> DeploymentOutcome:
     """Static policy: nothing serves until the last cable arrives."""
     deliveries = np.asarray(delivery_days, dtype=float)
     full_day = float(deliveries.max())
     horizon = horizon_days if horizon_days is not None else full_day * 1.5
     usable_days = max(horizon - full_day, 0.0)
-    chip_days = usable_days * chips_per_block * len(deliveries)
+    chip_days = usable_days * CHIPS_PER_BLOCK * len(deliveries)
     return DeploymentOutcome(policy="monolithic (static)",
                              horizon_days=horizon,
                              chip_days=chip_days,

@@ -20,7 +20,6 @@ from repro.ocs.reconfigure import (BlockCoord, default_placement,
 from repro.topology.builder import is_block_multiple
 
 MACHINE_BLOCKS = 64
-MACHINE_CHIPS = MACHINE_BLOCKS * CHIPS_PER_BLOCK  # 4096
 
 
 class TPUv4Supercomputer:

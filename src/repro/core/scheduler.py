@@ -65,7 +65,6 @@ class PlacementStrategy(Enum):
 class ScheduleOutcome:
     """Result of packing as many equal slices as possible."""
 
-    slice_shape: SliceShape
     policy: PlacementPolicy
     placements: list[list[int]] = field(default_factory=list)
     total_blocks: int = 0
@@ -533,7 +532,7 @@ class SliceScheduler:
         dims = canonical_shape(shape)
         if not is_legal_shape(dims):
             raise SchedulingError(f"illegal slice shape {dims}")
-        outcome = ScheduleOutcome(slice_shape=dims, policy=policy,
+        outcome = ScheduleOutcome(policy=policy,
                                   total_blocks=len(self.healthy))
         free = list(self.healthy)
         if policy is PlacementPolicy.OCS:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.slicing import SliceShape, slice_label
 from repro.ocs.reconfigure import SliceWiring

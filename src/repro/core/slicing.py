@@ -12,12 +12,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.topology.builder import BLOCK_SIDE, is_block_multiple
 from repro.topology.twisted import is_twistable
 
 SliceShape = tuple[int, int, int]
 _SUB_BLOCK_DIMS = (1, 2, 4)
+
+
+def cube_shape(num_chips: int) -> SliceShape:
+    """The most cubical factorization x <= y <= z of a chip (or block) count.
+
+    Among the factorizations, the first with the least z - x.  Chip
+    counts below a 4x4x4 block give sub-block shapes (16 chips -> 2x2x4,
+    32 -> 2x4x4), which the machine wires as meshes.
+    """
+    if num_chips < 1:
+        raise ConfigurationError("num_chips must be >= 1")
+    best: SliceShape | None = None
+    for x in range(1, num_chips + 1):
+        if num_chips % x:
+            continue
+        rest = num_chips // x
+        for y in range(x, rest + 1):
+            if rest % y:
+                continue
+            z = rest // y
+            if z < y:
+                continue
+            if best is None or (z - x) < (best[2] - best[0]):
+                best = (x, y, z)
+    assert best is not None
+    return best
 
 
 @lru_cache(maxsize=None)

@@ -9,19 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.chip import ICI_LINKS_PER_CHIP, TPUv4Chip
+from repro.core.chip import TPUv4Chip
 
 CHIPS_PER_TRAY = 4
-PCB_LINKS_PER_TRAY = 4           # the 2x2 mesh: 4 edges
-EXTERNAL_LINKS_PER_TRAY = (CHIPS_PER_TRAY * ICI_LINKS_PER_CHIP
-                           - 2 * PCB_LINKS_PER_TRAY)  # 16 OSFP ports
 
 
 @dataclass
 class Tray:
     """Four chips on one board, plus its host binding."""
 
-    tray_id: int
     host_id: int
     chips: list[TPUv4Chip] = field(default_factory=list)
 

@@ -16,7 +16,6 @@ from repro.errors import ConfigurationError
 
 GOOGLE_PUE = 1.10
 WORLD_AVERAGE_PUE_2021 = 1.57
-WORLD_AVERAGE_PUE_2008 = 2.50
 US_AVERAGE_CFE = 0.40
 GOOGLE_OKLAHOMA_CFE = 0.88
 GLOBAL_GRID_KGCO2_PER_KWH = 0.475

@@ -25,6 +25,19 @@ from repro.fleet.workload import hostile_background_mix
 from repro.units import DAY, HOUR
 
 
+def _metric_rows(keys: list[str], *summaries: dict[str, float]
+                 ) -> list[list]:
+    """One row per summary key: the key, then its value in each summary,
+    rounded to 4 places; queue waits are shown in hours."""
+    rows = []
+    for key in keys:
+        hours = key.endswith("_queue_wait")
+        scale = 1 / HOUR if hours else 1.0
+        rows.append([f"{key} (h)" if hours else key] +
+                    [round(summary[key] * scale, 4) for summary in summaries])
+    return rows
+
+
 def run_fleet_experiment(preset: str = "tiny",
                          seed: int = 0) -> ExperimentResult:
     """Run one preset under both policies and compare telemetry.
@@ -40,18 +53,12 @@ def run_fleet_experiment(preset: str = "tiny",
         columns=["metric", "OCS", "static"],
     )
     ocs, static = reports["ocs"].summary, reports["static"].summary
-    for key, scale, unit in [
-        ("jobs_submitted", 1.0, ""), ("jobs_completed", 1.0, ""),
-        ("goodput", 1.0, ""), ("utilization", 1.0, ""),
-        ("mean_queue_wait", 1 / HOUR, "h"),
-        ("p95_queue_wait", 1 / HOUR, "h"),
-        ("block_failures", 1.0, ""), ("job_interruptions", 1.0, ""),
-        ("job_preemptions", 1.0, ""), ("replay_fraction", 1.0, ""),
-        ("restore_fraction", 1.0, ""),
-    ]:
-        result.rows.append([
-            key + (f" ({unit})" if unit else ""),
-            round(ocs[key] * scale, 4), round(static[key] * scale, 4)])
+    result.rows += _metric_rows([
+        "jobs_submitted", "jobs_completed", "goodput", "utilization",
+        "mean_queue_wait", "p95_queue_wait", "block_failures",
+        "job_interruptions", "job_preemptions", "replay_fraction",
+        "restore_fraction"
+    ], ocs, static)
 
     result.paper["OCS goodput beats static under same failures"] = "yes"
     result.measured["OCS goodput beats static under same failures"] = \
@@ -93,19 +100,11 @@ def run_fleet_strategies(preset: str = "small",
     )
     summaries = [reports[name].summary
                  for name in ("first_fit", "best_fit", "defrag")]
-    for key, scale, unit in [
-        ("jobs_completed", 1.0, ""), ("goodput", 1.0, ""),
-        ("utilization", 1.0, ""),
-        ("mean_queue_wait", 1 / HOUR, "h"),
-        ("p95_queue_wait", 1 / HOUR, "h"),
-        ("job_migrations", 1.0, ""),
-        ("ocs_reconfigurations", 1.0, ""),
-        ("reconfig_fraction", 1.0, ""),
-        ("block_failures", 1.0, ""),
-    ]:
-        result.rows.append(
-            [key + (f" ({unit})" if unit else "")] +
-            [round(summary[key] * scale, 4) for summary in summaries])
+    result.rows += _metric_rows([
+        "jobs_completed", "goodput", "utilization", "mean_queue_wait",
+        "p95_queue_wait", "job_migrations", "ocs_reconfigurations",
+        "reconfig_fraction", "block_failures"
+    ], *summaries)
 
     first_fit, best_fit, defrag = summaries
     result.paper["placement is flexible but not free (Secs 2.2, 2.5)"] = \
@@ -157,23 +156,12 @@ def run_fleet_crosspod(preset: str = "large",
     )
     enabled = reports["cross_pod"].summary
     disabled = reports["single_pod"].summary
-    for key, scale, unit in [
-        ("jobs_submitted", 1.0, ""), ("jobs_completed", 1.0, ""),
-        ("jobs_never_ran", 1.0, ""),
-        ("goodput", 1.0, ""), ("utilization", 1.0, ""),
-        ("cross_pod_fraction", 1.0, ""),
-        ("job_cross_pod_placements", 1.0, ""),
-        ("trunk_utilization", 1.0, ""),
-        ("trunk_stall_fraction", 1.0, ""),
-        ("median_queue_wait", 1 / HOUR, "h"),
-        ("mean_queue_wait", 1 / HOUR, "h"),
-        ("spare_port_repairs", 1.0, ""),
-        ("block_failures", 1.0, ""),
-    ]:
-        result.rows.append([
-            key + (f" ({unit})" if unit else ""),
-            round(enabled[key] * scale, 4),
-            round(disabled[key] * scale, 4)])
+    result.rows += _metric_rows([
+        "jobs_submitted", "jobs_completed", "jobs_never_ran", "goodput",
+        "utilization", "cross_pod_fraction", "job_cross_pod_placements",
+        "trunk_utilization", "trunk_stall_fraction", "median_queue_wait",
+        "mean_queue_wait", "spare_port_repairs", "block_failures"
+    ], enabled, disabled)
 
     result.paper["slices span pods over the machine OCS layer "
                  "(Secs 2-3)"] = "jobs > one pod run"
@@ -231,21 +219,12 @@ def run_fleet_contention(preset: str = "large",
               "pod-local queueing",
         columns=["metric", "preemption", "queueing"],
     )
-    for key, scale, unit in [
-        ("jobs_submitted", 1.0, ""), ("jobs_completed", 1.0, ""),
-        ("jobs_never_ran", 1.0, ""),
-        ("goodput", 1.0, ""), ("utilization", 1.0, ""),
-        ("cross_pod_preemptions", 1.0, ""),
-        ("trunk_freeing_migrations", 1.0, ""),
-        ("trunk_ports_reclaimed", 1.0, ""),
-        ("job_preemptions", 1.0, ""),
-        ("replay_fraction", 1.0, ""),
-        ("median_queue_wait", 1 / HOUR, "h"),
-    ]:
-        result.rows.append([
-            key + (f" ({unit})" if unit else ""),
-            round(enabled.summary[key] * scale, 4),
-            round(disabled.summary[key] * scale, 4)])
+    result.rows += _metric_rows([
+        "jobs_submitted", "jobs_completed", "jobs_never_ran", "goodput",
+        "utilization", "cross_pod_preemptions", "trunk_freeing_migrations",
+        "trunk_ports_reclaimed", "job_preemptions", "replay_fraction",
+        "median_queue_wait"
+    ], enabled.summary, disabled.summary)
     result.rows.append([
         f"goodput of the {target}-block class",
         round(enabled.goodput_for_blocks(target), 4),
@@ -360,18 +339,11 @@ def run_fleet_deploy(preset: str = "deploy_week",
         title="Deployment scenario: rollout drains over live traffic",
         columns=["metric", "OCS", "static"],
     )
-    for key, scale, unit in [
-        ("jobs_submitted", 1.0, ""), ("jobs_completed", 1.0, ""),
-        ("goodput", 1.0, ""), ("utilization", 1.0, ""),
-        ("drain_fraction", 1.0, ""),
-        ("mean_queue_wait", 1 / HOUR, "h"),
-        ("p95_queue_wait", 1 / HOUR, "h"),
-        ("job_interruptions", 1.0, ""),
-        ("block_failures", 1.0, ""),
-    ]:
-        result.rows.append([
-            key + (f" ({unit})" if unit else ""),
-            round(ocs[key] * scale, 4), round(static[key] * scale, 4)])
+    result.rows += _metric_rows([
+        "jobs_submitted", "jobs_completed", "goodput", "utilization",
+        "drain_fraction", "mean_queue_wait", "p95_queue_wait",
+        "job_interruptions", "block_failures"
+    ], ocs, static)
 
     result.paper["OCS reconfigures around drains (Secs 2.4-2.5)"] = \
         "higher goodput under the same schedule"

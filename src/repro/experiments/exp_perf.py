@@ -63,7 +63,7 @@ def run_figure11() -> ExperimentResult:
                                        curve.efficiency()):
             result.rows.append([app, chips, round(speedup, 1),
                                 round(eff, 2)])
-    good = apps_scaling_well(threshold=0.75, at_chips=3072)
+    good = apps_scaling_well()
     result.paper["apps scaling well to 3K"] = "CNN0, RNN0, RNN1, BERT1"
     result.measured["apps scaling well to 3K"] = ", ".join(sorted(good))
     result.paper["BERT0 limit"] = 2048

@@ -102,9 +102,6 @@ class SwitchBank:
 
     __slots__ = ("num_blocks", "_peer", "_live")
 
-    #: One bank row stands for this many identical physical switches.
-    ROW_MULTIPLICITY = FACE_LINKS
-
     def __init__(self, num_blocks: int) -> None:
         if num_blocks < 1:
             raise OCSError(f"need at least one block, got {num_blocks}")

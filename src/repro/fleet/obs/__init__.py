@@ -14,7 +14,7 @@ from repro.fleet.obs.profiler import DispatchProfiler
 from repro.fleet.obs.tracer import (Decision, Instant, NULL_RECORDER,
                                     NullRecorder, ObsRecorder,
                                     PLACED_CAUSES, REJECTED_CAUSES,
-                                    SPAN_PHASES, SampleColumns, Span)
+                                    SampleColumns, Span)
 
 __all__ = [
     "OBS_SCHEMA",
@@ -28,7 +28,6 @@ __all__ = [
     "ObsRecorder",
     "PLACED_CAUSES",
     "REJECTED_CAUSES",
-    "SPAN_PHASES",
     "SampleColumns",
     "Span",
     "dumps_chrome_trace",

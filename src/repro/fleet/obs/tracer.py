@@ -35,11 +35,6 @@ from typing import Any, NamedTuple
 
 from repro.errors import TraceError
 
-#: Span phase names, in lifecycle order.  ``queued`` covers submission
-#: (or requeue) to placement; the other three partition every placed
-#: segment: the fabric rewires, the checkpoint restores, the job runs.
-SPAN_PHASES = ("queued", "reconfig", "restore", "running")
-
 #: Decision outcomes: the rung that placed the job, or a rejection.
 PLACED_CAUSES = ("pod_local", "defrag", "cross_pod", "preemption")
 REJECTED_CAUSES = ("insufficient_blocks", "insufficient_trunk_ports",
@@ -47,7 +42,13 @@ REJECTED_CAUSES = ("insufficient_blocks", "insufficient_trunk_ports",
 
 
 class Span(NamedTuple):
-    """One per-job lifecycle interval, in simulation seconds."""
+    """One per-job lifecycle interval, in simulation seconds.
+
+    `name` is the phase, in lifecycle order: ``queued`` covers submission
+    (or requeue) to placement; ``reconfig``, ``restore`` and ``running``
+    partition every placed segment: the fabric rewires, the checkpoint
+    restores, the job runs.
+    """
 
     name: str
     job_id: int

@@ -36,7 +36,7 @@ from repro.graph.pipeline import (PipelineConfig, PipelineOutcome,
 from repro.graph.memory import (MemoryEstimate, TPUV4_HBM_CAPACITY,
                                 estimate_memory)
 from repro.graph.schedule import (ChipTimingModel, GraphScheduler,
-                                  TPUV3_TIMING, TPUV4_TIMING, simulate)
+                                  TPUV4_TIMING, simulate)
 from repro.graph.spmd import ShardedGraph, partition
 from repro.graph.tensor import (ShardingSpec, TensorSpec, local_shape,
                                 replicated)
@@ -49,7 +49,7 @@ __all__ = [
     "TensorSpec", "ShardingSpec", "replicated", "local_shape",
     "DeviceMesh", "MeshAxis",
     "partition", "ShardedGraph",
-    "ChipTimingModel", "TPUV4_TIMING", "TPUV3_TIMING", "GraphScheduler",
+    "ChipTimingModel", "TPUV4_TIMING", "GraphScheduler",
     "simulate",
     "ExecutionTrace", "OpRecord",
     "decompose_pair", "decompose_all", "overlappable_pairs",

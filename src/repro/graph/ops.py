@@ -179,9 +179,8 @@ class AllReduceOp(CollectiveOp):
 
 @dataclass(frozen=True)
 class AllGatherOp(CollectiveOp):
-    """Unshard one dimension over a mesh axis (gather along `gather_dim`)."""
+    """Unshard one dimension over a mesh axis."""
 
-    gather_dim: int = 0
     kind: ClassVar[str] = "all_gather"
 
 

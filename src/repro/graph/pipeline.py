@@ -23,7 +23,7 @@ is exposed separately for validation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.events import Simulator
@@ -76,7 +76,6 @@ class PipelineOutcome:
     step_seconds: float
     ideal_seconds: float
     peak_activations: int
-    stage_busy_seconds: list[float] = field(default_factory=list)
 
     @property
     def bubble_fraction(self) -> float:
@@ -104,7 +103,6 @@ class _StageState:
         self.index = index
         self.config = config
         self.busy = False
-        self.busy_seconds = 0.0
         self.fwd_ready: list[int] = []   # microbatches with inputs present
         self.bwd_ready: list[int] = []
         self.fwd_done = 0
@@ -149,7 +147,6 @@ def simulate_pipeline(config: PipelineConfig) -> PipelineOutcome:
         stage.busy = True
         duration = (config.forward_seconds if kind == "fwd"
                     else config.backward_seconds)
-        stage.busy_seconds += duration
 
         def finish() -> None:
             stage.busy = False
@@ -201,5 +198,4 @@ def simulate_pipeline(config: PipelineConfig) -> PipelineOutcome:
         config=config,
         step_seconds=sim.now,
         ideal_seconds=config.num_microbatches * per_microbatch,
-        peak_activations=max(s.peak_resident for s in stages),
-        stage_busy_seconds=[s.busy_seconds for s in stages])
+        peak_activations=max(s.peak_resident for s in stages))

@@ -80,10 +80,6 @@ class ChipTimingModel:
 
 TPUV4_TIMING = ChipTimingModel()
 
-# TPU v3 for cross-generation studies (Table 4: 123 TFLOPS, 900 GB/s).
-TPUV3_TIMING = ChipTimingModel(peak_flops=123e12, hbm_bandwidth=900e9,
-                               sc_bandwidth=600e9, vpu_flops=7.7e12)
-
 
 class GraphScheduler:
     """Dependency-driven executor over a :class:`ShardedGraph`."""

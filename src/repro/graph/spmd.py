@@ -173,7 +173,7 @@ class _Partitioner:
         result = self._emit(
             AllGatherOp(name=self._fresh(name, "allgather"),
                         inputs=(name,), output=spec, mesh_axis=axis,
-                        comm_bytes=float(num_bytes), gather_dim=dim),
+                        comm_bytes=float(num_bytes)),
             gathered)
         self._gathered[(name, dim)] = result
         return result

@@ -15,8 +15,7 @@ from repro.models.dlrm import (DLRM0_2022, DLRMConfig, SystemKind,
 from repro.models.workload import (TABLE1_MIX, TABLE2_SLICES, SliceUsage,
                                    table1_rows, table2_rows,
                                    topology_distribution_stats)
-from repro.models.transformer import (BERT_CONFIG, GPT3_CONFIG,
-                                      TransformerConfig)
+from repro.models.transformer import GPT3_CONFIG, TransformerConfig
 from repro.models.scaling import (ScalingCurve, scaling_curve,
                                   production_scaling_curves)
 from repro.models.serving import (ServingEstimate, chips_for_qps,
@@ -30,7 +29,7 @@ __all__ = [
     "dlrm_relative_performance", "dlrm0_version_history",
     "TABLE1_MIX", "TABLE2_SLICES", "SliceUsage",
     "table1_rows", "table2_rows", "topology_distribution_stats",
-    "TransformerConfig", "BERT_CONFIG", "GPT3_CONFIG",
+    "TransformerConfig", "GPT3_CONFIG",
     "ScalingCurve", "scaling_curve", "production_scaling_curves",
     "ServingEstimate", "serving_estimate", "chips_for_qps",
 ]

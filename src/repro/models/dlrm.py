@@ -28,9 +28,7 @@ class DLRMConfig:
 
     name: str = "DLRM0"
     dense_params: float = 137e6          # Int8 weights (Figure 17, 2022)
-    dense_bytes_per_param: float = 1.0
     embedding_params: float = 20e9       # ~20B (Figure 8 caption)
-    embedding_bytes_per_param: float = 4.0
     num_features: int = 300
     num_tables: int = 150
     embedding_dim: int = 100
@@ -190,10 +188,11 @@ def dlrm_relative_performance(config: DLRMConfig = DLRM0_2022, *,
 NUM_DLRM0_VERSIONS = 43
 WEIGHTS_GROWTH = 4.2
 EMBEDDINGS_GROWTH = 3.8
+FIRST_VERSION_YEAR = 2017.0
+LAST_VERSION_YEAR = 2022.0
 
 
-def dlrm0_version_history(*, start_year: float = 2017.0,
-                          end_year: float = 2022.0) -> list[DLRMConfig]:
+def dlrm0_version_history() -> list[DLRMConfig]:
     """The 43 DLRM0 versions, sizes growing geometrically (Figure 17).
 
     A new version every ~6 weeks; weights end 4.2x and embeddings 3.8x
@@ -205,7 +204,8 @@ def dlrm0_version_history(*, start_year: float = 2017.0,
     versions = []
     for i in range(NUM_DLRM0_VERSIONS):
         frac = i / (NUM_DLRM0_VERSIONS - 1)
-        year = start_year + frac * (end_year - start_year)
+        year = FIRST_VERSION_YEAR + frac * (LAST_VERSION_YEAR
+                                            - FIRST_VERSION_YEAR)
         weights = base_weights * WEIGHTS_GROWTH**frac
         embeddings = base_embeddings * EMBEDDINGS_GROWTH**frac
         versions.append(replace(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.slicing import cube_shape
 from repro.errors import ConfigurationError
 from repro.network.collectives import AxisGeometry
 from repro.sparsecore.isa import (EmbeddingStepShape, SequencerModel,
@@ -31,6 +32,10 @@ from repro.sparsecore.isa import (EmbeddingStepShape, SequencerModel,
 from repro.sparsecore.sparsecore import SparseCore
 from repro.sparsecore.timing import SCTimingParams, TPUV4_SC
 from repro.topology.builder import supports_wraparound
+
+#: Incremental scaling efficiency below which adding chips stops being
+#: "useful scaling" (Section 7.9).
+EFFICIENCY_FLOOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -95,31 +100,6 @@ PRODUCTION_DLRM = RecommenderBenchmark(
     name="DLRM0-like", global_batch_cap=None, per_chip_batch=16384,
     num_features=300, num_tables=150, avg_valency=10.0,
     dense_flops_per_example=3 * 2 * 137e6)
-
-
-def cube_shape(num_chips: int) -> tuple[int, int, int]:
-    """The most cubical factorization x <= y <= z of a chip count.
-
-    Chip counts below a 4x4x4 block give sub-block shapes (16 chips ->
-    2x2x4, 32 -> 2x4x4), which the machine wires as meshes.
-    """
-    if num_chips < 1:
-        raise ConfigurationError("num_chips must be >= 1")
-    best: tuple[int, int, int] | None = None
-    for x in range(1, num_chips + 1):
-        if num_chips % x:
-            continue
-        rest = num_chips // x
-        for y in range(x, rest + 1):
-            if rest % y:
-                continue
-            z = rest // y
-            if z < y:
-                continue
-            if best is None or (z - x) < (best[2] - best[0]):
-                best = (x, y, z)
-    assert best is not None
-    return best
 
 
 @dataclass(frozen=True)
@@ -215,8 +195,7 @@ def scaling_curve(bench: RecommenderBenchmark,
     return [model.step_time(bench, chips) for chips in counts]
 
 
-def useful_scaling_limit(curve: list[ScalingPoint], *,
-                         efficiency_floor: float = 0.5) -> int:
+def useful_scaling_limit(curve: list[ScalingPoint]) -> int:
     """Largest size whose incremental scaling efficiency clears the floor.
 
     Efficiency at point i is the throughput gained over the previous
@@ -230,7 +209,7 @@ def useful_scaling_limit(curve: list[ScalingPoint], *,
     for prev, cur in zip(curve, curve[1:]):
         gain = cur.examples_per_second / prev.examples_per_second
         chips = cur.num_chips / prev.num_chips
-        if (gain - 1.0) / (chips - 1.0) < efficiency_floor:
+        if (gain - 1.0) / (chips - 1.0) < EFFICIENCY_FLOOR:
             break
         limit = cur.num_chips
     return limit

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.models.profiles import AppProfile, PRODUCTION_APPS
 from repro.sparsecore.sparsecore import SparseCore
 from repro.sparsecore.timing import SCTimingParams, TPUV3_SC, TPUV4_SC
@@ -118,12 +117,9 @@ def speedup_v4_over_v3(app: str | AppProfile, *,
     return (TPUV3_GEN.step_time(profile) / gen.step_time(profile))
 
 
-def geomean_speedup(*, cmem: bool = True,
-                    apps: list[str] | None = None) -> float:
+def geomean_speedup(*, cmem: bool = True) -> float:
     """Geometric-mean speedup over the production apps (paper: 2.1x)."""
-    names = apps if apps is not None else sorted(PRODUCTION_APPS)
-    if not names:
-        raise ConfigurationError("no apps given")
+    names = sorted(PRODUCTION_APPS)
     product = 1.0
     for name in names:
         product *= speedup_v4_over_v3(name, cmem=cmem)

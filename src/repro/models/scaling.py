@@ -22,10 +22,12 @@ from repro.models.profiles import AppProfile, PRODUCTION_APPS
 from repro.models.perfmodel import TPUV4_GEN, ChipGeneration
 from repro.topology.properties import theoretical_bisection_scaling
 
-BASE_CHIPS = 64
 FIGURE11_SIZES = (64, 128, 256, 512, 1024, 2048, 3072)
 RING_LATENCY = 2e-6      # per N^(1/3) of ring length, per step
 ALLTOALL_BYTES_FRACTION = 0.6  # share of DLRM comm that is all-to-all
+# An app scales well when it keeps this efficiency at this size.
+WELL_EFFICIENCY = 0.75
+WELL_AT_CHIPS = 3072
 
 
 @dataclass(frozen=True)
@@ -87,14 +89,14 @@ def production_scaling_curves(
             for app in sorted(PRODUCTION_APPS)}
 
 
-def apps_scaling_well(threshold: float = 0.75,
-                      at_chips: int = 3072) -> list[str]:
-    """Apps holding >= `threshold` efficiency at `at_chips` (paper: half)."""
+def apps_scaling_well() -> list[str]:
+    """Apps holding >= `WELL_EFFICIENCY` efficiency at `WELL_AT_CHIPS`
+    chips (paper: half)."""
     names = []
     for app, curve in production_scaling_curves().items():
-        if at_chips not in curve.chips:
+        if WELL_AT_CHIPS not in curve.chips:
             continue
-        index = curve.chips.index(at_chips)
-        if curve.efficiency()[index] >= threshold:
+        index = curve.chips.index(WELL_AT_CHIPS)
+        if curve.efficiency()[index] >= WELL_EFFICIENCY:
             names.append(app)
     return names

@@ -18,6 +18,9 @@ from repro.sparsecore.timing import SCTimingParams, TPUV4_SC
 from repro.topology.properties import theoretical_bisection_scaling
 from repro.units import TFLOP
 
+#: Serving latency budget per step (Section 3.1).
+LATENCY_BUDGET_SECONDS = 10e-3
+
 
 @dataclass(frozen=True)
 class ServingEstimate:
@@ -71,7 +74,6 @@ def serving_estimate(config: DLRMConfig, num_chips: int, *,
 
 
 def chips_for_qps(config: DLRMConfig, target_qps: float, *,
-                  latency_budget: float = 10e-3,
                   max_chips: int = 4096) -> int:
     """Smallest power-of-two slice sustaining `target_qps` in budget."""
     if target_qps <= 0:
@@ -80,7 +82,7 @@ def chips_for_qps(config: DLRMConfig, target_qps: float, *,
     while chips <= max_chips:
         estimate = serving_estimate(config, chips)
         if estimate.qps >= target_qps and \
-                estimate.meets_latency(latency_budget):
+                estimate.meets_latency(LATENCY_BUDGET_SECONDS):
             return chips
         chips *= 2
     raise ConfigurationError(

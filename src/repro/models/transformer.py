@@ -46,11 +46,6 @@ class TransformerConfig:
         return 6.0 * self.num_params
 
 
-# BERT-large-ish: the MLPerf benchmark model.
-BERT_CONFIG = TransformerConfig(
-    name="BERT", num_layers=24, d_model=1024, num_heads=16, d_ff=4096,
-    seq_len=512, vocab_size=30_522)
-
 # GPT-3 175B (Table 3's pre-training case study).
 GPT3_CONFIG = TransformerConfig(
     name="GPT-3", num_layers=96, d_model=12_288, num_heads=96, d_ff=49_152,

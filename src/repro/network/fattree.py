@@ -26,24 +26,19 @@ QM8790_RADIX = 40
 # overheads of 1.17x and 1.11x over pure Clos; 1.14 splits the difference
 # and lands within ~4% of both.
 REFERENCE_ARCHITECTURE_OVERHEAD = 1.14
+# Tiers of the folded Clos: leaf, one middle tier, top.
+CLOS_LEVELS = 3
 
 
-def clos_switch_count(num_hosts: int, radix: int = QM8790_RADIX,
-                      levels: int = 3) -> int:
-    """Switches in a full-bisection folded Clos with `levels` tiers."""
+def clos_switch_count(num_hosts: int, radix: int = QM8790_RADIX) -> int:
+    """Switches in a full-bisection folded Clos with `CLOS_LEVELS` tiers."""
     if num_hosts < 1:
         raise ConfigurationError("need at least one host")
     if radix < 2 or radix % 2:
         raise ConfigurationError("radix must be an even integer >= 2")
-    half = radix // 2
-    if levels == 1:
-        return 1 if num_hosts <= radix else math.ceil(num_hosts / radix)
-    leaves = math.ceil(num_hosts / half)
-    total = leaves
-    for _ in range(levels - 2):
-        total += leaves  # every middle tier is as wide as the leaf tier
-    total += math.ceil(leaves / 2)  # top tier needs half as many
-    return total
+    leaves = math.ceil(num_hosts / (radix // 2))
+    # Every middle tier is as wide as the leaf tier; the top needs half.
+    return leaves * (CLOS_LEVELS - 1) + math.ceil(leaves / 2)
 
 
 def ib_switch_count(num_hosts: int, radix: int = QM8790_RADIX) -> int:

@@ -42,7 +42,6 @@ class Flow:
     route: tuple[LinkId, ...]
     size: float
     remaining: float
-    start_time: float
     on_complete: Optional[Callable[["Flow"], None]] = None
     finish_time: Optional[float] = None
     rate: float = 0.0
@@ -109,7 +108,7 @@ class FlowSim:
             raise SimulationError(
                 f"flow route uses unknown link {error.args[0]}") from None
         flow = Flow(flow_id=len(self.flows), route=route, size=size,
-                    remaining=size, start_time=self.sim.now + delay,
+                    remaining=size,
                     on_complete=on_complete)
         self.flows.append(flow)
         self._routes.append(links)

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ocs.fabric import OCSFabric
+from repro.ocs.fabric import FACE_SIDE, OCSFabric
+
+#: Chips behind one block's optical faces (a 4x4x4 block).
+CHIPS_PER_BLOCK = FACE_SIDE**3
 
 
 @dataclass(frozen=True)
@@ -61,13 +64,13 @@ class OpticsBill:
         return self.optics_power / (self.optics_power + self.system_power)
 
 
-def optics_bill(fabric: OCSFabric, *, chips_per_block: int = 64,
+def optics_bill(fabric: OCSFabric, *,
                 model: OpticsCostModel | None = None) -> OpticsBill:
     """Price the optical fabric of a machine built around `fabric`."""
     if model is None:
         model = default_cost_model()
     budget = fabric.optical_link_budget()
-    num_chips = fabric.num_blocks * chips_per_block
+    num_chips = fabric.num_blocks * CHIPS_PER_BLOCK
     optics_cost = (budget["switches"] * model.ocs_cost
                    + budget["transceiver_ends"] * model.transceiver_cost
                    + budget["fibers"] * model.fiber_cost)

@@ -10,10 +10,9 @@ data-rate agnostic, so a bandwidth upgrade touches only the endpoint
 optics (transceivers on each tray), while an electrical fabric
 (Infiniband or NVSwitch) must also replace every switch ASIC it
 traverses.  This module quantifies both sides of that asymmetry — the
-collective speedups a lambda-count upgrade buys, priced by
-:class:`~repro.network.collectives.AxisGeometry` (split-schedule
-all-reduce, exact ECMP all-to-all), and the device count a matching
-electrical upgrade would churn.
+all-reduce speedup a lambda-count upgrade buys, priced by
+:class:`~repro.network.collectives.AxisGeometry` (split schedule), and
+the device count a matching electrical upgrade would churn.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ from repro.errors import ConfigurationError
 from repro.network.collectives import AxisGeometry
 from repro.network.fattree import ib_switch_count
 
-# TPU v4 baseline: 50 GB/s per ICI link direction (Table 4).
-BASELINE_LINK_BANDWIDTH = 50e9
-# One 4096-chip machine: 64 blocks x 96 fiber ends (Section 2.2).
-MACHINE_TRANSCEIVER_ENDS = 64 * 96
-MACHINE_OCS_COUNT = 48
+# The study's reference: a 1 GiB all-reduce on an 8x8x8 slice of the
+# 4096-chip machine.
+REFERENCE_SHAPE = (8, 8, 8)
+REFERENCE_BYTES = 1 << 30
+MACHINE_CHIPS = 4096
 
 
 @dataclass(frozen=True)
@@ -75,42 +74,34 @@ class UpgradePoint:
 
     config: WDMConfig
     allreduce_seconds: float
-    alltoall_seconds: float
     speedup_vs_baseline: float
-    devices_touched_ocs: int
-    devices_touched_ib: int
 
 
-def collective_times(config: WDMConfig,
-                     shape: tuple[int, int, int] = (8, 8, 8), *,
-                     num_bytes: float = 1 << 30) -> tuple[float, float]:
-    """(all-reduce, all-to-all) times on `shape` at one WDM config."""
-    geometry = AxisGeometry(ring_sizes=shape,
-                            link_bandwidth=config.link_bandwidth)
-    return geometry.allreduce(num_bytes), geometry.alltoall(num_bytes)
+def _allreduce_seconds(config: WDMConfig) -> float:
+    return AxisGeometry(ring_sizes=REFERENCE_SHAPE,
+                        link_bandwidth=config.link_bandwidth
+                        ).allreduce(REFERENCE_BYTES)
 
 
-def devices_touched(config: WDMConfig, *, num_chips: int = 4096
-                    ) -> dict[str, int]:
+def devices_touched(config: WDMConfig) -> dict[str, int]:
     """Hardware churn of moving the machine to `config`.
 
     OCS fabric: swap the transceivers, keep all 48 mirrors.  Electrical
     fat-tree: swap the NICs *and* every switch in the 3-level Clos.
     """
-    blocks = num_chips // 64
+    blocks = MACHINE_CHIPS // 64
     transceivers = blocks * 96
     return {
         "ocs_transceivers": transceivers,
         "ocs_switches_replaced": 0,
-        "ib_nics": num_chips,
-        "ib_switches_replaced": ib_switch_count(num_chips),
+        "ib_nics": MACHINE_CHIPS,
+        "ib_switches_replaced": ib_switch_count(MACHINE_CHIPS),
     }
 
 
-def upgrade_study(wavelength_counts: list[int] | None = None, *,
-                  shape: tuple[int, int, int] = (8, 8, 8),
-                  num_bytes: float = 1 << 30) -> list[UpgradePoint]:
-    """Sweep lambda counts and report collective speedups + churn.
+def upgrade_study(wavelength_counts: list[int] | None = None
+                  ) -> list[UpgradePoint]:
+    """Sweep lambda counts and report the all-reduce speedups.
 
     The baseline (1 lambda) matches the deployed 50 GB/s links; the
     paper's "multiple terabits/second" corresponds to >= 4 lambdas of
@@ -121,20 +112,13 @@ def upgrade_study(wavelength_counts: list[int] | None = None, *,
     counts = wavelength_counts or [1, 2, 4, 8]
     if counts[0] < 1:
         raise ConfigurationError("wavelength counts must start >= 1")
-    baseline_ar, _ = collective_times(WDMConfig(wavelengths=counts[0]),
-                                      shape, num_bytes=num_bytes)
+    baseline_ar = _allreduce_seconds(WDMConfig(wavelengths=counts[0]))
     points = []
     for lambdas in counts:
         config = WDMConfig(wavelengths=lambdas)
-        allreduce, alltoall = collective_times(config, shape,
-                                               num_bytes=num_bytes)
-        churn = devices_touched(config)
+        allreduce = _allreduce_seconds(config)
         points.append(UpgradePoint(
             config=config,
             allreduce_seconds=allreduce,
-            alltoall_seconds=alltoall,
-            speedup_vs_baseline=baseline_ar / allreduce,
-            devices_touched_ocs=churn["ocs_transceivers"],
-            devices_touched_ib=(churn["ib_nics"]
-                                + churn["ib_switches_replaced"])))
+            speedup_vs_baseline=baseline_ar / allreduce))
     return points

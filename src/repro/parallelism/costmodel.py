@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.models.transformer import TransformerConfig
 from repro.network.collectives import AxisGeometry
-from repro.parallelism.mapping import AxisMapping, map_axes_to_torus
+from repro.parallelism.mapping import map_axes_to_torus
 from repro.parallelism.spec import PartitionSpec
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.parallelism.spec import PartitionSpec
 
 AXIS_NAMES = ("pipeline", "data", "model1", "model2")

@@ -24,6 +24,7 @@ from repro.errors import ConfigurationError
 ORIGINAL_DENSE_TIME = 1.0          # normalized (Figure 10's convention)
 ORIGINAL_SPARSE_TIME = 0.75        # SC idle ~25% of the step
 EXCHANGE_RATE = 1.6                # sparse work added per dense work removed
+SEARCH_POINTS = 201                # dense scales swept over [0.5, 1.2]
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,10 @@ def quality_neutral_point(dense_scale: float) -> PanasPoint:
     return PanasPoint(dense_scale=dense_scale, sparse_scale=sparse_scale)
 
 
-def dlrm0_panas_search(num_points: int = 201) -> PanasPoint:
+def dlrm0_panas_search() -> PanasPoint:
     """Sweep the exchange surface, return the fastest balanced variant."""
     best: PanasPoint | None = None
-    for dense_scale in np.linspace(0.5, 1.2, num_points):
+    for dense_scale in np.linspace(0.5, 1.2, SEARCH_POINTS):
         point = quality_neutral_point(float(dense_scale))
         if best is None or point.step_time < best.step_time:
             best = point

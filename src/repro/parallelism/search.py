@@ -17,6 +17,10 @@ from repro.parallelism.costmodel import (LLMCostParams, LLMStepCost,
 from repro.parallelism.mapping import feasible_specs
 from repro.parallelism.spec import PartitionSpec, Sharding
 
+#: Table 3's searches run on 512-chip slices and keep a top-5 leaderboard.
+SEARCH_CHIPS = 512
+LEADERBOARD_SIZE = 5
+
 
 @dataclass(frozen=True)
 class CaseStudy:
@@ -90,10 +94,9 @@ class SearchResult:
 
 
 def search_best_configuration(case: CaseStudy,
-                              params: LLMCostParams | None = None,
-                              num_chips: int = 512,
-                              keep_top: int = 5) -> SearchResult:
-    """Evaluate every (shape, spec) pair for `num_chips` chips.
+                              params: LLMCostParams | None = None
+                              ) -> SearchResult:
+    """Evaluate every (shape, spec) pair for `SEARCH_CHIPS` chips.
 
     Returns the baseline evaluation, the best found, and a leaderboard.
     """
@@ -102,7 +105,7 @@ def search_best_configuration(case: CaseStudy,
                              case.baseline_spec, case.global_batch, params)
     candidates: list[LLMStepCost] = []
     evaluated = 0
-    for shape in legal_block_shapes(num_chips // 64):
+    for shape in legal_block_shapes(SEARCH_CHIPS // 64):
         for spec in feasible_specs(shape):
             try:
                 cost = llm_step_cost(case.model, shape, spec,
@@ -116,4 +119,4 @@ def search_best_configuration(case: CaseStudy,
     candidates.sort(key=lambda c: c.seconds)
     return SearchResult(case=case, baseline=baseline, best=candidates[0],
                         evaluated=evaluated,
-                        leaderboard=candidates[:keep_top])
+                        leaderboard=candidates[:LEADERBOARD_SIZE])

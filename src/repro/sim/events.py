@@ -182,5 +182,4 @@ class Simulator:
             fired += 1
 
 
-Action = Callable[[], None]
 AnyEvent = Any

@@ -24,8 +24,6 @@ class CrossChannelUnits:
     sort_throughput: float = 16.0       # keys/cycle (bitonic, banked)
     unique_throughput: float = 16.0     # keys/cycle
     partition_throughput: float = 16.0  # keys/cycle
-    segment_sum_lanes: int = 128        # elements/cycle across banks
-    sequencer_cycles_per_instruction: float = 64.0
 
     def sort_time(self, num_keys: int) -> float:
         """Banked bitonic sort: n log n / throughput."""

@@ -168,8 +168,7 @@ class SequencerModel:
 TPUV4_SEQUENCER = SequencerModel()
 
 
-def step_overhead_seconds(shape: EmbeddingStepShape,
-                          sequencer: SequencerModel = TPUV4_SEQUENCER
-                          ) -> float:
-    """Convenience: fixed per-step overhead for one step shape."""
-    return sequencer.fixed_overhead_seconds(generate_step_program(shape))
+def step_overhead_seconds(shape: EmbeddingStepShape) -> float:
+    """Convenience: TPU v4's fixed per-step overhead for one step shape."""
+    return TPUV4_SEQUENCER.fixed_overhead_seconds(
+        generate_step_program(shape))

@@ -29,8 +29,6 @@ class SparseCore:
             clock_hz=self.params.clock_hz,
             lanes=self.params.lanes_per_tile,
             hbm_channel_bandwidth=per_tile_bw,
-            spmem_bytes=(self.params.spmem_per_sparsecore
-                         / self.params.tiles_per_sparsecore),
             fetch_cycles_per_row=self.params.fetch_cycles_per_row,
         )
         self.crosschannel = CrossChannelUnits(clock_hz=self.params.clock_hz)

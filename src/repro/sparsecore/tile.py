@@ -21,7 +21,6 @@ class SCTile:
     clock_hz: float = 1050e6
     lanes: int = 8
     hbm_channel_bandwidth: float = 75e9   # 1200 GB/s / 16 channels
-    spmem_bytes: float = 2.5 * 2**20 / 16  # its slice of the SC's Spmem
     fetch_cycles_per_row: float = 4.0
 
     def fetch_time(self, rows: int, row_bytes: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import GB, MIB, US
+from repro.units import GB, US
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class SCTimingParams:
     # random-access efficiency.  This asymmetry, with the 2x SC count, is
     # what yields the DLRM speedups of Figures 9/12.
     hbm_embedding_share: float = 0.75
-    spmem_per_sparsecore: float = 2.5 * MIB
     lanes_per_tile: int = 8              # 8-wide SIMD scVPU
     fetch_cycles_per_row: float = 4.0    # address gen + tag + issue
     instruction_overhead: float = 0.3 * US   # CISC gen per table per step
@@ -58,7 +57,6 @@ TPUV3_SC = SCTimingParams(
     clock_hz=940e6,
     hbm_bandwidth=900 * GB,
     hbm_embedding_share=0.28,
-    spmem_per_sparsecore=2.5 * MIB,
     fetch_cycles_per_row=6.0,
     instruction_overhead=3.2 * US,
     step_overhead=30 * US,

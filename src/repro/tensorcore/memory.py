@@ -8,35 +8,23 @@ HBM's bandwidth, the rest at CMEM's when CMEM is enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
-from repro.units import GB, GIB, MIB
+from repro.units import GB
 
 
 @dataclass(frozen=True)
 class MemorySystem:
-    """Capacities and bandwidths of one chip's memory levels."""
+    """Bandwidths of one chip's HBM and CMEM."""
 
-    hbm_capacity: float = 32 * GIB
     hbm_bandwidth: float = 1200 * GB
-    cmem_capacity: float = 128 * MIB
     cmem_bandwidth: float = 4800 * GB   # on-chip SRAM, ~4x HBM
-    vmem_capacity: float = 32 * MIB
-    vmem_bandwidth: float = 9600 * GB
     cmem_enabled: bool = True
 
     def without_cmem(self) -> "MemorySystem":
         """The Figure 13 ablation: CMEM turned off."""
-        return MemorySystem(
-            hbm_capacity=self.hbm_capacity,
-            hbm_bandwidth=self.hbm_bandwidth,
-            cmem_capacity=self.cmem_capacity,
-            cmem_bandwidth=self.cmem_bandwidth,
-            vmem_capacity=self.vmem_capacity,
-            vmem_bandwidth=self.vmem_bandwidth,
-            cmem_enabled=False,
-        )
+        return replace(self, cmem_enabled=False)
 
     def effective_bandwidth(self, hbm_fraction: float) -> float:
         """Blended bandwidth when a fraction of traffic must go to HBM.
@@ -55,11 +43,7 @@ class MemorySystem:
 
 
 TPUV3_MEMORY = MemorySystem(
-    hbm_capacity=32 * GIB,
     hbm_bandwidth=900 * GB,
-    cmem_capacity=0.0,
     cmem_bandwidth=0.0,
-    vmem_capacity=32 * MIB,
-    vmem_bandwidth=7200 * GB,
     cmem_enabled=False,
 )

@@ -18,7 +18,6 @@ from repro.topology.torus import Torus3D
 from repro.topology.twisted import TwistedTorus3D, is_twistable
 
 BLOCK_SIDE = 4
-BLOCK_CHIPS = BLOCK_SIDE**3
 
 
 def is_block_multiple(shape: tuple[int, int, int]) -> bool:

@@ -19,10 +19,6 @@ MIB = 1024.0**2
 GIB = 1024.0**3
 TIB = 1024.0**4
 
-# --- rates ------------------------------------------------------------------
-GBPS = GB  # bytes/second when multiplied by seconds
-GBIT = 1e9 / 8.0  # one gigabit expressed in bytes
-
 # --- compute ----------------------------------------------------------------
 MFLOP = 1e6
 GFLOP = 1e9
@@ -33,15 +29,11 @@ PFLOP = 1e15
 NS = 1e-9
 US = 1e-6
 MS = 1e-3
-SECOND = 1.0
 MINUTE = 60.0
 HOUR = 3600.0
 DAY = 86400.0
 
-# --- power / energy ---------------------------------------------------------
-WATT = 1.0
-KILOWATT = 1e3
-MEGAWATT = 1e6
+# --- energy -----------------------------------------------------------------
 KWH = 3.6e6  # joules per kilowatt-hour
 
 

@@ -1,5 +1,6 @@
 """Tests for the `python -m repro` command-line interface."""
 
+import argparse
 import json
 import re
 
@@ -503,9 +504,16 @@ class TestFleetFlagMatrix:
         assert not obs_path.exists()
 
     def test_every_mode_has_a_subparser(self):
-        from repro.__main__ import FLEET_MODES
-        assert FLEET_MODES == ("run", "record", "replay", "report",
-                               "profile", "sweep", "serve", "lint")
+        from repro.__main__ import build_parser
+
+        def subcommands(parser):
+            return next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+
+        fleet = subcommands(build_parser())["fleet"]
+        assert tuple(subcommands(fleet)) == (
+            "run", "record", "replay", "report", "profile", "sweep",
+            "serve", "lint")
 
     def test_serve_quickstart(self, capsys):
         from repro.__main__ import main

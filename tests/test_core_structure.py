@@ -2,29 +2,26 @@
 
 import pytest
 
-from repro.core import (Block, CHIPS_PER_BLOCK, CHIPS_PER_HOST,
-                        CHIPS_PER_TRAY, EXTERNAL_LINKS_PER_TRAY,
+from repro.core import (Block, CHIPS_PER_BLOCK, CHIPS_PER_TRAY,
                         HOSTS_PER_BLOCK, ICI_LINKS_PER_CHIP, MACHINE_BLOCKS,
                         TPUv4Supercomputer, Tray)
-from repro.core.block import FACE_LINKS_PER_BLOCK, INTERNAL_MESH_LINKS
 from repro.errors import SchedulingError
 
 
 class TestPaperConstants:
     def test_chip_counts(self):
-        assert CHIPS_PER_HOST == 4       # Table 4: chips per CPU host
         assert ICI_LINKS_PER_CHIP == 6   # Table 4: 6 links @ 50 GB/s
         assert CHIPS_PER_TRAY == 4       # Figure 2
 
     def test_tray_osfp_ports(self):
-        # Figure 2: "16 bottom-side OSFP connectors for inter-tray ICI".
-        assert EXTERNAL_LINKS_PER_TRAY == 16
+        # Figure 2: "16 bottom-side OSFP connectors for inter-tray ICI":
+        # every chip link less the 2x2 mesh's 4 on-board edges, each of
+        # which uses two ports.
+        assert CHIPS_PER_TRAY * ICI_LINKS_PER_CHIP - 2 * 4 == 16
 
     def test_block_counts(self):
         assert CHIPS_PER_BLOCK == 64
         assert HOSTS_PER_BLOCK == 16     # "16 tray-host pairs" per rack
-        assert FACE_LINKS_PER_BLOCK == 96
-        assert INTERNAL_MESH_LINKS == 144
 
     def test_machine_scale(self):
         assert MACHINE_BLOCKS == 64
@@ -33,9 +30,9 @@ class TestPaperConstants:
 class TestTray:
     def test_wrong_chip_count_rejected(self):
         from repro.core.chip import TPUv4Chip
-        chip = TPUv4Chip(chip_id=0, block_id=0, host_id=0, coords=(0, 0, 0))
+        chip = TPUv4Chip(block_id=0, host_id=0, coords=(0, 0, 0))
         with pytest.raises(ValueError):
-            Tray(tray_id=0, host_id=0, chips=[chip])
+            Tray(host_id=0, chips=[chip])
 
 
 class TestBlock:
@@ -46,9 +43,8 @@ class TestBlock:
         assert all(len(t.chips) == 4 for t in block.trays)
         assert block.is_healthy
 
-    def test_chip_ids_offset_by_block(self):
+    def test_host_ids_offset_by_block(self):
         block = Block.build(2)
-        assert block.chips[0].chip_id == 128
         assert block.chips[0].host_id == 32
 
     def test_chip_coords_cover_block(self):

@@ -9,11 +9,15 @@ from repro.graph.mesh import DeviceMesh, MeshAxis
 from repro.graph.ops import (AllReduceOp, ElementwiseOp, InputOp, MatMulOp,
                              ParameterOp)
 from repro.graph.schedule import (ChipTimingModel, GraphScheduler,
-                                  TPUV3_TIMING, TPUV4_TIMING, simulate)
+                                  TPUV4_TIMING, simulate)
 from repro.graph.spmd import partition
 from repro.graph.tensor import ShardingSpec, TensorSpec
 from repro.graph.trace import ExecutionTrace, OpRecord
 from repro.models.transformer import TransformerConfig
+
+# TPU v3 (Table 4: 123 TFLOPS, 900 GB/s), a slower chip to compare with.
+TPUV3_TIMING = ChipTimingModel(peak_flops=123e12, hbm_bandwidth=900e9,
+                               sc_bandwidth=600e9, vpu_flops=7.7e12)
 
 SMALL = TransformerConfig(name="small", num_layers=1, d_model=1024,
                           num_heads=16, d_ff=2048, seq_len=128)

@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.slicing import cube_shape
 from repro.errors import ConfigurationError
 from repro.models.mlperf_dlrm import (MLPERF_DLRM, PRODUCTION_DLRM,
                                       RecommenderBenchmark,
-                                      RecommenderCostModel, cube_shape,
+                                      RecommenderCostModel,
                                       scaling_curve, useful_scaling_limit)
 from repro.topology.builder import supports_wraparound
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.models import (BERT_CONFIG, GPT3_CONFIG, TransformerConfig,
+from repro.models import (GPT3_CONFIG, TransformerConfig,
                           production_scaling_curves, scaling_curve)
 from repro.models.scaling import apps_scaling_well
 from repro.models.transformer import model_flops_utilization
@@ -16,7 +16,10 @@ class TestTransformerConfigs:
 
     def test_bert_size(self):
         # BERT-large: ~340M parameters.
-        assert BERT_CONFIG.num_params == pytest.approx(340e6, rel=0.15)
+        bert = TransformerConfig(
+            name="BERT", num_layers=24, d_model=1024, num_heads=16,
+            d_ff=4096, seq_len=512, vocab_size=30_522)
+        assert bert.num_params == pytest.approx(340e6, rel=0.15)
 
     def test_flops_law(self):
         assert GPT3_CONFIG.flops_per_token() == pytest.approx(
@@ -47,7 +50,7 @@ class TestFigure11:
 
     def test_half_scale_well_to_3k(self, curves):
         # Paper: CNN0, RNN0, RNN1, BERT1 scale well to 3K chips.
-        good = apps_scaling_well(threshold=0.75, at_chips=3072)
+        good = apps_scaling_well()
         for expected in ("CNN0", "RNN0", "RNN1", "BERT1"):
             assert expected in good
 

@@ -1,5 +1,5 @@
-"""Every module, function, class and method under ``src/repro`` is
-reached from a program entry point.
+"""Every module, function, class, method, constant and field under
+``src/repro`` is reached from a program entry point.
 
 The entry points are the CLI (``python -m repro``), the benchmark
 scripts, the examples and the perfbench harness.  Code that only tests
@@ -28,11 +28,19 @@ reached, by rule: dunder methods and ``visit_*`` methods of a reached
 class (Python and :class:`ast.NodeVisitor` call them by name), and
 ``@rule``-registered detlint checks (the registry calls them).  Imports
 and ``__all__`` lists name nothing: they do not run the code they name.
+
+The state walk then checks, with the names the name walk collected,
+that reached code reads every piece of state a reached module keeps:
+each module-level constant, and each class-level attribute or
+dataclass/NamedTuple field of a reached class (Enum members, dunders
+and ``visit_*`` aliases count as read by rule).  It also checks that a
+non-package module reads, in its own code, every name it imports.
 """
 
 from __future__ import annotations
 
 import ast
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,10 +77,10 @@ EXPECTED_UNREACHED_NAMES = {
 }
 
 
-def _module_files() -> dict[str, Path]:
+def _module_files(src: Path = SRC) -> dict[str, Path]:
     files = {}
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        parts = path.relative_to(SRC).with_suffix("").parts
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
         files[".".join(parts)] = path
@@ -232,11 +240,11 @@ class _Definition:
         return self.node.end_lineno - first + 1
 
 
-def unreached_names() -> dict[str, int]:
-    """``module:qualname`` -> line count of every definition in a reached
-    module that no reached code names; a class's members are listed only
-    when the class itself is reached."""
+def _name_walk() -> tuple[set[str], list[_Definition], list[_Definition]]:
+    """The names reached code uses, the reached definitions, and the
+    unreached ones; a class's members wait only once it is reached."""
     used: set[str] = set()
+    reached: list[_Definition] = []
     waiting: list[_Definition] = []
     for module in sorted(reached_modules() | EXPECTED_UNREACHED):
         body = ast.parse(MODULES[module].read_text()).body
@@ -254,15 +262,22 @@ def unreached_names() -> dict[str, int]:
     for path in SCRIPTS:
         used |= _used_names([ast.parse(path.read_text())], {})
 
-    # A member waits only once its class is reached.
     while ready := [d for d in waiting
                     if d.reached_by_rule() or d.node.name in used]:
         for definition in ready:
             used |= _used_names(definition.code(), definition.aliases)
+        reached += ready
         done = set(ready)
         waiting = [d for d in waiting if d not in done] + \
             [member for d in ready for member in d.members()]
-    return {f"{d.module}:{d.qualname}": d.lines() for d in waiting}
+    return used, reached, waiting
+
+
+def unreached_names() -> dict[str, int]:
+    """``module:qualname`` -> line count of every definition in a reached
+    module that no reached code names; a class's members are listed only
+    when the class itself is reached."""
+    return {f"{d.module}:{d.qualname}": d.lines() for d in _name_walk()[2]}
 
 
 def test_only_expected_names_are_unreached():
@@ -271,3 +286,108 @@ def test_only_expected_names_are_unreached():
     assert not unexpected, "reached by no entry point:\n" + "\n".join(
         f"  {name} ({unreached[name]} lines)" for name in unexpected)
     assert set(unreached) == set(EXPECTED_UNREACHED_NAMES)
+
+
+# State that no entry point reads, kept on purpose.  Each one is a
+# reference that a test compares the model or the wiring against.
+EXPECTED_UNREAD = {
+    # Table 3's published best configuration: test_parallelism.py
+    # (TestMapping.test_table3_configs_map, TestLLMCostModel and
+    # TestTable3Search.test_search_beats_published_best) prices it
+    # against the search's choice.
+    "repro.parallelism.search:CaseStudy.best_shape",
+    "repro.parallelism.search:CaseStudy.best_spec",
+    # The chip pair a circuit joins: test_ocs_fabric.py
+    # (TestRealizeSlice.test_topology_edge_dims_consistent) checks it is
+    # an edge of the slice topology along the circuit's dimension.
+    "repro.ocs.reconfigure:Circuit.chip_link",
+}
+
+
+def _assigned(stmt: ast.stmt) -> list[str]:
+    """The plain names an assignment statement binds."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _is_enum(node: ast.ClassDef) -> bool:
+    return any(getattr(base, "id", getattr(base, "attr", "")).endswith(
+        ("Enum", "Flag")) for base in node.bases)
+
+
+def _imported(stmt: ast.stmt) -> list[str]:
+    """The names an import statement binds (none for ``__future__``)."""
+    if isinstance(stmt, ast.Import):
+        return [alias.asname or alias.name.partition(".")[0]
+                for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        return [alias.asname or alias.name for alias in stmt.names]
+    return []
+
+
+def unread_state() -> dict[str, str]:
+    """``module:name`` -> kind of every module constant, class attribute
+    or field, and import in a reached module that no reached code reads."""
+    used, reached, _ = _name_walk()
+    unread: dict[str, str] = {}
+    for module in sorted(reached_modules() - EXPECTED_UNREACHED):
+        tree = ast.parse(MODULES[module].read_text())
+        for stmt in tree.body:
+            for name in _assigned(stmt):
+                if name not in used and not _called_by_name(name):
+                    unread[f"{module}:{name}"] = "module constant"
+        if _is_package(module):
+            continue
+        local = {child.id for child in ast.walk(tree)
+                 if isinstance(child, ast.Name)
+                 and isinstance(child.ctx, ast.Load)}
+        for stmt in tree.body:
+            for name in _imported(stmt):
+                if name not in local:
+                    unread[f"{module}:{name}"] = "import"
+    for definition in reached:
+        node = definition.node
+        if not isinstance(node, ast.ClassDef) or _is_enum(node) or \
+                definition.module in EXPECTED_UNREACHED:
+            continue
+        for stmt in node.body:
+            for name in _assigned(stmt):
+                if name not in used and not _called_by_name(name):
+                    unread[f"{definition.module}:{definition.qualname}."
+                           f"{name}"] = "class attribute or field"
+    return unread
+
+
+def test_only_expected_state_is_unread():
+    unread = unread_state()
+    unexpected = sorted(set(unread) - EXPECTED_UNREAD)
+    assert not unexpected, "read by no entry point:\n" + "\n".join(
+        f"  {name} ({unread[name]})" for name in unexpected)
+    assert set(unread) == EXPECTED_UNREAD
+
+
+def test_state_walk_names_planted_state(tmp_path, monkeypatch):
+    shutil.copytree(SRC / "repro", tmp_path / "repro")
+    plants = {
+        "core/availability.py": ("    mean_goodput: float\n",
+                                 "    planted_field: float = 0.0\n"),
+        "units.py": ("MS = 1e-3\n", "PLANTED_CONSTANT = 2.0\n"),
+        "core/deployment.py": ("from dataclasses import dataclass\n",
+                               "from dataclasses import field\n"),
+    }
+    for name, (anchor, line) in plants.items():
+        path = tmp_path / "repro" / name
+        text = path.read_text()
+        assert text.count(anchor) == 1
+        path.write_text(text.replace(anchor, anchor + line))
+    monkeypatch.setitem(globals(), "MODULES", _module_files(tmp_path))
+    assert set(unread_state()) - EXPECTED_UNREAD == {
+        "repro.core.availability:GoodputResult.planted_field",
+        "repro.units:PLANTED_CONSTANT",
+        "repro.core.deployment:field",
+    }

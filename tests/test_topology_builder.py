@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.topology import build_topology
-from repro.topology.builder import (BLOCK_CHIPS, is_block_multiple,
+from repro.topology.builder import (BLOCK_SIDE, is_block_multiple,
                                     supports_wraparound)
 
 
 class TestPhysicalRules:
     def test_block_constants(self):
-        assert BLOCK_CHIPS == 64
+        assert BLOCK_SIDE**3 == 64
 
     def test_block_multiple(self):
         assert is_block_multiple((4, 4, 4))
